@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt
 from typing import List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS
@@ -22,13 +22,41 @@ from .poly import Poly, VariableLayout
 Q = Fraction
 
 
+def _signed_perm(g: Matrix):
+    """(perm, signs) when g^{-1} maps each variable j to signs[j] * x_perm[j], else None.
+
+    For a signed permutation matrix g^{-1} is the transpose of g, so the map
+    is read off the columns of g.  The substitution is then a monomial map,
+    which lets the action remap exponent tuples directly instead of
+    expanding products.
+    """
+    perm, signs = [], []
+    for j in range(g.cols):
+        nz = [(i, g.at(i, j)) for i in range(g.rows) if g.at(i, j) != 0]
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            return None
+        perm.append(nz[0][0])
+        signs.append(1 if nz[0][1] > 0 else -1)
+    if len(set(perm)) != len(perm):
+        return None
+    return tuple(perm), tuple(signs)
+
+
 @dataclass(frozen=True)
 class MatrixGroup:
-    """A finite group of invertible rational matrices, fully enumerated."""
+    """A finite group of invertible rational matrices, fully enumerated.
+
+    `signed_perms[i]` is the `_signed_perm` map of `elements[i]` (None for an
+    element that is not a signed permutation), computed once per group.
+    """
 
     dimension: int
     generators: Tuple[Matrix, ...]
     elements: Tuple[Matrix, ...]
+    signed_perms: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "signed_perms", tuple(_signed_perm(g) for g in self.elements))
 
     @property
     def order(self) -> int:
@@ -121,14 +149,9 @@ class DiagonalAction:
 
 
 @lru_cache(maxsize=None)
-def _inverse_cached(g: Matrix) -> Matrix:
-    return inverse(g)
-
-
-@lru_cache(maxsize=None)
 def _substitution_images(g: Matrix, layout: VariableLayout):
     """Variable images realizing p |-> p(g^{-1} .) blockwise."""
-    inv = _inverse_cached(g)
+    inv = inverse(g)
     m = layout.vars_per_block
     images = {}
     for a in range(layout.blocks):
@@ -144,61 +167,73 @@ def _substitution_images(g: Matrix, layout: VariableLayout):
     return images
 
 
-@lru_cache(maxsize=None)
-def _signed_perm_map(g: Matrix):
-    """(perm, signs) when g^{-1} maps each variable to a signed variable, else None.
-
-    For signed permutation matrices the substitution is a monomial map, which
-    lets act() remap exponent tuples directly instead of expanding products.
-    """
-    inv = _inverse_cached(g)
-    perm, signs = [], []
-    for j in range(inv.rows):
-        row = inv.row(j)
-        nz = [(i, c) for i, c in enumerate(row) if c != 0]
-        if len(nz) != 1 or abs(nz[0][1]) != 1:
-            return None
-        perm.append(nz[0][0])
-        signs.append(1 if nz[0][1] > 0 else -1)
-    return tuple(perm), tuple(signs)
-
-
 def act(g: Matrix, p: Poly, action: DiagonalAction) -> Poly:
     """(g.p)(v) = p(g^{-1} v), applied to every block of the layout."""
     if p.layout != action.layout:
         raise ValueError("polynomial layout does not match the action")
-    sp = _signed_perm_map(g)
+    sp = _signed_perm(g)
     if sp is None:
         return p.substitute(_substitution_images(g, action.layout))
-    perm, signs = sp
-    layout = action.layout
-    m = layout.vars_per_block
-    total = layout.total
+    src, odd = _layout_map(sp, action.layout)
     terms = {}
     for e, c in p._terms.items():
-        ne = [0] * total
-        flip = False
-        for a in range(layout.blocks):
-            base = a * m
-            for j in range(m):
-                k = e[base + j]
-                if k:
-                    ne[base + perm[j]] = k
-                    if signs[j] < 0 and (k & 1):
-                        flip = not flip
-        terms[tuple(ne)] = -c if flip else c
+        terms[tuple(map(e.__getitem__, src))] = -c if sum(map(e.__getitem__, odd)) & 1 else c
     out = Poly.__new__(Poly)
-    object.__setattr__(out, "layout", layout)
+    object.__setattr__(out, "layout", action.layout)
     object.__setattr__(out, "_terms", terms)
     return out
 
 
+def _layout_map(sp, layout: VariableLayout):
+    """(src, odd) for a signed permutation acting on every block of the layout.
+
+    The image of x^e is (-1)^(sum of e[i], i in odd) * x^e' with
+    e'[t] = e[src[t]].
+    """
+    perm, signs = sp
+    m = layout.vars_per_block
+    src = [0] * layout.total
+    odd = []
+    for base in range(0, layout.total, m):
+        for j in range(m):
+            src[base + perm[j]] = base + j
+            if signs[j] < 0:
+                odd.append(base + j)
+    return src, odd
+
+
+def _element_maps(action: DiagonalAction) -> list:
+    """Per group element: its layout map when it is a signed permutation, else None."""
+    return [None if sp is None else _layout_map(sp, action.layout)
+            for sp in action.group.signed_perms]
+
+
+def _reynolds(p: Poly, action: DiagonalAction, maps: list) -> Poly:
+    """reynolds(p, action), given `_element_maps(action)`."""
+    sums: dict = {}  # zero sums are dropped by the Poly constructor
+    for g, layout_map in zip(action.group.elements, maps):
+        if layout_map is None:
+            for e, c in act(g, p, action)._terms.items():
+                sums[e] = sums.get(e, 0) + c
+    signed = [layout_map for layout_map in maps if layout_map is not None]
+    for e, c in p._terms.items():
+        # signed images of one term as integer counts: one Fraction product
+        # per distinct image instead of one Fraction sum per element
+        counts: dict = {}
+        for src, odd in signed:
+            ne = tuple(map(e.__getitem__, src))
+            counts[ne] = counts.get(ne, 0) + (-1 if sum(map(e.__getitem__, odd)) & 1 else 1)
+        for ne, k in counts.items():
+            sums[ne] = sums.get(ne, 0) + c * k
+    scale = Fraction(1, action.group.order)
+    return Poly(p.layout, {e: c * scale for e, c in sums.items()})
+
+
 def reynolds(p: Poly, action: DiagonalAction) -> Poly:
     """Average over the group: (1/|G|) sum_g g.p.  Projects onto invariants."""
-    total = Poly.zero(p.layout)
-    for g in action.group.elements:
-        total = total + act(g, p, action)
-    return total * Fraction(1, action.group.order)
+    if p.layout != action.layout:
+        raise ValueError("polynomial layout does not match the action")
+    return _reynolds(p, action, _element_maps(action))
 
 
 def is_invariant(p: Poly, action: DiagonalAction) -> bool:
@@ -248,21 +283,23 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
         raise CapExceededError("degree too large", "monomials", monomial_cap)
     monos = monomials_of_multidegree(action.layout, deg)
     index = {e: i for i, e in enumerate(monos)}
+    maps = _element_maps(action)
     rows = []
     seen = set()
     for e in monos:
-        image = reynolds(Poly.monomial(action.layout, e), action)
+        image = _reynolds(Poly.monomial(action.layout, e), action, maps)
         if image.is_zero():
             continue
-        vec = [Q(0)] * n_mono
-        for ee, c in image._terms.items():
-            vec[index[ee]] = c
         # normalize so scalar-multiple images collapse to one row
-        lead = next(x for x in vec if x != 0)
-        key = tuple(x / lead for x in vec)
+        entries = sorted((index[ee], c) for ee, c in image._terms.items())
+        lead = entries[0][1]
+        key = tuple((i, c / lead) for i, c in entries)
         if key not in seen:
             seen.add(key)
-            rows.append(key)
+            vec = [Q(0)] * n_mono
+            for i, c in key:
+                vec[i] = c
+            rows.append(vec)
     if not rows:
         return 0
     return rank(Matrix.from_rows(rows))
@@ -298,7 +335,7 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAPS.group_order) -> MatrixGr
         gens = []
         for flat in spec["generators"]:
             k = len(flat)
-            n = int(round(k ** 0.5))
+            n = isqrt(k)
             if n * n != k:
                 raise ValueError("generator entry count is not a perfect square")
             gens.append(Matrix(n, n, tuple(frac(str(x)) for x in flat)))

@@ -1,7 +1,13 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-All entries are `fractions.Fraction` values, which Python keeps reduced to
-lowest terms with a positive denominator.  There is no floating point
+Matrix entries are `fractions.Fraction` values, which Python keeps reduced
+to lowest terms with a positive denominator.  `rref` works on them directly
+and is kept for callers that use the reduced basis itself.  `rank` and
+`solve_in_span` instead use fraction-free integer elimination (in the style
+of Bareiss): each vector is scaled by the lcm of its denominators to a
+sparse integer row, rows are combined as b*r - a*k, and the gcd content is
+divided out after every step, so entries stay small integers and no
+Fraction is built until the final coefficients.  There is no floating point
 anywhere in this module; every answer is exact.
 """
 
@@ -142,8 +148,75 @@ def rref(m: Matrix):
     return reduced, r, pivots
 
 
+def _integer_row(v: Sequence) -> tuple:
+    """(row, d): d*v as a sparse {column: int} row, d the lcm of the denominators."""
+    nz = {i: frac(x) for i, x in enumerate(v) if x}
+    d = lcm(*[q.denominator for q in nz.values()])
+    return {i: q.numerator * (d // q.denominator) for i, q in nz.items() if q}, d
+
+
+def _echelon(vectors: Iterable[Sequence], track: bool = False):
+    """Fraction-free sparse elimination of `vectors`, taken in order.
+
+    Each vector becomes an integer row (see `_integer_row`) and is reduced
+    against the rows kept so far: for a kept row k with pivot column p and
+    a = r[p], b = k[p] (divided by their gcd), r becomes b*r - a*k, and the
+    gcd content of r is divided out.  Kept rows are zero at every earlier
+    pivot, so one pass in order clears all pivots of r.  A vector is kept
+    when a nonzero row remains, so the kept indices are the lex-first
+    independent vectors: the pivot columns of the RREF of the matrix whose
+    columns are `vectors`.
+
+    Returns (kept, relation).  With `track`, every row also carries its
+    integer combination of the scaled inputs (without `track` the
+    combinations stay empty); when the last vector is not kept, `relation`
+    maps kept indices j to Fractions c_j with
+    vectors[-1] = sum_j c_j * vectors[j].  Otherwise `relation` is None.
+    """
+    pivots = []  # (pivot column, row, combination)
+    kept = []
+    scales = []
+    row, combo = {}, {}
+    for j, v in enumerate(vectors):
+        row, d = _integer_row(v)
+        scales.append(d)
+        combo = {j: 1} if track else {}
+        for p, prow, pcombo in pivots:
+            a = row.get(p)
+            if a is None:
+                continue
+            b = prow[p]
+            g = gcd(a, b)
+            a, b = a // g, b // g
+            for vec, other in ((row, prow), (combo, pcombo)):
+                if b != 1:
+                    for c in vec:
+                        vec[c] *= b
+                for c, y in other.items():
+                    x = vec.get(c, 0) - a * y
+                    if x:
+                        vec[c] = x
+                    else:
+                        del vec[c]
+            if not row:
+                break
+            g = gcd(*row.values(), *combo.values())
+            if g != 1:
+                for vec in (row, combo):
+                    for c in vec:
+                        vec[c] //= g
+        if row:
+            pivots.append((min(row), row, combo))
+            kept.append(j)
+    if not track or row or not scales:
+        return kept, None
+    last = len(scales) - 1
+    den = -combo.pop(last) * scales[last]
+    return kept, {j: Fraction(c * scales[j], den) for j, c in combo.items()}
+
+
 def rank(m: Matrix) -> int:
-    return rref(m)[1]
+    return len(_echelon(m.row(i) for i in range(m.rows))[0])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -162,25 +235,19 @@ def inverse(m: Matrix) -> Matrix:
 def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]:
     """Express `target` as an exact linear combination of `basis` vectors.
 
-    Returns the coefficient list (free coordinates set to zero) or None when
-    the target is not in the span.  All vectors must have the same length.
+    Only the lex-first independent basis vectors get nonzero coefficients
+    (free coordinates are zero), so the answer is the one read off the RREF
+    of [basis | target].  Returns the coefficient list, or None when the
+    target is not in the span.  All vectors must have the same length.
     """
-    basis = [tuple(frac(x) for x in v) for v in basis]
-    target = tuple(frac(x) for x in target)
+    vectors = [*basis, target]
     n = len(target)
-    if any(len(v) != n for v in basis):
+    if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")
-    k = len(basis)
-    if k == 0:
-        return [] if all(x == 0 for x in target) else None
-    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(n)]
-    red, _, pivots = rref(Matrix.from_rows(rows))
-    if k in pivots:
+    _, relation = _echelon(vectors, track=True)
+    if relation is None:
         return None
-    coeffs = [Q(0)] * k
-    for r, c in enumerate(pivots):
-        coeffs[c] = red.at(r, k)
-    return coeffs
+    return [relation.get(j, Q(0)) for j in range(len(basis))]
 
 
 # ---------------------------------------------------------------------------

@@ -503,8 +503,13 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
 # ---------------------------------------------------------------------------
 
 def weight_system_from_spec(spec: dict) -> WeightSystem:
-    return WeightSystem(int(spec["torus_rank"]),
-                        tuple(tuple(int(x) for x in w) for w in spec["weights"]))
+    try:
+        rank = int(spec["torus_rank"])
+        weights = tuple(tuple(int(x) for x in w) for w in spec["weights"])
+    except TypeError as exc:
+        raise ValueError(f"torus_rank must be an integer and weights a list of "
+                         f"integer vectors ({exc})") from None
+    return WeightSystem(rank, weights)
 
 
 def binary_form_from_spec(spec: dict) -> BinaryForm:

@@ -320,10 +320,6 @@ def _compositions_all(total: int, parts: int):
 
 
 # ---------------------------------------------------------------------------
-# Separation of orbits by the polarization generators
-# ---------------------------------------------------------------------------
-
-# ---------------------------------------------------------------------------
 # Packaged certificate: the D_4 polarization gap on two copies
 # ---------------------------------------------------------------------------
 

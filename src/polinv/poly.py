@@ -360,7 +360,10 @@ def parse_poly(text: str, layout: VariableLayout) -> Poly:
         factors = body.split("*")
         for pos, factor in enumerate(factors):
             if pos == 0 and _COEFF_RE.match(factor):
-                coeff = coeff * Fraction(factor)
+                try:
+                    coeff = coeff * Fraction(factor)
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in {factor!r} in {text!r}") from None
                 continue
             m = _VAR_RE.match(factor)
             if not m:

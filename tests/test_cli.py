@@ -103,6 +103,24 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
     assert main(["polarize", files["x4"], "--copies", "0"]) == 2
 
 
+def test_non_square_generator_exits_2(tmp_path, capsys):
+    spec = write(tmp_path, "g.json", {"generators": [["1", "0", "0"]]})
+    assert main(["invariant-dims", spec, "--copies", "1", "--max-degree", "1"]) == 2
+    assert "perfect square" in capsys.readouterr().err
+
+
+def test_zero_denominator_in_poly_exits_2(tmp_path, capsys):
+    spec = write(tmp_path, "p.json", {"vars": 2, "poly": "1/0*x1"})
+    assert main(["polarize", spec, "--copies", "2"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_list_weights_exit_2(tmp_path, capsys):
+    spec = write(tmp_path, "t.json", {"torus_rank": 1, "weights": 5})
+    assert main(["nullcone", "torus", spec, "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from polinv.limits import CapExceededError
-from polinv.linalg import Matrix
+from polinv.linalg import Matrix, rref
 from polinv.poly import Poly, VariableLayout, parse_poly
 from polinv.groups import (DiagonalAction, act, builtin_family, enumerate_group,
                            group_from_spec, invariant_dimension, is_invariant,
@@ -119,6 +119,52 @@ def test_reynolds_idempotent_and_invariant():
         r = reynolds(p, a)
         assert reynolds(r, a) == r
         assert is_invariant(r, a)
+
+
+def _act_sum_reynolds(p, action):
+    """Reference: (1/|G|) sum over the elements of act(g, p)."""
+    total = Poly.zero(p.layout)
+    for g in action.group.elements:
+        total = total + act(g, p, action)
+    return total * Q(1, action.group.order)
+
+
+def _act_sum_invariant_dimension(action, deg):
+    rows = []
+    monos = monomials_of_multidegree(action.layout, deg)
+    for e in monos:
+        image = _act_sum_reynolds(Poly.monomial(action.layout, e), action)
+        rows.append([image.coefficient(ee) for ee in monos])
+    return rref(Matrix.from_rows(rows))[1]
+
+
+ORDER3 = {"generators": [["0", "-1", "1", "-1"]]}
+
+
+@pytest.mark.parametrize("family,m,degs", [
+    ("S", 3, [(1, 0), (1, 1), (2, 1), (2, 2)]),
+    ("B", 3, [(1, 1), (2, 0), (2, 2), (3, 1)]),
+    ("D", 4, [(1, 1), (2, 1), (2, 2)]),
+    ("custom", 2, [(1, 0), (1, 1), (2, 1), (3, 0), (2, 2)]),
+])
+def test_reynolds_and_invariant_dimension_match_act_sums(family, m, degs):
+    group = group_from_spec(ORDER3) if family == "custom" else builtin_family(family, m)
+    if family == "custom":
+        # order 3, not a signed permutation: the substitute path of act()
+        assert group.order == 3
+        assert group.signed_perms[0] is not None
+        assert group.signed_perms[1] is None and group.signed_perms[2] is None
+    else:
+        assert all(sp is not None for sp in group.signed_perms)
+    action = DiagonalAction(group, VariableLayout(2, m))
+    rng = random.Random(f"{family}{m}")
+    for deg in degs:
+        monos = monomials_of_multidegree(action.layout, deg)
+        for _ in range(3):
+            p = Poly(action.layout, {rng.choice(monos): Q(rng.randint(-5, 5), rng.randint(1, 3))
+                                     for _ in range(3)})
+            assert reynolds(p, action) == _act_sum_reynolds(p, action)
+        assert invariant_dimension(action, deg) == _act_sum_invariant_dimension(action, deg)
 
 
 def test_invariant_dimension_examples():

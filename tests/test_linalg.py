@@ -77,6 +77,74 @@ def test_solve_in_span_certificates_reconstruct():
         assert rebuilt == target
 
 
+def test_solve_in_span_uses_the_lex_first_independent_vectors():
+    # (2, 0) depends on (1, 0), so its coefficient is the free coordinate
+    assert solve_in_span([(1, 0), (2, 0), (0, 1)], (3, 1)) == [3, 0, 1]
+
+
+def _rref_solve(basis, target):
+    """Reference: the coefficients read off the RREF of [basis | target]."""
+    k = len(basis)
+    rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(len(target))]
+    red, _, pivots = rref(Matrix.from_rows(rows))
+    if k in pivots:
+        return None
+    coeffs = [Q(0)] * k
+    for r, c in enumerate(pivots):
+        coeffs[c] = red.at(r, k)
+    return coeffs
+
+
+def _random_vectors(rng, dim, count):
+    """Rational vectors with denominators, mixed with zero, repeated,
+    proportional and combined vectors."""
+    out = []
+    for _ in range(count):
+        kind = rng.randrange(5) if out else 0
+        if kind == 0:
+            v = [Q(rng.randint(-6, 6), rng.randint(1, 7)) if rng.random() < 0.7 else Q(0)
+                 for _ in range(dim)]
+        elif kind == 1:
+            v = [Q(0)] * dim
+        elif kind == 2:
+            v = list(rng.choice(out))
+        elif kind == 3:
+            c = Q(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4))
+            v = [c * x for x in rng.choice(out)]
+        else:
+            a, b = rng.choice(out), rng.choice(out)
+            c = Q(rng.randint(-4, 4), rng.randint(1, 3))
+            v = [x + c * y for x, y in zip(a, b)]
+        out.append(v)
+    return out
+
+
+def test_solve_in_span_and_rank_match_the_rref_reference():
+    rng = random.Random(606)
+    found = missing = 0
+    for _ in range(400):
+        dim = rng.randint(1, 6)
+        basis = _random_vectors(rng, dim, rng.randint(0, 7))
+        if basis and rng.random() < 0.6:
+            target = _random_vectors(rng, dim, 1)[0]
+            coeffs = [Q(rng.randint(-3, 3), rng.randint(1, 3)) for _ in basis]
+            target = [sum((c * v[i] for c, v in zip(coeffs, basis)), Q(0))
+                      for i in range(dim)]
+        elif rng.random() < 0.2:
+            target = [Q(0)] * dim
+        else:
+            target = _random_vectors(rng, dim, 1)[0]
+        got = solve_in_span(basis, target)
+        assert got == _rref_solve(basis, target), (basis, target)
+        found += got is not None
+        missing += got is None
+        if basis:
+            mat = Matrix.from_rows(basis)
+            assert rank(mat) == rref(mat)[1]
+            assert rank(mat.transpose()) == rref(mat)[1]
+    assert found > 100 and missing > 50
+
+
 def test_strict_positive_functional_positive_orthant():
     gamma = strict_positive_functional([(1, 0), (0, 1)])
     assert gamma is not None
