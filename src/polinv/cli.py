@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .limits import CapExceededError, Caps, DEFAULT_SEED
 from .linalg import frac
-from .groups import DiagonalAction, group_from_spec, invariant_dimension, count_monomials
-from .poly import VariableLayout, parse_poly, poly_to_string
+from .groups import DiagonalAction, group_from_spec, invariant_dimension
+from .poly import VariableLayout, count_monomials, multidegrees, parse_poly, poly_to_string
 from .polarization import (certificate_combination, certify_dm, classical_generators,
                            compare_graded_dims, copies_layout, GeneratorSet,
                            membership, polarization_generators, polarize)
@@ -35,7 +35,10 @@ def _env_int(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None or raw == "":
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +104,7 @@ def _load_poly_file(path: str):
     return layout, parse_poly(spec["poly"], layout)
 
 
-def _load_gens_file(path: str, span_cap: int, group_cap: int) -> GeneratorSet:
+def _load_gens_file(path: str) -> GeneratorSet:
     spec = _load_json(path)
     if "family" in spec:
         family, m, n = spec["family"], int(spec["m"]), int(spec["copies"])
@@ -161,16 +164,14 @@ def cmd_invariant_dims(args, caps: Caps) -> dict:
     group = group_from_spec(_load_json(args.group_file), caps.group_order)
     layout = copies_layout(group.dimension, args.copies)
     action = DiagonalAction(group, layout)
-    from .polarization import _compositions_all
     rows = []
     bounded = True
-    for total in range(args.max_degree + 1):
-        for deg in sorted(_compositions_all(total, args.copies)):
-            dim = invariant_dimension(action, deg, caps.monomials)
-            n_mono = count_monomials(layout, deg)
-            bounded = bounded and dim <= n_mono
-            rows.append({"multidegree": list(deg), "dim_invariants": dim,
-                         "monomials": n_mono})
+    for deg in multidegrees(args.max_degree, args.copies):
+        dim = invariant_dimension(action, deg, caps.monomials)
+        n_mono = count_monomials((group.dimension,) * args.copies, deg)
+        bounded = bounded and dim <= n_mono
+        rows.append({"multidegree": list(deg), "dim_invariants": dim,
+                     "monomials": n_mono})
     checks = [check("dims_bounded_by_monomial_count", bounded)]
     return make_report("invariant-dims", args.seed, caps, checks,
                        group_order=group.order, copies=args.copies,
@@ -201,7 +202,7 @@ def cmd_compare(args, caps: Caps) -> dict:
 
 def cmd_membership(args, caps: Caps) -> dict:
     layout, f = _load_poly_file(args.poly_file)
-    gens = _load_gens_file(args.gens_file, caps.span_products, caps.group_order)
+    gens = _load_gens_file(args.gens_file)
     if gens.layout != layout:
         raise ValueError("polynomial and generator layouts differ")
     cert = membership(f, gens, caps.span_products)
@@ -267,11 +268,13 @@ def cmd_certify(args, caps: Caps) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    except ValueError as exc:  # a malformed POLINV_* default
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     caps = Caps(args.cap_group_order, args.cap_span_products, args.cap_monomials)
     handlers = {
         "polarize": cmd_polarize,

@@ -7,17 +7,16 @@ left-action convention (g.p)(v) = p(g^{-1} v), applied per block.
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, isqrt
-from typing import List, Optional, Sequence, Tuple
+from math import isqrt
+from typing import List, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS
 from .linalg import Matrix, frac, inverse, rank
-from .poly import Poly, VariableLayout
+from .poly import Poly, VariableLayout, count_monomials, monomials
 
 Q = Fraction
 
@@ -178,10 +177,7 @@ def act(g: Matrix, p: Poly, action: DiagonalAction) -> Poly:
     terms = {}
     for e, c in p._terms.items():
         terms[tuple(map(e.__getitem__, src))] = -c if sum(map(e.__getitem__, odd)) & 1 else c
-    out = Poly.__new__(Poly)
-    object.__setattr__(out, "layout", action.layout)
-    object.__setattr__(out, "_terms", terms)
-    return out
+    return Poly._trusted(action.layout, terms)
 
 
 def _layout_map(sp, layout: VariableLayout):
@@ -240,33 +236,11 @@ def is_invariant(p: Poly, action: DiagonalAction) -> bool:
     return all(act(g, p, action) == p for g in action.group.generators)
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`, lex descending."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
 def monomials_of_multidegree(layout: VariableLayout, deg: Sequence[int]) -> List[tuple]:
     """Exponent tuples with the given total degree in each block, deterministic order."""
     if len(deg) != layout.blocks:
         raise ValueError("multidegree length does not match layout")
-    blocks: List[List[tuple]] = [list(_compositions(d, layout.vars_per_block)) for d in deg]
-    out = [()]
-    for options in blocks:
-        out = [prefix + opt for prefix in out for opt in options]
-    return out
-
-
-def count_monomials(layout: VariableLayout, deg: Sequence[int]) -> int:
-    m = layout.vars_per_block
-    n = 1
-    for d in deg:
-        n *= comb(d + m - 1, m - 1)
-    return n
+    return monomials((layout.vars_per_block,) * layout.blocks, deg)
 
 
 def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
@@ -278,7 +252,7 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
     monomial basis is too large.
     """
     deg = tuple(deg)
-    n_mono = count_monomials(action.layout, deg)
+    n_mono = count_monomials((action.layout.vars_per_block,) * len(deg), deg)
     if n_mono > monomial_cap:
         raise CapExceededError("degree too large", "monomials", monomial_cap)
     monos = monomials_of_multidegree(action.layout, deg)
@@ -341,8 +315,3 @@ def group_from_spec(spec: dict, cap: int = DEFAULT_CAPS.group_order) -> MatrixGr
             gens.append(Matrix(n, n, tuple(frac(str(x)) for x in flat)))
         return enumerate_group(gens, cap)
     raise ValueError("group spec needs a 'builtin' or 'generators' key")
-
-
-def load_group_file(path: str, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return group_from_spec(json.load(fh), cap)

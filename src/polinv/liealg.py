@@ -11,13 +11,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 from typing import List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import Matrix, frac, rank, rref, solve_in_span
 from .nullcone import SubspaceSpec, matrix_nilpotent, span_probe_nullcone
-from .poly import Poly, VariableLayout
+from .poly import Poly, VariableLayout, count_monomials, monomials
 from .polarization import polarize
 from .reports import check, make_report
 
@@ -158,36 +157,6 @@ def apply_derivation(rules, layout: VariableLayout, exps: tuple) -> Poly:
     return Poly(layout, terms)
 
 
-_SL2_SELFTEST_DONE = False
-
-
-def _sl2_selftest():
-    """Convention check: the discriminant of R_2 must be annihilated."""
-    global _SL2_SELFTEST_DONE
-    if _SL2_SELFTEST_DONE:
-        return
-    layout = VariableLayout(1, 3)
-    c0, c1, c2 = (Poly.variable(layout, i) for i in range(3))
-    disc = c1 * c1 - 4 * c0 * c2
-    for rules in sl2_derivation_rules((2,)):
-        image = Poly.zero(layout)
-        for exps, c in disc.terms():
-            image = image + apply_derivation(rules, layout, exps) * c
-        if not image.is_zero():
-            raise AssertionError("sl2 derivation convention broken: discriminant not annihilated")
-    _SL2_SELFTEST_DONE = True
-
-
-def _module_monomials(module: Sequence[int], deg: Sequence[int]):
-    """Exponent tuples with the given total degree in each summand's variables."""
-    from .groups import _compositions
-    parts = [list(_compositions(d, m + 1)) for d, m in zip(deg, module)]
-    out = [()]
-    for options in parts:
-        out = [prefix + opt for prefix in out for opt in options]
-    return out
-
-
 def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
                             monomial_cap: int = DEFAULT_CAPS.monomials) -> int:
     """Dimension of the SL2-invariants of multidegree `deg` in the coefficients
@@ -198,15 +167,11 @@ def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
         raise ValueError("multidegree length does not match the module")
     if any(d < 1 for d in module):
         raise ValueError("summand degrees must be at least 1")
-    _sl2_selftest()
-    count = 1
-    for d, k in zip(module, deg):
-        count *= comb(k + d, d)
-    if count > monomial_cap:
+    sizes = tuple(d + 1 for d in module)
+    if count_monomials(sizes, deg) > monomial_cap:
         raise CapExceededError("degree too large", "monomials", monomial_cap)
-    nvars = sum(d + 1 for d in module)
-    layout = VariableLayout(1, nvars)
-    monos = _module_monomials(module, deg)
+    layout = VariableLayout(1, sum(sizes))
+    monos = monomials(sizes, deg)
     index = {e: i for i, e in enumerate(monos)}
     rule_sets = sl2_derivation_rules(module)
     rows = []

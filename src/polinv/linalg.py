@@ -22,8 +22,17 @@ Q = Fraction
 
 
 def frac(x) -> Fraction:
-    """Coerce ints / strings / Fractions to Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce ints / strings / Fractions to Fraction.
+
+    Malformed input raises ValueError, including a zero denominator such as
+    "1/0" (for which Fraction itself raises ZeroDivisionError).
+    """
+    if isinstance(x, Fraction):
+        return x
+    try:
+        return Fraction(x)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {x!r}") from None
 
 
 def _bits(q: Fraction) -> int:

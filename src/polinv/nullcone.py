@@ -3,16 +3,18 @@
 Torus modules are handled through strict separating functionals on the
 weights that support a vector; binary forms through the classical root
 multiplicity criterion, decided exactly by gcds of iterated partials;
-matrices through identically vanishing characteristic coefficients.
+matrices through the power traces: over Q, Newton's identities make
+tr(A^k) = 0 for k = 1..n equivalent to every characteristic coefficient
+vanishing, also for polynomial entries.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,18 +107,11 @@ def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec) -> Optional[tup
 
 # --- independent brute-force oracle (used by agreement certificates) --------
 
-_GRID_CACHE: dict = {}
-
-
+@lru_cache(maxsize=None)
 def _grid(dim: int, bound: int) -> np.ndarray:
-    key = (dim, bound)
-    got = _GRID_CACHE.get(key)
-    if got is None:
-        axis = np.arange(-bound, bound + 1, dtype=np.int64)
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        got = np.stack([m.ravel() for m in mesh], axis=1)
-        _GRID_CACHE[key] = got
-    return got
+    axis = np.arange(-bound, bound + 1, dtype=np.int64)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def brute_box_functional(points: Sequence[Sequence[int]], dim: int,
@@ -167,20 +162,6 @@ class BinaryForm:
         d = self.degree
         return Poly(_BINARY_LAYOUT, {(d - i, i): c for i, c in enumerate(self.coeffs) if c != 0})
 
-    @classmethod
-    def from_poly(cls, p: Poly, degree: Optional[int] = None) -> "BinaryForm":
-        if p.layout.total != 2:
-            raise ValueError("expected a polynomial in two variables")
-        d = p.total_degree() if degree is None else degree
-        if not p.is_zero() and (not p.is_homogeneous() or p.total_degree() != d):
-            raise ValueError("polynomial is not homogeneous of the stated degree")
-        return cls(d, tuple(p.coefficient((d - i, i)) for i in range(d + 1)))
-
-    def evaluate(self, x, y) -> Fraction:
-        x, y = frac(x), frac(y)
-        d = self.degree
-        return sum((c * x ** (d - i) * y ** i for i, c in enumerate(self.coeffs)), Q(0))
-
     def multiply(self, other: "BinaryForm") -> "BinaryForm":
         d = self.degree + other.degree
         out = [Q(0)] * (d + 1)
@@ -188,15 +169,6 @@ class BinaryForm:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return BinaryForm(d, tuple(out))
-
-    def scale(self, c) -> "BinaryForm":
-        c = frac(c)
-        return BinaryForm(self.degree, tuple(c * a for a in self.coeffs))
-
-    def add(self, other: "BinaryForm") -> "BinaryForm":
-        if self.degree != other.degree:
-            raise ValueError("degree mismatch")
-        return BinaryForm(self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def divide_linear(self, a, b) -> Optional["BinaryForm"]:
         """Exact quotient by the linear form a*x + b*y, or None if not divisible."""
@@ -287,7 +259,10 @@ def binary_nullcone_witness(f: BinaryForm) -> Optional[BinaryForm]:
 # Matrix nilpotency
 # ---------------------------------------------------------------------------
 
-def _lift_entries(mat) -> Tuple[list, Optional[VariableLayout]]:
+def _lift_entries(mat) -> Tuple[list, object]:
+    """Square rows of one entry type, with that type's zero: Polys of one
+    layout when any entry is a Poly, else integers (the rationals times their
+    common denominator, a nonzero scalar, which keeps nilpotency)."""
     if isinstance(mat, Matrix):
         rows = mat.to_rows()
     else:
@@ -304,55 +279,33 @@ def _lift_entries(mat) -> Tuple[list, Optional[VariableLayout]]:
         if layout:
             break
     if layout is None:
-        return [[frac(x) for x in r] for r in rows], None
+        rows = [[frac(x) for x in r] for r in rows]
+        d = lcm(*(x.denominator for r in rows for x in r))
+        return [[x.numerator * (d // x.denominator) for x in r] for r in rows], 0
     lifted = []
     for r in rows:
         lifted.append([x if isinstance(x, Poly) else Poly.constant(layout, x) for x in r])
-    return lifted, layout
-
-
-def _det(rows) -> object:
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        a = rows[0][j]
-        if isinstance(a, Poly):
-            if a.is_zero():
-                continue
-        elif a == 0:
-            continue
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = a * _det(minor)
-        if j % 2 == 1:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        total = rows[0][0] * 0
-    return total
+    return lifted, Poly.zero(layout)
 
 
 def matrix_nilpotent(mat) -> bool:
     """True when every characteristic coefficient vanishes identically.
 
-    Entries may be rationals or polynomials; for size n this checks that the
-    sums of principal minors of every order 1..n are (identically) zero.
+    Entries may be rationals or polynomials (a `Matrix`, or rows of
+    rationals, Polys or both).  For size n this checks tr(A^k) = 0
+    identically for k = 1..n.  Over Q that is equivalent by Newton's
+    identities, k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} tr(A^i), where e_k is
+    the sum of the principal k x k minors.
     """
-    rows, layout = _lift_entries(mat)
+    rows, zero = _lift_entries(mat)
     n = len(rows)
+    power = rows  # A^k
     for k in range(1, n + 1):
-        total = None
-        for subset in combinations(range(n), k):
-            sub = [[rows[i][j] for j in subset] for i in subset]
-            d = _det(sub)
-            total = d if total is None else total + d
-        if layout is None:
-            if total != 0:
-                return False
-        else:
-            if not total.is_zero():
-                return False
+        if sum((power[i][i] for i in range(n)), zero) != zero:
+            return False
+        if k < n:
+            power = [[sum((power[i][t] * rows[t][j] for t in range(n)), zero)
+                      for j in range(n)] for i in range(n)]
     return True
 
 
@@ -514,13 +467,3 @@ def weight_system_from_spec(spec: dict) -> WeightSystem:
 
 def binary_form_from_spec(spec: dict) -> BinaryForm:
     return BinaryForm(int(spec["degree"]), tuple(frac(str(c)) for c in spec["coeffs"]))
-
-
-def load_weight_system(path: str) -> WeightSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return weight_system_from_spec(json.load(fh))
-
-
-def load_binary_form(path: str) -> BinaryForm:
-    with open(path, "r", encoding="utf-8") as fh:
-        return binary_form_from_spec(json.load(fh))

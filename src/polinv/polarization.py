@@ -19,7 +19,7 @@ from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import Matrix, rref, solve_in_span
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, same_orbit)
-from .poly import Poly, VariableLayout, glex_key, is_scalar_multiple
+from .poly import Poly, VariableLayout, glex_key, is_scalar_multiple, multidegrees
 
 Q = Fraction
 
@@ -298,25 +298,12 @@ def compare_graded_dims(group: MatrixGroup, invariant_gens: Sequence[Poly], n: i
     layout = copies_layout(m, n)
     action = DiagonalAction(group, layout)
     gens = polarization_generators(invariant_gens, n, group=group)
-    degs = []
-    for total in range(max_total_degree + 1):
-        degs.extend(sorted(_compositions_all(total, n)))
     rows = []
-    for deg in degs:
+    for deg in multidegrees(max_total_degree, n):
         dim_inv = invariant_dimension(action, deg, monomial_cap)
         dim_pol = graded_span_basis(gens, deg, span_cap).dimension
         rows.append((deg, dim_inv, dim_pol))
     return rows
-
-
-def _compositions_all(total: int, parts: int):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(total + 1):
-        for rest in _compositions_all(total - first, parts - 1):
-            out.append((first,) + rest)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence
+from math import comb
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .linalg import frac
 
@@ -39,9 +40,6 @@ class VariableLayout:
             raise ValueError("variable position out of range")
         return block * self.vars_per_block + slot
 
-    def block_of(self, index: int) -> int:
-        return index // self.vars_per_block
-
     def var_name(self, index: int) -> str:
         a, j = divmod(index, self.vars_per_block)
         return f"x{a + 1}_{j + 1}"
@@ -54,6 +52,40 @@ class VariableLayout:
 def glex_key(exponents: Sequence[int]):
     """Sort key for graded lexicographic order (use reverse=True for descending)."""
     return (sum(exponents), tuple(exponents))
+
+
+def compositions(total: int, parts: int):
+    """All tuples of `parts` non-negative integers summing to `total`, lex descending."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(total, -1, -1):
+        for rest in compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def multidegrees(max_total: int, parts: int) -> List[tuple]:
+    """Every multidegree with `parts` entries and total degree <= max_total, graded-lex ascending."""
+    return sorted((deg for total in range(max_total + 1) for deg in compositions(total, parts)),
+                  key=glex_key)
+
+
+def monomials(block_sizes: Sequence[int], deg: Sequence[int]) -> List[tuple]:
+    """Exponent tuples over consecutive blocks of the given sizes, of total
+    degree deg[a] in block a, lex descending."""
+    out = [()]
+    for size, d in zip(block_sizes, deg):
+        options = list(compositions(d, size))
+        out = [prefix + opt for prefix in out for opt in options]
+    return out
+
+
+def count_monomials(block_sizes: Sequence[int], deg: Sequence[int]) -> int:
+    """len(monomials(block_sizes, deg)), without enumerating them."""
+    n = 1
+    for size, d in zip(block_sizes, deg):
+        n *= comb(d + size - 1, size - 1)
+    return n
 
 
 class Poly:
@@ -79,10 +111,18 @@ class Poly:
                         clean.pop(exps, None)
                     else:
                         clean[exps] = c
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "_terms", clean)
+        self.layout = layout
+        self._terms = clean
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, layout: VariableLayout, terms: Dict[tuple, Fraction]) -> "Poly":
+        """Wrap `terms` unchecked: exponent tuples of the layout's length, nonzero Fractions."""
+        out = cls.__new__(cls)
+        out.layout = layout
+        out._terms = terms
+        return out
 
     @classmethod
     def zero(cls, layout: VariableLayout) -> "Poly":
@@ -153,18 +193,12 @@ class Poly:
                 terms.pop(e, None)
             else:
                 terms[e] = s
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "layout", self.layout)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return Poly._trusted(self.layout, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "layout", self.layout)
-        object.__setattr__(out, "_terms", {e: -c for e, c in self._terms.items()})
-        return out
+        return Poly._trusted(self.layout, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -179,10 +213,7 @@ class Poly:
             c = frac(other)
             if c == 0:
                 return Poly.zero(self.layout)
-            out = Poly.__new__(Poly)
-            object.__setattr__(out, "layout", self.layout)
-            object.__setattr__(out, "_terms", {e: c * v for e, v in self._terms.items()})
-            return out
+            return Poly._trusted(self.layout, {e: c * v for e, v in self._terms.items()})
         self._check_layout(other)
         terms: Dict[tuple, Fraction] = {}
         for e1, c1 in self._terms.items():
@@ -193,10 +224,7 @@ class Poly:
                     terms.pop(e, None)
                 else:
                     terms[e] = s
-        out = Poly.__new__(Poly)
-        object.__setattr__(out, "layout", self.layout)
-        object.__setattr__(out, "_terms", terms)
-        return out
+        return Poly._trusted(self.layout, terms)
 
     __rmul__ = __mul__
 
@@ -360,10 +388,7 @@ def parse_poly(text: str, layout: VariableLayout) -> Poly:
         factors = body.split("*")
         for pos, factor in enumerate(factors):
             if pos == 0 and _COEFF_RE.match(factor):
-                try:
-                    coeff = coeff * Fraction(factor)
-                except ZeroDivisionError:
-                    raise ValueError(f"zero denominator in {factor!r} in {text!r}") from None
+                coeff = coeff * frac(factor)
                 continue
             m = _VAR_RE.match(factor)
             if not m:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All arithmetic is exact, so every comparison is zero-tolerance.
 """
 
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -293,16 +294,28 @@ def test_ac09_sl2_invariant_dimensions():
 
 # -- AC-10: byte-identical reports ------------------------------------------------
 
+# SHA-256 of each `--format structured --seed 12345 certify` report; a
+# refactor that changes any byte of a report changes its digest
+AC10_DIGESTS = {
+    "dm": "7c10a7e7ee3d291c9faf8a225f8bbd4eb3dca6d83588d88f16159eda3e1c4e45",
+    "so5": "ebfc6e46e0d8232d2a052b05058375d06ac0aebcf16ed4ff853139963f176f82",
+    "sl3": "febd4d5efcc7a5bedd78ad14f4c0e5fe87827de3c94ae3adb5106b06136d14f0",
+    "torus": "2c7580096105e7819c3986aa7cc7d048c798a0dba8db94096ecd343586c9015b",
+    "sl2-r1": "e90c608cba5da9a8387f6f30c46356719074b46233eb988d9412e889f5312a53",
+}
+
+
 def test_ac10_determinism(capsys):
-    scenarios = ("dm", "so5", "sl3", "torus", "sl2-r1")
-    for scenario in scenarios:
+    for scenario, digest in AC10_DIGESTS.items():
         outputs = []
         for _ in range(2):
-            code = cli_main(["--format", "structured", "--seed", str(DEFAULT_SEED),
+            code = cli_main(["--format", "structured", "--seed", "12345",
                              "certify", scenario])
             captured = capsys.readouterr().out
             assert code == 0, scenario
             outputs.append(captured.encode())
         assert outputs[0] == outputs[1], scenario
+        assert hashlib.sha256(outputs[0]).hexdigest() == digest, scenario
     _line("AC-10 determinism", True,
-          "all five certify scenarios byte-identical across repeated runs")
+          "all five certify scenarios byte-identical across repeated runs "
+          "and to their recorded digests")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -115,6 +116,26 @@ def test_zero_denominator_in_poly_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize("spec, argv", [
+    ({"degree": 1, "coeffs": ["1/0", "1"]}, ["nullcone", "binary", "SPEC"]),
+    ({"generators": [["1/0", "0", "0", "1"]]},
+     ["invariant-dims", "SPEC", "--copies", "1", "--max-degree", "1"]),
+    ({"torus_rank": 1, "weights": [[1], [1]]}, ["nullcone", "torus", "SPEC", "1/0,1"]),
+], ids=["binary-coeff", "group-generator", "torus-vector"])
+def test_zero_denominator_entry_exits_2(tmp_path, capsys, spec, argv):
+    path = write(tmp_path, "spec.json", spec)
+    assert main([path if a == "SPEC" else a for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("name", ["POLINV_SEED", "POLINV_CAP_MONOMIALS"])
+def test_malformed_env_int_exits_2(capsys, monkeypatch, name):
+    monkeypatch.setenv(name, "abc")
+    assert main(["certify", "sl2-r1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+
+
 def test_non_list_weights_exit_2(tmp_path, capsys):
     spec = write(tmp_path, "t.json", {"torus_rank": 1, "weights": 5})
     assert main(["nullcone", "torus", spec, "1"]) == 2
@@ -162,6 +183,9 @@ def test_compare_reports_the_d4_gap(tmp_path, capsys):
     rows = {tuple(r["multidegree"]): r for r in report["table"]}
     assert rows[(3, 3)]["dim_invariants"] == 10
     assert rows[(3, 3)]["dim_pol_span"] == 9
+    # the whole report, byte for byte
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "852dd46a2ab622bc7a6f3fc13f2bfb0473178fbe0966e387ee053753887c370d")
 
 
 def test_structured_reports_are_deterministic(files, capsys):

@@ -81,6 +81,24 @@ def test_sl2_pair_invariant_is_the_determinant():
         assert image.is_zero()
 
 
+def test_sl2_rules_annihilate_the_r2_discriminant():
+    # convention check: each of e, f, h kills c1^2 - 4*c0*c2 on R_2, while
+    # some of them moves c0, so a broken sign or index convention shows here
+    layout = VariableLayout(1, 3)
+    c0, c1, c2 = (Poly.variable(layout, i) for i in range(3))
+    disc = c1 * c1 - 4 * c0 * c2
+
+    def apply_poly(rules, p):
+        out = Poly.zero(layout)
+        for exps, c in p.terms():
+            out = out + apply_derivation(rules, layout, exps) * c
+        return out
+
+    rule_sets = sl2_derivation_rules((2,))
+    assert all(apply_poly(rules, disc).is_zero() for rules in rule_sets)
+    assert any(not apply_poly(rules, c0).is_zero() for rules in rule_sets)
+
+
 def test_sl2_derivations_satisfy_bracket_relations():
     # [e, f] = h, [h, e] = 2e, [h, f] = -2f on all monomials of degree <= 3
     module = (2,)

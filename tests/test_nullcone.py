@@ -179,6 +179,12 @@ def test_matrix_nilpotent_examples():
     assert matrix_nilpotent([[z, a, z], [b, z, a], [z, -b, z]])
     assert not matrix_nilpotent([[1, 0], [0, -1]])
     assert matrix_nilpotent([[0, 1, 2], [0, 0, 3], [0, 0, 0]])
+    # a test of tr A alone or det A alone calls diag(1, -1, 0) nilpotent, and
+    # one that stops before tr A^3 misses the 3-cycle (tr A = tr A^2 = 0)
+    assert not matrix_nilpotent([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert not matrix_nilpotent([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
+    assert not matrix_nilpotent([[a, b], [b, -a]])
+    assert matrix_nilpotent(Matrix.from_rows([[0, 0, 0], [4, 0, 0], [1, -2, 0]]))
 
 
 def test_matrix_nilpotent_agrees_with_powers():
