@@ -11,7 +11,6 @@ POLINV_CAP_MONOMIALS); command line flags win over the environment.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import random
 import sys
@@ -19,14 +18,14 @@ from fractions import Fraction
 
 from .limits import CapExceededError, Caps, DEFAULT_SEED
 from .linalg import frac
-from .groups import DiagonalAction, group_from_spec, invariant_dimension
-from .poly import VariableLayout, count_monomials, multidegrees, parse_poly, poly_to_string
+from .groups import DiagonalAction, builtin_family, invariant_dimension
+from .poly import count_monomials, multidegrees, poly_to_string
 from .polarization import (certificate_combination, certify_dm, classical_generators,
-                           compare_graded_dims, copies_layout, GeneratorSet,
-                           membership, polarization_generators, polarize)
-from .nullcone import (binary_form_from_spec, binary_form_nullcone_member,
-                       binary_nullcone_witness, certify_torus, torus_nullcone_member,
-                       v_gamma, weight_system_from_spec)
+                           compare_graded_dims, copies_layout, membership, polarize)
+from .nullcone import (binary_form_nullcone_member, binary_nullcone_witness,
+                       certify_torus, torus_nullcone_member, v_gamma)
+from .specs import (binary_form_from_spec, builtin_from_spec, generators_from_spec,
+                    group_from_spec, load_spec, poly_from_spec, weight_system_from_spec)
 from .liealg import certify_sl2_r1, certify_sl3, certify_so5
 from .reports import check, make_report, render_structured, render_text
 
@@ -87,52 +86,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _layout_from_spec(spec: dict) -> VariableLayout:
-    if "vars" in spec:
-        return VariableLayout(1, int(spec["vars"]))
-    return VariableLayout(int(spec["blocks"]), int(spec["vars_per_block"]))
-
-
-def _load_poly_file(path: str):
-    spec = _load_json(path)
-    layout = _layout_from_spec(spec)
-    return layout, parse_poly(spec["poly"], layout)
-
-
-def _load_gens_file(path: str) -> GeneratorSet:
-    spec = _load_json(path)
-    if "family" in spec:
-        family, m, n = spec["family"], int(spec["m"]), int(spec["copies"])
-        invs = classical_generators(family, m)
-        return polarization_generators(invs, n)
-    if "invariants" in spec:
-        layout = VariableLayout(1, int(spec["vars"]))
-        invs = [parse_poly(s, layout) for s in spec["invariants"]]
-        return polarization_generators(invs, int(spec["copies"]))
-    if "generators" in spec:
-        layout = _layout_from_spec(spec)
-        gens = []
-        for s in spec["generators"]:
-            p = parse_poly(s, layout)
-            deg = p.multidegree()
-            if deg is None:
-                raise ValueError(f"generator {s!r} is not multihomogeneous")
-            gens.append((p, deg))
-        return GeneratorSet(layout, tuple(gens))
-    raise ValueError("generator spec needs a 'family', 'invariants' or 'generators' key")
-
-
 def _parse_vector(text: str):
     return tuple(frac(part) for part in text.split(","))
 
 
+def _check_max_degree(max_degree: int) -> None:
+    if max_degree < 0:
+        raise ValueError(f"--max-degree must be non-negative, got {max_degree}")
+
+
 def cmd_polarize(args, caps: Caps) -> dict:
-    layout, f = _load_poly_file(args.poly_file)
+    layout, f = poly_from_spec(load_spec(args.poly_file))
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
     comps = polarize(f, args.copies)
@@ -161,7 +125,8 @@ def cmd_polarize(args, caps: Caps) -> dict:
 
 
 def cmd_invariant_dims(args, caps: Caps) -> dict:
-    group = group_from_spec(_load_json(args.group_file), caps.group_order)
+    _check_max_degree(args.max_degree)
+    group = group_from_spec(load_spec(args.group_file), caps.group_order)
     layout = copies_layout(group.dimension, args.copies)
     action = DiagonalAction(group, layout)
     rows = []
@@ -179,12 +144,13 @@ def cmd_invariant_dims(args, caps: Caps) -> dict:
 
 
 def cmd_compare(args, caps: Caps) -> dict:
-    spec = _load_json(args.group_file)
-    if "builtin" not in spec:
+    _check_max_degree(args.max_degree)
+    builtin = builtin_from_spec(load_spec(args.group_file))
+    if builtin is None:
         raise ValueError("compare needs a builtin group file "
                          "(the classical invariant generators are wired in for S, B, D)")
-    family, m = spec["builtin"]["family"], int(spec["builtin"]["m"])
-    group = group_from_spec(spec, caps.group_order)
+    family, m = builtin
+    group = builtin_family(family, m, caps.group_order)
     invs = classical_generators(family, m)
     rows = compare_graded_dims(group, invs, args.copies, args.max_degree,
                                caps.span_products, caps.monomials)
@@ -201,8 +167,8 @@ def cmd_compare(args, caps: Caps) -> dict:
 
 
 def cmd_membership(args, caps: Caps) -> dict:
-    layout, f = _load_poly_file(args.poly_file)
-    gens = _load_gens_file(args.gens_file)
+    layout, f = poly_from_spec(load_spec(args.poly_file))
+    gens = generators_from_spec(load_spec(args.gens_file))
     if gens.layout != layout:
         raise ValueError("polynomial and generator layouts differ")
     cert = membership(f, gens, caps.span_products)
@@ -221,7 +187,7 @@ def cmd_membership(args, caps: Caps) -> dict:
 
 def cmd_nullcone(args, caps: Caps) -> dict:
     if args.nullcone_kind == "torus":
-        ws = weight_system_from_spec(_load_json(args.module_file))
+        ws = weight_system_from_spec(load_spec(args.module_file))
         v = _parse_vector(args.vector)
         gamma = torus_nullcone_member(ws, v)
         checks = [check("in_nullcone", gamma is not None)]
@@ -233,7 +199,7 @@ def cmd_nullcone(args, caps: Caps) -> dict:
             payload["cocharacter"] = list(gamma)
             payload["positive_part"] = list(v_gamma(ws, gamma))
         return make_report("nullcone-torus", args.seed, caps, checks, **payload)
-    form = binary_form_from_spec(_load_json(args.form_file))
+    form = binary_form_from_spec(load_spec(args.form_file))
     member = binary_form_nullcone_member(form)
     checks = [check("in_nullcone", member)]
     payload = {"degree": form.degree, "coeffs": [str(c) for c in form.coeffs],
@@ -289,7 +255,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"error: {exc} (cap {exc.cap_name}={exc.cap_value})", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     text = render_structured(report) if args.format == "structured" else render_text(report)

@@ -11,7 +11,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
 from typing import List, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS
@@ -294,24 +293,3 @@ def same_orbit(v: Sequence, w: Sequence, action: DiagonalAction) -> bool:
         if tuple(image) == w:
             return True
     return False
-
-
-# ---------------------------------------------------------------------------
-# Group spec files:  {"builtin": {"family": "D", "m": 4}}
-#                or  {"generators": [["1","0","0","1"], ...]}  (row-major)
-# ---------------------------------------------------------------------------
-
-def group_from_spec(spec: dict, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
-    if "builtin" in spec:
-        b = spec["builtin"]
-        return builtin_family(b["family"], int(b["m"]), cap)
-    if "generators" in spec:
-        gens = []
-        for flat in spec["generators"]:
-            k = len(flat)
-            n = isqrt(k)
-            if n * n != k:
-                raise ValueError("generator entry count is not a perfect square")
-            gens.append(Matrix(n, n, tuple(frac(str(x)) for x in flat)))
-        return enumerate_group(gens, cap)
-    raise ValueError("group spec needs a 'builtin' or 'generators' key")

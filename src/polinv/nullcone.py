@@ -449,21 +449,3 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
         conclusion="torus nullcone membership matches exhaustive search and "
                    "planes inside the nullcone lie in one positive part",
     )
-
-
-# ---------------------------------------------------------------------------
-# Spec files
-# ---------------------------------------------------------------------------
-
-def weight_system_from_spec(spec: dict) -> WeightSystem:
-    try:
-        rank = int(spec["torus_rank"])
-        weights = tuple(tuple(int(x) for x in w) for w in spec["weights"])
-    except TypeError as exc:
-        raise ValueError(f"torus_rank must be an integer and weights a list of "
-                         f"integer vectors ({exc})") from None
-    return WeightSystem(rank, weights)
-
-
-def binary_form_from_spec(spec: dict) -> BinaryForm:
-    return BinaryForm(int(spec["degree"]), tuple(frac(str(c)) for c in spec["coeffs"]))

@@ -1,0 +1,196 @@
+"""Spec files: the JSON inputs of the command line.
+
+This module alone knows the file format:
+
+    group file         {"builtin": {"family": "D", "m": 4}}
+                    or {"generators": [["1", "0", "0", "1"], ...]}  (row-major rationals)
+    polynomial file    {"vars": m, "poly": "..."}
+                    or {"blocks": n, "vars_per_block": m, "poly": "..."}
+    generator file     {"family": "D", "m": 4, "copies": n}
+                    or {"vars": m, "copies": n, "invariants": ["...", ...]}
+                    or {<polynomial file layout keys>, "generators": ["...", ...]}
+    torus module file  {"torus_rank": r, "weights": [[...], ...]}  (integers)
+    binary form file   {"degree": d, "coeffs": ["1", "0", "-2/3", ...]}
+
+Every field goes through one reader per kind (integer, rational, string, list,
+object).  Any fault raises ValueError naming the file kind and the key, e.g.
+"group file: 'builtin.m' must be an integer".  An integer field takes what
+int() takes, except a bool or a float with a fractional part, so nothing is
+truncated; a rational field means frac(str(value)).  The objects built here
+keep their own checks for library callers.
+"""
+
+from __future__ import annotations
+
+import json
+from fractions import Fraction
+from math import isqrt
+from typing import Optional, Tuple
+
+from .groups import MatrixGroup, builtin_family, enumerate_group
+from .limits import DEFAULT_CAPS
+from .linalg import Matrix, frac
+from .nullcone import BinaryForm, WeightSystem
+from .poly import Poly, VariableLayout, parse_poly
+from .polarization import GeneratorSet, classical_generators, polarization_generators
+
+GROUP = "group file"
+POLY = "polynomial file"
+GENS = "generator file"
+TORUS = "torus module file"
+BINARY = "binary form file"
+
+
+def load_spec(path: str):
+    """The parsed JSON of a spec file; a malformed file raises ValueError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+# ---------------------------------------------------------------------------
+# Field readers: reader(kind, key, value) returns the checked value
+# ---------------------------------------------------------------------------
+
+def _bad(kind: str, key: str, what: str) -> ValueError:
+    return ValueError(f"{kind}: {key!r} must be {what}")
+
+
+def _integer(kind: str, key: str, value) -> int:
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise _bad(kind, key, "an integer")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise _bad(kind, key, "an integer") from None
+
+
+def _rational(kind: str, key: str, value) -> Fraction:
+    try:
+        return frac(str(value))
+    except ValueError as exc:
+        raise _bad(kind, key, f"a rational ({exc})") from None
+
+
+def _string(kind: str, key: str, value) -> str:
+    if not isinstance(value, str):
+        raise _bad(kind, key, "a string")
+    return value
+
+
+def _list(item):
+    """The reader of a list whose entries are read by `item`."""
+    def read(kind: str, key: str, value) -> list:
+        if not isinstance(value, list):
+            raise _bad(kind, key, "a list")
+        return [item(kind, f"{key}[{i}]", x) for i, x in enumerate(value)]
+    return read
+
+
+def _poly(layout: VariableLayout):
+    """The reader of a polynomial text on `layout`."""
+    def read(kind: str, key: str, value) -> Poly:
+        text = _string(kind, key, value)
+        try:
+            return parse_poly(text, layout)
+        except ValueError as exc:
+            raise ValueError(f"{kind}: {key!r}: {exc}") from None
+    return read
+
+
+class _Object:
+    """A JSON object of one spec file, read one key at a time."""
+
+    def __init__(self, kind: str, key: str, value):
+        if not isinstance(value, dict):
+            raise ValueError(f"{kind}: the top level must be a JSON object" if not key
+                             else f"{kind}: {key!r} must be a JSON object")
+        self.kind, self.key, self.value = kind, key, value
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.value
+
+    def read(self, key: str, reader):
+        path = f"{self.key}.{key}" if self.key else key
+        if key not in self.value:
+            raise ValueError(f"{self.kind}: missing key {path!r}")
+        return reader(self.kind, path, self.value[key])
+
+
+# ---------------------------------------------------------------------------
+# File kinds
+# ---------------------------------------------------------------------------
+
+def builtin_from_spec(spec) -> Optional[Tuple[str, int]]:
+    """(family, m) of a group file with a "builtin" key, else None."""
+    fields = _Object(GROUP, "", spec)
+    if "builtin" not in fields:
+        return None
+    builtin = fields.read("builtin", _Object)
+    return builtin.read("family", _string), builtin.read("m", _integer)
+
+
+def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
+    builtin = builtin_from_spec(spec)
+    if builtin is not None:
+        return builtin_family(*builtin, cap)
+    fields = _Object(GROUP, "", spec)
+    if "generators" not in fields:
+        raise ValueError(f"{GROUP}: needs a 'builtin' or 'generators' key")
+    gens = []
+    for i, flat in enumerate(fields.read("generators", _list(_list(_rational)))):
+        n = isqrt(len(flat))
+        if n * n != len(flat):
+            raise ValueError(f"{GROUP}: 'generators[{i}]' entry count is not a perfect square")
+        gens.append(Matrix(n, n, tuple(flat)))
+    return enumerate_group(gens, cap)
+
+
+def _layout_from_spec(fields: _Object) -> VariableLayout:
+    if "vars" in fields:
+        return VariableLayout(1, fields.read("vars", _integer))
+    return VariableLayout(fields.read("blocks", _integer),
+                          fields.read("vars_per_block", _integer))
+
+
+def poly_from_spec(spec) -> Tuple[VariableLayout, Poly]:
+    fields = _Object(POLY, "", spec)
+    layout = _layout_from_spec(fields)
+    return layout, fields.read("poly", _poly(layout))
+
+
+def generators_from_spec(spec) -> GeneratorSet:
+    fields = _Object(GENS, "", spec)
+    if "family" in fields:
+        family, m = fields.read("family", _string), fields.read("m", _integer)
+        copies = fields.read("copies", _integer)
+        return polarization_generators(classical_generators(family, m), copies)
+    if "invariants" in fields:
+        layout = VariableLayout(1, fields.read("vars", _integer))
+        invs = fields.read("invariants", _list(_poly(layout)))
+        return polarization_generators(invs, fields.read("copies", _integer))
+    if "generators" in fields:
+        layout = _layout_from_spec(fields)
+        gens = []
+        for i, p in enumerate(fields.read("generators", _list(_poly(layout)))):
+            deg = p.multidegree()
+            if deg is None:
+                raise ValueError(f"{GENS}: 'generators[{i}]' is not multihomogeneous")
+            gens.append((p, deg))
+        return GeneratorSet(layout, tuple(gens))
+    raise ValueError(f"{GENS}: needs a 'family', 'invariants' or 'generators' key")
+
+
+def weight_system_from_spec(spec) -> WeightSystem:
+    fields = _Object(TORUS, "", spec)
+    rank = fields.read("torus_rank", _integer)
+    weights = fields.read("weights", _list(_list(_integer)))
+    return WeightSystem(rank, tuple(tuple(w) for w in weights))
+
+
+def binary_form_from_spec(spec) -> BinaryForm:
+    fields = _Object(BINARY, "", spec)
+    return BinaryForm(fields.read("degree", _integer),
+                      tuple(fields.read("coeffs", _list(_rational))))

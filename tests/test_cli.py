@@ -1,7 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+from dataclasses import dataclass
+from functools import partial
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polinv.cli import main
 
@@ -37,6 +44,19 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+@dataclass(frozen=True)
+class Spec:
+    """A JSON payload that materialize() writes to a file, even a bare string."""
+    payload: object
+
+
+def materialize(directory, argv):
+    """argv with every non-string entry written to a JSON file in `directory`."""
+    return [a if isinstance(a, str) else
+            write(directory, f"spec{i}.json", a.payload if isinstance(a, Spec) else a)
+            for i, a in enumerate(argv)]
 
 
 def test_polarize_command(files, capsys):
@@ -102,29 +122,66 @@ def test_malformed_input_exits_2(files, tmp_path, capsys):
     assert main(["nullcone", "binary", str(bad)]) == 2
     assert main(["nullcone", "binary", str(tmp_path / "missing.json")]) == 2
     assert main(["polarize", files["x4"], "--copies", "0"]) == 2
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    assert main(["nullcone", "binary", str(deep)]) == 2
 
 
-def test_non_square_generator_exits_2(tmp_path, capsys):
-    spec = write(tmp_path, "g.json", {"generators": [["1", "0", "0"]]})
-    assert main(["invariant-dims", spec, "--copies", "1", "--max-degree", "1"]) == 2
-    assert "perfect square" in capsys.readouterr().err
+DIMS = ["--copies", "1", "--max-degree", "1"]
+B2 = {"builtin": {"family": "B", "m": 2}}
+
+
+@pytest.mark.parametrize("argv, needle", [
+    pytest.param(["invariant-dims", {"generators": [5]}, *DIMS], "'generators[0]'",
+                 id="group-generator-not-a-list"),
+    pytest.param(["invariant-dims", {"builtin": 5}, *DIMS], "'builtin'",
+                 id="group-builtin-not-an-object"),
+    pytest.param(["compare", {"builtin": [1]}, *DIMS], "'builtin'",
+                 id="compare-builtin-not-an-object"),
+    pytest.param(["nullcone", "binary", {"degree": 2, "coeffs": 5}], "'coeffs'",
+                 id="binary-coeffs-not-a-list"),
+    pytest.param(["nullcone", "binary", [1, 2]], "top level", id="binary-top-level-list"),
+    pytest.param(["polarize", {"vars": 2, "poly": 5}, "--copies", "2"], "'poly'",
+                 id="poly-not-a-string"),
+    pytest.param(["polarize", [1], "--copies", "2"], "top level", id="poly-top-level-list"),
+    pytest.param(["membership", {"vars": 2, "poly": "x1"}, {"vars": 2, "generators": 5}],
+                 "'generators'", id="gens-generators-not-a-list"),
+    pytest.param(["nullcone", "torus", {"torus_rank": 1, "weights": [[1.5]]}, "1"],
+                 "'weights[0][0]'", id="torus-weight-fractional"),
+    pytest.param(["invariant-dims", {"builtin": {"family": "B", "m": 2.7}}, *DIMS],
+                 "'builtin.m'", id="group-m-fractional"),
+    pytest.param(["invariant-dims", {"builtin": {"family": "B", "m": True}}, *DIMS],
+                 "'builtin.m'", id="group-m-bool"),
+    pytest.param(["nullcone", "binary", {"degree": 2.9, "coeffs": ["1", "0", "1"]}],
+                 "'degree'", id="binary-degree-fractional"),
+    pytest.param(["invariant-dims", {"builtin": {"family": "B"}}, *DIMS], "'builtin.m'",
+                 id="group-m-missing"),
+    pytest.param(["invariant-dims", B2, "--copies", "2", "--max-degree", "-1"],
+                 "--max-degree", id="invariant-dims-negative-max-degree"),
+    pytest.param(["compare", B2, "--copies", "2", "--max-degree", "-1"], "--max-degree",
+                 id="compare-negative-max-degree"),
+    pytest.param(["nullcone", "torus", {"torus_rank": 1, "weights": 5}, "1"], "'weights'",
+                 id="torus-weights-not-a-list"),
+    pytest.param(["invariant-dims", {"generators": [["1", "0", "0"]]}, *DIMS],
+                 "'generators[0]' entry count is not a perfect square",
+                 id="group-generator-not-square"),
+    pytest.param(["nullcone", "binary", {"degree": 1, "coeffs": ["1/0", "1"]}],
+                 "'coeffs[0]'", id="binary-coeff-zero-denominator"),
+    pytest.param(["invariant-dims", {"generators": [["1/0", "0", "0", "1"]]}, *DIMS],
+                 "'generators[0][0]'", id="group-generator-zero-denominator"),
+    pytest.param(["nullcone", "torus", {"torus_rank": 1, "weights": [[1], [1]]}, "1/0,1"],
+                 "'1/0'", id="torus-vector-zero-denominator"),
+])
+def test_malformed_spec_exits_2(tmp_path, capsys, argv, needle):
+    assert main(materialize(tmp_path, argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and needle in err
 
 
 def test_zero_denominator_in_poly_exits_2(tmp_path, capsys):
     spec = write(tmp_path, "p.json", {"vars": 2, "poly": "1/0*x1"})
     assert main(["polarize", spec, "--copies", "2"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
-
-
-@pytest.mark.parametrize("spec, argv", [
-    ({"degree": 1, "coeffs": ["1/0", "1"]}, ["nullcone", "binary", "SPEC"]),
-    ({"generators": [["1/0", "0", "0", "1"]]},
-     ["invariant-dims", "SPEC", "--copies", "1", "--max-degree", "1"]),
-    ({"torus_rank": 1, "weights": [[1], [1]]}, ["nullcone", "torus", "SPEC", "1/0,1"]),
-], ids=["binary-coeff", "group-generator", "torus-vector"])
-def test_zero_denominator_entry_exits_2(tmp_path, capsys, spec, argv):
-    path = write(tmp_path, "spec.json", spec)
-    assert main([path if a == "SPEC" else a for a in argv]) == 2
     assert capsys.readouterr().err.startswith("error:")
 
 
@@ -134,12 +191,6 @@ def test_malformed_env_int_exits_2(capsys, monkeypatch, name):
     assert main(["certify", "sl2-r1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and name in err
-
-
-def test_non_list_weights_exit_2(tmp_path, capsys):
-    spec = write(tmp_path, "t.json", {"torus_rank": 1, "weights": 5})
-    assert main(["nullcone", "torus", spec, "1"]) == 2
-    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -186,9 +237,154 @@ def test_compare_reports_the_d4_gap(tmp_path, capsys):
     # the whole report, byte for byte
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "852dd46a2ab622bc7a6f3fc13f2bfb0473178fbe0966e387ee053753887c370d")
+    # invariant-dims reads the same group file through group_from_spec
+    code, out = run(capsys, ["--format", "structured", "invariant-dims", d4,
+                             "--copies", "2", "--max-degree", "6"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0cba87553ccecf48273a76b5bf0736c92d1dc8997cfba0c13a50b21939905da6")
 
 
 def test_structured_reports_are_deterministic(files, capsys):
     _, first = run(capsys, ["--format", "structured", "certify", "sl3"])
     _, second = run(capsys, ["--format", "structured", "certify", "sl3"])
     assert first.encode() == second.encode()
+
+
+# ---------------------------------------------------------------------------
+# Property test: random spec files of every kind through main()
+# ---------------------------------------------------------------------------
+
+# Values of every JSON type.  Numbers and sizes stay small: the Fourier-Motzkin
+# and span computations grow fast with them, and a huge integer field is not
+# yet bounded by any cap (ROADMAP item 4).
+JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
+                 st.sampled_from([float("inf"), float("nan"), "1/0", "", "x1"]),
+                 st.lists(st.integers(-2, 2), max_size=2),
+                 st.dictionaries(st.sampled_from(["family", "m"]), st.integers(0, 3),
+                                 max_size=2))
+RATIONAL = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2", 1, -1, 0.5])
+FAMILY = st.sampled_from(["S", "B", "D", "X"])
+POLY = st.sampled_from(["x1^2 + x2^2", "x1*x2 - 3/2*x1^3", "x1^3", "2*x1 - x2", "x3",
+                        "x1^"])
+BLOCK_POLY = st.sampled_from(["x1_1^2 + x1_2^2", "x1_1*x2_1 + x1_2*x2_2", "x1_1^2",
+                              "x1_1^2*x2_2^2 + x1_2^2*x2_1^2", "x1_1", "x1_1 + x2_1^2"])
+INVARIANT = st.sampled_from(["x1^2 + x2^2", "x1*x2", "x1^2", "x1 + x2^2"])
+
+
+def _value(dirty, strategy):
+    """`strategy`; when dirty, sometimes a value of any JSON type instead."""
+    if not dirty:
+        return strategy
+    return st.integers(0, 3).flatmap(lambda i: JUNK if i == 0 else strategy)
+
+
+def _object(dirty, fields):
+    """Every key present; when dirty, any key may be missing."""
+    return st.fixed_dictionaries({}, optional=fields) if dirty else st.fixed_dictionaries(fields)
+
+
+def _spec(*kinds):
+    """Mostly a well-formed spec of one of `kinds`; otherwise one with missing
+    keys and values of the wrong type, or a top level that is not a JSON object."""
+    clean = st.one_of(*(kind(False) for kind in kinds))
+    faulty = st.one_of(*(kind(True) for kind in kinds), JUNK)
+    return st.integers(0, 2).flatmap(lambda i: faulty if i == 0 else clean).map(Spec)
+
+
+def builtin_group(dirty):
+    v = partial(_value, dirty)
+    return _object(dirty, {"builtin": v(_object(dirty, {"family": v(FAMILY),
+                                                        "m": v(st.integers(1, 4))}))})
+
+
+def generated_group(dirty):
+    v = partial(_value, dirty)
+    matrix = st.sampled_from([4, 4, 1, 3]).flatmap(
+        lambda n: st.lists(v(RATIONAL), min_size=n, max_size=n))
+    return _object(dirty, {"generators": v(st.lists(v(matrix), min_size=1, max_size=2))})
+
+
+def one_block_poly(dirty):
+    v = partial(_value, dirty)
+    return _object(dirty, {"vars": v(st.integers(1, 3)), "poly": v(POLY)})
+
+
+def two_block_poly(dirty):
+    v = partial(_value, dirty)
+    return _object(dirty, {"blocks": v(st.just(2)), "vars_per_block": v(st.just(2)),
+                           "poly": v(BLOCK_POLY)})
+
+
+def family_gens(dirty):
+    v = partial(_value, dirty)
+    return _object(dirty, {"family": v(FAMILY), "m": v(st.sampled_from([2, 2, 3])),
+                           "copies": v(st.sampled_from([2, 2, 1]))})
+
+
+def invariant_gens(dirty):
+    v = partial(_value, dirty)
+    return _object(dirty, {"vars": v(st.sampled_from([2, 2, 1])),
+                           "copies": v(st.sampled_from([2, 2, 1])),
+                           "invariants": v(st.lists(v(INVARIANT), min_size=1, max_size=2))})
+
+
+def explicit_gens(dirty):
+    v = partial(_value, dirty)
+    return _object(dirty, {"blocks": v(st.just(2)), "vars_per_block": v(st.just(2)),
+                           "generators": v(st.lists(v(BLOCK_POLY), min_size=1, max_size=3))})
+
+
+def torus_module(dirty):
+    v = partial(_value, dirty)
+    weight = st.lists(v(st.integers(-2, 2)), min_size=2, max_size=2)
+    return _object(dirty, {"torus_rank": v(st.just(2)),
+                           "weights": v(st.lists(v(weight), min_size=3, max_size=3))})
+
+
+def binary_form(dirty):
+    if not dirty:
+        return st.lists(RATIONAL, min_size=1, max_size=5).map(
+            lambda c: {"degree": len(c) - 1, "coeffs": c})
+    v = partial(_value, dirty)
+    return _object(dirty, {"degree": v(st.integers(0, 4)),
+                           "coeffs": v(st.lists(v(RATIONAL), max_size=5))})
+
+
+COPIES = st.integers(1, 2).map(str)
+DEGREE = st.integers(0, 3).map(str)
+VECTOR = st.lists(st.integers(-2, 2), min_size=3, max_size=3).map(
+    lambda v: ",".join(map(str, v)))
+ARGV = {
+    "polarize": st.tuples(_spec(one_block_poly), st.integers(1, 3).map(str)).map(
+        lambda t: ["polarize", t[0], "--copies", t[1]]),
+    "invariant-dims": st.tuples(_spec(builtin_group, generated_group), COPIES, DEGREE).map(
+        lambda t: ["invariant-dims", t[0], "--copies", t[1], "--max-degree", t[2]]),
+    "compare": st.tuples(_spec(builtin_group), COPIES, DEGREE).map(
+        lambda t: ["compare", t[0], "--copies", t[1], "--max-degree", t[2]]),
+    "membership": st.tuples(_spec(two_block_poly),
+                            _spec(family_gens, invariant_gens, explicit_gens)).map(
+        lambda t: ["membership", t[0], t[1]]),
+    "nullcone-torus": st.tuples(_spec(torus_module), VECTOR).map(
+        lambda t: ["nullcone", "torus", t[0], "--", t[1]]),
+    "nullcone-binary": _spec(binary_form).map(lambda s: ["nullcone", "binary", s]),
+}
+SMALL_CAPS = ["--format", "structured", "--cap-group-order", "64",
+              "--cap-monomials", "500", "--cap-span-products", "500"]
+
+
+@pytest.mark.parametrize("command", sorted(ARGV))
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_every_spec_file_keeps_the_exit_code_contract(command, data):
+    argv = data.draw(ARGV[command])
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(SMALL_CAPS + materialize(Path(directory), argv))
+    assert code in (0, 1, 2, 3)
+    if code in (0, 1):
+        assert json.loads(out.getvalue())["result"] == ("PASS" if code == 0 else "FAIL")
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")

@@ -7,8 +7,9 @@ from polinv.limits import CapExceededError
 from polinv.linalg import Matrix, rref
 from polinv.poly import Poly, VariableLayout, parse_poly
 from polinv.groups import (DiagonalAction, act, builtin_family, enumerate_group,
-                           group_from_spec, invariant_dimension, is_invariant,
+                           invariant_dimension, is_invariant,
                            monomials_of_multidegree, reynolds, same_orbit)
+from polinv.specs import group_from_spec
 
 SWAP2 = Matrix.from_rows([[0, 1], [1, 0]])
 
@@ -209,13 +210,3 @@ def test_same_orbit_examples():
     with pytest.raises(ValueError):
         same_orbit((1,), (1, 2), s2)
 
-
-def test_group_spec_parsing():
-    g = group_from_spec({"builtin": {"family": "B", "m": 2}})
-    assert g.order == 8
-    h = group_from_spec({"generators": [["0", "1", "1", "0"]]})
-    assert h.order == 2
-    with pytest.raises(ValueError):
-        group_from_spec({"generators": [["1", "0", "0"]]})
-    with pytest.raises(ValueError):
-        group_from_spec({})

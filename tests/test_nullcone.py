@@ -6,11 +6,10 @@ import pytest
 from polinv.linalg import Matrix
 from polinv.poly import Poly, VariableLayout
 from polinv.nullcone import (BinaryForm, SubspaceSpec, WeightSystem,
-                             binary_form_from_spec, binary_form_nullcone_member,
-                             binary_nullcone_witness, brute_box_functional,
-                             certify_torus, matrix_nilpotent, span_probe_nullcone,
-                             subspace_in_common_vgamma, torus_nullcone_member,
-                             v_gamma, weight_system_from_spec)
+                             binary_form_nullcone_member, binary_nullcone_witness,
+                             brute_box_functional, certify_torus, matrix_nilpotent,
+                             span_probe_nullcone, subspace_in_common_vgamma,
+                             torus_nullcone_member, v_gamma)
 
 WS1 = WeightSystem(1, ((1,), (1,), (-1,)))
 
@@ -217,17 +216,6 @@ def test_span_probe_sl3_planes():
     verdict = span_probe_nullcone(member, SubspaceSpec(9, (e12, e21)))
     assert verdict.escaped
     assert verdict.witness_vector is not None
-
-
-def test_spec_file_parsing():
-    ws = weight_system_from_spec({"torus_rank": 2, "weights": [[1, 0], [0, -1]]})
-    assert ws.coordinates == 2
-    f = binary_form_from_spec({"degree": 2, "coeffs": ["1", "0", "-2/3"]})
-    assert f.coeffs == (1, 0, Q(-2, 3))
-    with pytest.raises(ValueError):
-        weight_system_from_spec({"torus_rank": 2, "weights": [[1]]})
-    with pytest.raises(ValueError):
-        binary_form_from_spec({"degree": 3, "coeffs": ["1"]})
 
 
 def test_certify_torus_small_run():
