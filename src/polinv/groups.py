@@ -1,8 +1,9 @@
 """Finite matrix groups acting diagonally on polynomial rings.
 
-Groups are given by rational generator matrices and enumerated to a full
-element list by breadth-first closure.  The polynomial action follows the
-left-action convention (g.p)(v) = p(g^{-1} v), applied per block.
+The builtin S/B/D families are listed in closed form as signed permutation
+matrices; a group given by rational generator matrices is enumerated to a
+full element list by breadth-first closure.  The polynomial action follows
+the left-action convention (g.p)(v) = p(g^{-1} v), applied per block.
 """
 
 from __future__ import annotations
@@ -10,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from itertools import permutations, product
 from typing import List, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS
@@ -93,45 +94,43 @@ def enumerate_group(generators: Sequence[Matrix], cap: int = DEFAULT_CAPS.group_
     return MatrixGroup(n, tuple(gens), tuple(elements))
 
 
-def _perm_matrix(perm: Sequence[int]) -> Matrix:
-    n = len(perm)
-    return Matrix(n, n, tuple(Q(1) if i == perm[j] else Q(0)
-                              for i in range(n) for j in range(n)))
+def _signed_perm_matrix(perm: Sequence[int], signs: Sequence[int]) -> Matrix:
+    """The matrix g with `_signed_perm(g) == (perm, signs)`: g[perm[j], j] = signs[j]."""
+    m = len(perm)
+    return Matrix(m, m, tuple(Q(signs[j]) if i == perm[j] else Q(0)
+                              for i in range(m) for j in range(m)))
 
 
 def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
-    """Standard reflection representations as signed permutation matrices.
+    """Standard reflection representations, listed as signed permutation matrices.
 
     S = symmetric group permuting coordinates, B = all signed permutations,
-    D = permutations with an even number of sign changes (needs m >= 2).
+    D = permutations with an even number of sign changes (needs m >= 2).  The
+    order m!, 2^m m! or 2^(m-1) m! is checked against `cap` factor by factor,
+    before any element is built, so a huge m is refused at once.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    gens: List[Matrix] = []
-    if m >= 2:
-        swap = list(range(m))
-        swap[0], swap[1] = 1, 0
-        gens.append(_perm_matrix(swap))
-        if m >= 3:
-            gens.append(_perm_matrix([(i + 1) % m for i in range(m)]))
-    if name == "S":
-        if m == 1:
-            gens = [Matrix.identity(1)]
-    elif name == "B":
-        diag = [Q(1)] * m
-        diag[0] = Q(-1)
-        gens.append(Matrix(m, m, tuple(diag[i] if i == j else Q(0)
-                                       for i in range(m) for j in range(m))))
-    elif name == "D":
-        if m < 2:
-            raise ValueError("family D needs m >= 2")
-        diag = [Q(1)] * m
-        diag[0] = diag[1] = Q(-1)
-        gens.append(Matrix(m, m, tuple(diag[i] if i == j else Q(0)
-                                       for i in range(m) for j in range(m))))
-    else:
+    flips = {"S": 0, "B": 1, "D": 2}.get(name)  # coordinates the sign generator negates
+    if flips is None:
         raise ValueError(f"unsupported family {name!r} (expected S, B or D)")
-    return enumerate_group(gens, cap)
+    if m < flips:
+        raise ValueError(f"family {name} needs m >= {flips}")
+    order = 1  # m! times 2^m (B) or 2^(m-1) (D), one factor at a time
+    for k in range(1, m + 1):
+        order *= 2 * k if flips and k >= flips else k
+        if order > cap:
+            raise CapExceededError("group too large", "group_order", cap)
+    ident, plus = tuple(range(m)), (1,) * m
+    gens = [((1, 0) + ident[2:], plus)] if m >= 2 else []
+    if m >= 3:
+        gens.append((ident[1:] + (0,), plus))
+    if flips or not gens:  # the sign flip, or the identity for S_1
+        gens.append((ident, (-1,) * flips + plus[flips:]))
+    signs = [s for s in product((1, -1) if flips else (1,), repeat=m)
+             if flips < 2 or s.count(-1) % 2 == 0]
+    return MatrixGroup(m, tuple(_signed_perm_matrix(p, s) for p, s in gens),
+                       tuple(_signed_perm_matrix(p, s) for p in permutations(ident) for s in signs))
 
 
 @dataclass(frozen=True)
@@ -146,7 +145,6 @@ class DiagonalAction:
             raise ValueError("layout block size must equal the group dimension")
 
 
-@lru_cache(maxsize=None)
 def _substitution_images(g: Matrix, layout: VariableLayout):
     """Variable images realizing p |-> p(g^{-1} .) blockwise."""
     inv = inverse(g)
@@ -197,20 +195,25 @@ def _layout_map(sp, layout: VariableLayout):
     return src, odd
 
 
-def _element_maps(action: DiagonalAction) -> list:
-    """Per group element: its layout map when it is a signed permutation, else None."""
-    return [None if sp is None else _layout_map(sp, action.layout)
-            for sp in action.group.signed_perms]
+def _element_maps(action: DiagonalAction) -> tuple:
+    """(signed, images): the layout maps of the signed-permutation elements and
+    the substitution images of the other elements, in element order."""
+    signed, images = [], []
+    for g, sp in zip(action.group.elements, action.group.signed_perms):
+        if sp is None:
+            images.append(_substitution_images(g, action.layout))
+        else:
+            signed.append(_layout_map(sp, action.layout))
+    return signed, images
 
 
-def _reynolds(p: Poly, action: DiagonalAction, maps: list) -> Poly:
+def _reynolds(p: Poly, action: DiagonalAction, maps: tuple) -> Poly:
     """reynolds(p, action), given `_element_maps(action)`."""
+    signed, images = maps
     sums: dict = {}  # zero sums are dropped by the Poly constructor
-    for g, layout_map in zip(action.group.elements, maps):
-        if layout_map is None:
-            for e, c in act(g, p, action)._terms.items():
-                sums[e] = sums.get(e, 0) + c
-    signed = [layout_map for layout_map in maps if layout_map is not None]
+    for g_images in images:
+        for e, c in p.substitute(g_images)._terms.items():
+            sums[e] = sums.get(e, 0) + c
     for e, c in p._terms.items():
         # signed images of one term as integer counts: one Fraction product
         # per distinct image instead of one Fraction sum per element

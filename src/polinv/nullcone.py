@@ -57,13 +57,12 @@ def torus_nullcone_member(ws: WeightSystem, v: Sequence) -> Optional[tuple]:
     """
     if len(v) != ws.coordinates:
         raise ValueError("vector length does not match the module")
-    support = []
-    seen = set()
-    for x, w in zip(v, ws.weights):
-        if frac(x) != 0 and w not in seen:
-            seen.add(w)
-            support.append(w)
-    return strict_positive_functional(support, dim=ws.torus_rank)
+    return strict_positive_functional(_support_weights(ws, [v]), dim=ws.torus_rank)
+
+
+def _support_weights(ws: WeightSystem, vectors) -> list:
+    """The distinct weights of the coordinates where some vector is nonzero, first seen first."""
+    return list(dict.fromkeys(w for v in vectors for x, w in zip(v, ws.weights) if frac(x) != 0))
 
 
 def v_gamma(ws: WeightSystem, gamma: Sequence[int]) -> tuple:
@@ -95,14 +94,8 @@ def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec) -> Optional[tup
     """
     if L.ambient_dim != ws.coordinates:
         raise ValueError("ambient dimension does not match the module")
-    support = []
-    seen = set()
-    for v in L.spanning_vectors:
-        for x, w in zip(v, ws.weights):
-            if frac(x) != 0 and w not in seen:
-                seen.add(w)
-                support.append(w)
-    return strict_positive_functional(support, dim=ws.torus_rank)
+    return strict_positive_functional(_support_weights(ws, L.spanning_vectors),
+                                      dim=ws.torus_rank)
 
 
 # --- independent brute-force oracle (used by agreement certificates) --------

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polinv.cli import main
+from polinv.limits import DEFAULT_CAPS
 
 
 def write(tmp_path, name, payload):
@@ -197,13 +198,24 @@ def test_unknown_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
 
 
-def test_cap_exceeded_exits_3(files, capsys):
+def test_cap_exceeded_exits_3(files, tmp_path, capsys):
     code = main(["--cap-monomials", "3", "invariant-dims", files["b2"],
                  "--copies", "2", "--max-degree", "4"])
     assert code == 3
     code = main(["--cap-group-order", "4", "invariant-dims", files["b2"],
                  "--copies", "1", "--max-degree", "1"])
     assert code == 3
+    # a builtin group's closed-form order is refused before any element is built
+    b25 = write(tmp_path, "b25.json", {"builtin": {"family": "B", "m": 25}})
+    huge = write(tmp_path, "huge.json", {"builtin": {"family": "S", "m": 10 ** 30}})
+    for flags, group, cap in ((["--cap-group-order", "64"], b25, 64),
+                              ([], huge, DEFAULT_CAPS.group_order)):
+        for command in ("invariant-dims", "compare"):
+            capsys.readouterr()
+            code = main(flags + [command, group, "--copies", "2", "--max-degree", "2"])
+            out, err = capsys.readouterr()
+            assert (code, out) == (3, "")
+            assert err == f"error: group too large (cap group_order={cap})\n"
 
 
 def test_seed_env_and_flag_precedence(files, capsys, monkeypatch):
@@ -256,8 +268,9 @@ def test_structured_reports_are_deterministic(files, capsys):
 # ---------------------------------------------------------------------------
 
 # Values of every JSON type.  Numbers and sizes stay small: the Fourier-Motzkin
-# and span computations grow fast with them, and a huge integer field is not
-# yet bounded by any cap (ROADMAP item 4).
+# and span computations grow fast with them, and a huge `vars`, `copies` or
+# generator-file `m` is not yet bounded by any cap (ROADMAP item 5).  Only a
+# builtin `m` may be huge: its closed-form group order meets the cap first.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
                  st.sampled_from([float("inf"), float("nan"), "1/0", "", "x1"]),
                  st.lists(st.integers(-2, 2), max_size=2),
@@ -265,6 +278,7 @@ JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
                                  max_size=2))
 RATIONAL = st.sampled_from(["0", "1", "-1", "1/2", "-3/2", "2", 1, -1, 0.5])
 FAMILY = st.sampled_from(["S", "B", "D", "X"])
+BUILTIN_M = st.one_of(st.integers(1, 4), st.integers(5, 10 ** 40))
 POLY = st.sampled_from(["x1^2 + x2^2", "x1*x2 - 3/2*x1^3", "x1^3", "2*x1 - x2", "x3",
                         "x1^"])
 BLOCK_POLY = st.sampled_from(["x1_1^2 + x1_2^2", "x1_1*x2_1 + x1_2*x2_2", "x1_1^2",
@@ -295,7 +309,7 @@ def _spec(*kinds):
 def builtin_group(dirty):
     v = partial(_value, dirty)
     return _object(dirty, {"builtin": v(_object(dirty, {"family": v(FAMILY),
-                                                        "m": v(st.integers(1, 4))}))})
+                                                        "m": v(BUILTIN_M)}))})
 
 
 def generated_group(dirty):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 
@@ -27,6 +28,8 @@ def test_builtin_orders():
     assert builtin_family("D", 4).order == 192
     assert builtin_family("S", 1).order == 1
     assert builtin_family("B", 1).order == 2
+    assert builtin_family("D", 5).order == 1920
+    assert builtin_family("B", 5).order == 3840
 
 
 def test_builtin_s2_elements():
@@ -51,11 +54,18 @@ def test_enumeration_rejects_singular_generator():
         enumerate_group([Matrix.from_rows([[1, 1], [1, 1]])])
 
 
-def test_element_set_independent_of_generator_order():
-    g = builtin_family("D", 3)
-    rev = enumerate_group(list(reversed(g.generators)))
-    assert set(e.entries for e in rev.elements) == set(e.entries for e in g.elements)
-    assert rev.order == g.order
+@pytest.mark.parametrize("family,m", [(family, m) for family, low in (("S", 1), ("B", 1), ("D", 2))
+                                       for m in range(low, 5)])
+def test_element_set_independent_of_generator_order(family, m):
+    # the closed-form list against the BFS closure of its generators, in both orders
+    g = builtin_family(family, m)
+    assert g.order == factorial(m) * {"S": 1, "B": 2 ** m, "D": 2 ** (m - 1)}[family]
+    elements = set(e.entries for e in g.elements)
+    assert len(elements) == g.order
+    for gens in (g.generators, g.generators[::-1]):
+        bfs = enumerate_group(gens)
+        assert bfs.order == g.order
+        assert set(e.entries for e in bfs.elements) == elements
 
 
 def test_act_examples():
