@@ -96,7 +96,7 @@ def _check_max_degree(max_degree: int) -> None:
 
 
 def cmd_polarize(args, caps: Caps) -> dict:
-    layout, f = poly_from_spec(load_spec(args.poly_file))
+    layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
     comps = polarize(f, args.copies)
@@ -167,8 +167,8 @@ def cmd_compare(args, caps: Caps) -> dict:
 
 
 def cmd_membership(args, caps: Caps) -> dict:
-    layout, f = poly_from_spec(load_spec(args.poly_file))
-    gens = generators_from_spec(load_spec(args.gens_file))
+    layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
+    gens = generators_from_spec(load_spec(args.gens_file), caps.monomials)
     if gens.layout != layout:
         raise ValueError("polynomial and generator layouts differ")
     cert = membership(f, gens, caps.span_products)

@@ -263,67 +263,40 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]
 # Strict feasibility of homogeneous linear inequality systems
 # ---------------------------------------------------------------------------
 
-def _normalized(cons):
-    """Canonicalize and de-duplicate constraints (coeffs, const), each read as
-    coeffs . x + const > 0.  Scaling by a positive rational preserves meaning."""
-    seen = set()
-    out = []
-    for coeffs, const in cons:
-        lead = next((x for x in coeffs if x != 0), None)
-        if lead is None:
-            lead = const
-        if lead == 0:
-            # 0 > 0, infeasible marker kept as-is
-            key = (coeffs, const)
-        else:
-            s = abs(lead)
-            coeffs = tuple(x / s for x in coeffs)
-            const = const / s
-            key = (coeffs, const)
-        if key not in seen:
-            seen.add(key)
-            out.append((coeffs, const))
-    return out
+def _fm_solve(rows, nvars: int) -> Optional[tuple]:
+    """Fourier-Motzkin elimination for the strict homogeneous system row.x > 0.
 
-
-def _fm_solve(cons, nvars: int) -> Optional[list]:
-    """Fourier-Motzkin elimination for strict systems coeffs.x + const > 0.
-
-    Returns one rational solution (list of Fractions, length nvars) or None.
+    `rows` are integer tuples of length nvars.  Each level divides every row
+    by its gcd and drops repeats (first seen kept); eliminating x_v combines
+    a low row l (l[v] > 0) and a high row u (u[v] < 0) as l[v]*u - u[v]*l.
+    Both only rescale constraints by positive factors, so every level holds
+    the same cone as rational elimination would.  Returns one rational
+    solution as (numerators, common denominator), or None.
     """
-    cons = _normalized(cons)
-    for coeffs, const in cons:
-        if all(x == 0 for x in coeffs) and const <= 0:
-            return None
+    prim = []
+    for r in rows:
+        g = gcd(*r)
+        if g == 0:
+            return None  # 0 > 0
+        prim.append(tuple(x // g for x in r) if g != 1 else r)
+    rows = list(dict.fromkeys(prim))
     if nvars == 0:
-        return []
+        return [], 1
     v = nvars - 1
-    lows, highs, rest = [], [], []
-    for coeffs, const in cons:
-        a = coeffs[v]
-        head = coeffs[:v]
-        if a == 0:
-            rest.append((head, const))
-        elif a > 0:
-            # x_v > -(head.x + const)/a
-            lows.append((tuple(-x / a for x in head), -const / a))
-        else:
-            # x_v < (head.x + const)/(-a)
-            highs.append((tuple(x / (-a) for x in head), const / (-a)))
-    new = list(rest)
-    for lc, lk in lows:
-        for uc, uk in highs:
-            new.append((tuple(u - l for u, l in zip(uc, lc)), uk - lk))
+    lows = [r for r in rows if r[v] > 0]
+    highs = [r for r in rows if r[v] < 0]
+    new = [r[:v] for r in rows if r[v] == 0]
+    new += [tuple(l[v] * y - u[v] * x for x, y in zip(l[:v], u[:v]))
+            for l in lows for u in highs]
     sub = _fm_solve(new, v)
     if sub is None:
         return None
-
-    def ev(bound):
-        coeffs, const = bound
-        return sum((c * x for c, x in zip(coeffs, sub)), Q(0)) + const
-
-    lo = max((ev(b) for b in lows), default=None)
-    hi = min((ev(b) for b in highs), default=None)
+    nums, den = sub
+    # x_v > -(l.x)/l[v] for each low row, x_v < (u.x)/(-u[v]) for each high row
+    lo = max((Q(-sum(a * b for a, b in zip(l, nums)), den * l[v]) for l in lows),
+             default=None)
+    hi = min((Q(sum(a * b for a, b in zip(u, nums)), -den * u[v]) for u in highs),
+             default=None)
     if lo is not None and hi is not None:
         val = (lo + hi) / 2
     elif lo is not None:
@@ -332,7 +305,8 @@ def _fm_solve(cons, nvars: int) -> Optional[list]:
         val = hi - 1
     else:
         val = Q(0)
-    return sub + [val]
+    d = lcm(den, val.denominator)
+    return [n * (d // den) for n in nums] + [val.numerator * (d // val.denominator)], d
 
 
 def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = None):
@@ -343,23 +317,29 @@ def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = 
     list is vacuously feasible and returns (1, ..., 1); pass `dim` to fix its
     length.
     """
-    pts = [tuple(frac(x) for x in p) for p in points]
-    if not pts:
+    rows = []
+    for p in points:
+        p = tuple(p)
+        if not all(type(x) is int for x in p):
+            # scaled by the lcm of its denominators: the same constraint
+            q = [frac(x) for x in p]
+            m = lcm(*[x.denominator for x in q])
+            p = tuple(x.numerator * (m // x.denominator) for x in q)
+        rows.append(p)
+    if not rows:
         return tuple([1] * (dim if dim is not None else 0))
-    d = len(pts[0])
+    d = len(rows[0])
     if dim is not None and dim != d:
         raise ValueError("dimension mismatch")
-    if any(len(p) != d for p in pts):
+    if any(len(r) != d for r in rows):
         raise ValueError("dimension mismatch")
-    sol = _fm_solve([(p, Q(0)) for p in pts], d)
+    sol = _fm_solve(rows, d)
     if sol is None:
         return None
-    den = lcm(*[x.denominator for x in sol]) if sol else 1
-    ints = [x.numerator * (den // x.denominator) for x in sol]
-    g = gcd(*[abs(n) for n in ints]) if any(ints) else 1
-    gamma = tuple(n // g for n in ints)
+    g = gcd(*sol[0]) or 1
+    gamma = tuple(n // g for n in sol[0])
     # exactness guard: the witness must satisfy every inequality strictly
-    for p in pts:
-        if sum((gi * pi for gi, pi in zip(gamma, p)), Q(0)) <= 0:
+    for r in rows:
+        if sum(gi * x for gi, x in zip(gamma, r)) <= 0:
             raise AssertionError("internal error: invalid feasibility witness")
     return gamma

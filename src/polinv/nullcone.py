@@ -291,14 +291,16 @@ def matrix_nilpotent(mat) -> bool:
     the sum of the principal k x k minors.
     """
     rows, zero = _lift_entries(mat)
+    nonzero = (lambda x: not x.is_zero()) if isinstance(zero, Poly) else bool
     n = len(rows)
     power = rows  # A^k
     for k in range(1, n + 1):
         if sum((power[i][i] for i in range(n)), zero) != zero:
             return False
         if k < n:
-            power = [[sum((power[i][t] * rows[t][j] for t in range(n)), zero)
-                      for j in range(n)] for i in range(n)]
+            power = [[sum((p[t] * rows[t][j] for t in range(n)
+                           if nonzero(p[t]) and nonzero(rows[t][j])), zero)
+                      for j in range(n)] for p in power]
     return True
 
 
@@ -330,10 +332,12 @@ def span_probe_nullcone(member: Callable[[tuple], bool], L: SubspaceSpec,
     """
     rng = random.Random(seed)
     k = len(L.spanning_vectors)
-    vs = [tuple(frac(x) for x in v) for v in L.spanning_vectors]
+    vs = [tuple(v) for v in L.spanning_vectors]
+    if not all(type(x) is int for v in vs for x in v):
+        vs = [tuple(frac(x) for x in v) for v in vs]
     for _ in range(trials):
         coeffs = tuple(rng.randint(-9, 9) for _ in range(k))
-        combo = tuple(sum((c * v[i] for c, v in zip(coeffs, vs)), Q(0))
+        combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vs))
                       for i in range(L.ambient_dim))
         if not member(combo):
             return ProbeVerdict(True, coeffs, combo, trials, seed)

@@ -16,8 +16,10 @@ Every field goes through one reader per kind (integer, rational, string, list,
 object).  Any fault raises ValueError naming the file kind and the key, e.g.
 "group file: 'builtin.m' must be an integer".  An integer field takes what
 int() takes, except a bool or a float with a fractional part, so nothing is
-truncated; a rational field means frac(str(value)).  The objects built here
-keep their own checks for library callers.
+truncated; a rational field means frac(str(value)).  A layout with more
+variables than the monomial cap raises CapExceededError before anything of
+that size is built.  The objects built here keep their own checks for
+library callers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from math import isqrt
 from typing import Optional, Tuple
 
 from .groups import MatrixGroup, builtin_family, enumerate_group
-from .limits import DEFAULT_CAPS
+from .limits import DEFAULT_CAPS, CapExceededError
 from .linalg import Matrix, frac
 from .nullcone import BinaryForm, WeightSystem
 from .poly import Poly, VariableLayout, parse_poly
@@ -148,31 +150,42 @@ def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
     return enumerate_group(gens, cap)
 
 
-def _layout_from_spec(fields: _Object) -> VariableLayout:
+def _capped_layout(blocks: int, vars_per_block: int, cap: int) -> VariableLayout:
+    """The layout, refused when its variable count exceeds the monomial cap:
+    the degree-1 monomial basis alone is already that large."""
+    layout = VariableLayout(blocks, vars_per_block)
+    if layout.total > cap:
+        raise CapExceededError("too many variables", "monomials", cap)
+    return layout
+
+
+def _layout_from_spec(fields: _Object, cap: int) -> VariableLayout:
     if "vars" in fields:
-        return VariableLayout(1, fields.read("vars", _integer))
-    return VariableLayout(fields.read("blocks", _integer),
-                          fields.read("vars_per_block", _integer))
+        return _capped_layout(1, fields.read("vars", _integer), cap)
+    return _capped_layout(fields.read("blocks", _integer),
+                          fields.read("vars_per_block", _integer), cap)
 
 
-def poly_from_spec(spec) -> Tuple[VariableLayout, Poly]:
+def poly_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> Tuple[VariableLayout, Poly]:
     fields = _Object(POLY, "", spec)
-    layout = _layout_from_spec(fields)
+    layout = _layout_from_spec(fields, cap)
     return layout, fields.read("poly", _poly(layout))
 
 
-def generators_from_spec(spec) -> GeneratorSet:
+def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> GeneratorSet:
     fields = _Object(GENS, "", spec)
     if "family" in fields:
         family, m = fields.read("family", _string), fields.read("m", _integer)
         copies = fields.read("copies", _integer)
+        _capped_layout(copies, m, cap)
         return polarization_generators(classical_generators(family, m), copies)
     if "invariants" in fields:
-        layout = VariableLayout(1, fields.read("vars", _integer))
-        invs = fields.read("invariants", _list(_poly(layout)))
-        return polarization_generators(invs, fields.read("copies", _integer))
+        m, copies = fields.read("vars", _integer), fields.read("copies", _integer)
+        _capped_layout(copies, m, cap)
+        invs = fields.read("invariants", _list(_poly(VariableLayout(1, m))))
+        return polarization_generators(invs, copies)
     if "generators" in fields:
-        layout = _layout_from_spec(fields)
+        layout = _layout_from_spec(fields, cap)
         gens = []
         for i, p in enumerate(fields.read("generators", _list(_poly(layout)))):
             deg = p.multidegree()

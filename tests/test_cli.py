@@ -105,6 +105,20 @@ def test_nullcone_torus_exit_codes(files, capsys):
     assert code == 1
 
 
+def test_nullcone_torus_structured_report_is_pinned(tmp_path, capsys):
+    module = write(tmp_path, "t3.json", {
+        "torus_rank": 3,
+        "weights": [[1, -2, 3], [-2, 1, 1], [1, 1, -1], [0, 3, -2], [2, 0, -1], [-1, -1, 0]]})
+    code, out = run(capsys, ["--format", "structured", "nullcone", "torus", module,
+                             "1,1,1,1,0,0"])
+    assert code == 0
+    report = json.loads(out)
+    assert report["cocharacter"] == [0, 6, 5]
+    assert report["positive_part"] == [0, 1, 2, 3]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "927b246010e10fab9fa01ca1cc6cd354422a13bee7d5ce541e5bcf90181806be")
+
+
 def test_nullcone_binary_exit_codes(files, capsys):
     code, out = run(capsys, ["nullcone", "binary", files["form_member"]])
     assert code == 0 and "witness" in out
@@ -218,6 +232,29 @@ def test_cap_exceeded_exits_3(files, tmp_path, capsys):
             assert err == f"error: group too large (cap group_order={cap})\n"
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["polarize", {"vars": 10 ** 30, "poly": "x1"}, "--copies", "2"],
+                 id="poly-vars-overflow"),
+    pytest.param(["polarize", {"vars": 10 ** 8, "poly": "x1"}, "--copies", "2"],
+                 id="poly-vars-huge"),
+    pytest.param(["membership", {"blocks": 2, "vars_per_block": 10 ** 8, "poly": "x1_1"},
+                  {"blocks": 2, "vars_per_block": 2, "generators": ["x1_1"]}],
+                 id="poly-blocks-huge"),
+    pytest.param(["membership", {"vars": 2, "poly": "x1"},
+                  {"family": "S", "m": 10 ** 30, "copies": 2}], id="gens-family-m-huge"),
+    pytest.param(["membership", {"vars": 2, "poly": "x1"},
+                  {"vars": 2, "copies": 10 ** 8, "invariants": ["x1"]}],
+                 id="gens-copies-huge"),
+])
+def test_huge_layout_exits_3(tmp_path, capsys, argv):
+    # the variable count alone exceeds the monomial cap (the degree-1 basis is
+    # that large), so the file is refused before any layout-sized allocation
+    assert main(materialize(tmp_path, argv)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: too many variables (cap monomials={DEFAULT_CAPS.monomials})\n"
+
+
 def test_seed_env_and_flag_precedence(files, capsys, monkeypatch):
     monkeypatch.setenv("POLINV_SEED", "777")
     code, out = run(capsys, ["certify", "sl2-r1"])
@@ -268,9 +305,10 @@ def test_structured_reports_are_deterministic(files, capsys):
 # ---------------------------------------------------------------------------
 
 # Values of every JSON type.  Numbers and sizes stay small: the Fourier-Motzkin
-# and span computations grow fast with them, and a huge `vars`, `copies` or
-# generator-file `m` is not yet bounded by any cap (ROADMAP item 5).  Only a
-# builtin `m` may be huge: its closed-form group order meets the cap first.
+# and span computations grow fast with them, and a generator-file `m` or
+# `copies` under the monomial cap can still run long (ROADMAP item 5).  Only a
+# builtin `m` and a polynomial file's `vars` may be huge: the closed-form
+# group order and the variable count meet their caps first.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
                  st.sampled_from([float("inf"), float("nan"), "1/0", "", "x1"]),
                  st.lists(st.integers(-2, 2), max_size=2),
@@ -321,7 +359,8 @@ def generated_group(dirty):
 
 def one_block_poly(dirty):
     v = partial(_value, dirty)
-    return _object(dirty, {"vars": v(st.integers(1, 3)), "poly": v(POLY)})
+    return _object(dirty, {"vars": v(st.one_of(st.integers(1, 3), st.integers(501, 10 ** 40))),
+                           "poly": v(POLY)})
 
 
 def two_block_poly(dirty):

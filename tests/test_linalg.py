@@ -173,6 +173,33 @@ def test_strict_positive_functional_zero_weight_infeasible():
     assert strict_positive_functional([(0, 0)]) is None
 
 
+# gamma, not only its existence, is part of the contract: `nullcone torus`
+# prints it.  These values were computed by the Fraction Fourier-Motzkin
+# elimination that the integer one replaced; the midpoint, lo + 1 and hi - 1
+# choices depend only on the cone at each level, so they must not move.
+PINNED_COCHARACTERS = [
+    ([(2,), (3,), (5,)], (1,)),
+    ([(1,), (-1,)], None),
+    ([(1, 0), (0, 1)], (1, 1)),
+    ([(1, 2), (2, 4), (1, 2), (-1, 1), (3, -1), (-3, 3)], (1, 2)),
+    ([("1/2", "1/3"), (-1, 2), (Q(3, 4), "-1/5")], (8, 17)),
+    ([(1, 0), (0, 0), (0, 1)], None),
+    ([(1, -2, 3), (-2, 1, 1), (1, 1, -1), (0, 3, -2)], (0, 6, 5)),
+    ([(3, -1, 0), (-1, 3, 0), (1, 1, -1), (1, 1, 4), (-2, 1, 1)], (4, 7, 6)),
+    ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], None),
+    ([(1, 2, -1, 0), (-1, 0, 2, 1), (0, -1, 1, 2), (2, 1, 0, -1), (1, -1, 1, 1)],
+     (0, 2, 2, 1)),
+    ([("1/2", -1, "2/3", -1), (-1, "3/7", 1, "1/5"), (1, 1, -2, "1/3"),
+      (0, "-1/2", 1, 1), ("2/5", 1, 0, "-1/4")], (409920, 422320, 342246, -60141)),
+    ([(1, -1, 2, 0), (-2, 1, 0, 1), (1, 0, -2, -1), (0, 0, 0, 1), (0, 0, 0, -1)], None),
+]
+
+
+@pytest.mark.parametrize("points, gamma", PINNED_COCHARACTERS)
+def test_strict_positive_functional_pinned_cocharacters(points, gamma):
+    assert strict_positive_functional(points) == gamma
+
+
 def test_strict_positive_functional_matches_brute_force():
     # desk-scale completeness: agreement with exhaustive integer search
     # (the +-20 box is large enough at this entry range and dimension)
