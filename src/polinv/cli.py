@@ -21,11 +21,12 @@ from .linalg import frac
 from .groups import DiagonalAction, builtin_family, invariant_dimension
 from .poly import count_monomials, multidegrees, poly_to_string
 from .polarization import (certificate_combination, certify_dm, classical_generators,
-                           compare_graded_dims, copies_layout, membership, polarize)
+                           compare_graded_dims, membership, polarize)
 from .nullcone import (binary_form_nullcone_member, binary_nullcone_witness,
                        certify_torus, torus_nullcone_member, v_gamma)
-from .specs import (binary_form_from_spec, builtin_from_spec, generators_from_spec,
-                    group_from_spec, load_spec, poly_from_spec, weight_system_from_spec)
+from .specs import (binary_form_from_spec, builtin_from_spec, capped_layout,
+                    generators_from_spec, group_from_spec, load_spec, poly_from_spec,
+                    weight_system_from_spec)
 from .liealg import certify_sl2_r1, certify_sl3, certify_so5
 from .reports import check, make_report, render_structured, render_text
 
@@ -99,6 +100,7 @@ def cmd_polarize(args, caps: Caps) -> dict:
     layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
+    capped_layout(args.copies, layout.vars_per_block, caps.monomials)
     comps = polarize(f, args.copies)
     rng = random.Random(args.seed)
     m = layout.vars_per_block
@@ -127,8 +129,7 @@ def cmd_polarize(args, caps: Caps) -> dict:
 def cmd_invariant_dims(args, caps: Caps) -> dict:
     _check_max_degree(args.max_degree)
     group = group_from_spec(load_spec(args.group_file), caps.group_order)
-    layout = copies_layout(group.dimension, args.copies)
-    action = DiagonalAction(group, layout)
+    action = DiagonalAction(group, capped_layout(args.copies, group.dimension, caps.monomials))
     rows = []
     bounded = True
     for deg in multidegrees(args.max_degree, args.copies):
@@ -151,6 +152,7 @@ def cmd_compare(args, caps: Caps) -> dict:
                          "(the classical invariant generators are wired in for S, B, D)")
     family, m = builtin
     group = builtin_family(family, m, caps.group_order)
+    capped_layout(args.copies, m, caps.monomials)
     invs = classical_generators(family, m)
     rows = compare_graded_dims(group, invs, args.copies, args.max_degree,
                                caps.span_products, caps.monomials)

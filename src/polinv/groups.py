@@ -1,24 +1,28 @@
 """Finite matrix groups acting diagonally on polynomial rings.
 
-The builtin S/B/D families are listed in closed form as signed permutation
-matrices; a group given by rational generator matrices is enumerated to a
-full element list by breadth-first closure.  The polynomial action follows
-the left-action convention (g.p)(v) = p(g^{-1} v), applied per block.
+A group element is stored once, in one form: a (perm, signs) pair when it is
+a signed permutation matrix, its `Matrix` otherwise.  The builtin S/B/D
+families are listed in closed form as such pairs; a group given by rational
+generator matrices is enumerated to a full element list by breadth-first
+closure.  The polynomial action follows the left-action convention
+(g.p)(v) = p(g^{-1} v), applied per block.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from typing import List, Sequence, Tuple
+from typing import List, Sequence, Tuple, Union
 
 from .limits import CapExceededError, DEFAULT_CAPS
 from .linalg import Matrix, frac, inverse, rank
 from .poly import Poly, VariableLayout, count_monomials, monomials
 
 Q = Fraction
+# a stored group element: the (perm, signs) pair of `_signed_perm`, or a Matrix
+Element = Union[Tuple[Tuple[int, ...], Tuple[int, ...]], Matrix]
 
 
 def _signed_perm(g: Matrix):
@@ -45,17 +49,13 @@ def _signed_perm(g: Matrix):
 class MatrixGroup:
     """A finite group of invertible rational matrices, fully enumerated.
 
-    `signed_perms[i]` is the `_signed_perm` map of `elements[i]` (None for an
-    element that is not a signed permutation), computed once per group.
+    Every generator and element is an `Element`: a (perm, signs) pair when it
+    is a signed permutation, else its `Matrix`.
     """
 
     dimension: int
-    generators: Tuple[Matrix, ...]
-    elements: Tuple[Matrix, ...]
-    signed_perms: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "signed_perms", tuple(_signed_perm(g) for g in self.elements))
+    generators: Tuple[Element, ...]
+    elements: Tuple[Element, ...]
 
     @property
     def order(self) -> int:
@@ -66,7 +66,8 @@ def enumerate_group(generators: Sequence[Matrix], cap: int = DEFAULT_CAPS.group_
     """Close the generators under multiplication, breadth-first from the identity.
 
     The element order is deterministic: BFS layer by layer, multiplying on the
-    right by the generators in the order given.
+    right by the generators in the order given.  Each generator and element
+    is then stored as its (perm, signs) pair when it is a signed permutation.
     """
     gens = list(generators)
     if not gens:
@@ -91,18 +92,12 @@ def enumerate_group(generators: Sequence[Matrix], cap: int = DEFAULT_CAPS.group_
                 seen.add(f.entries)
                 elements.append(f)
                 queue.append(f)
-    return MatrixGroup(n, tuple(gens), tuple(elements))
-
-
-def _signed_perm_matrix(perm: Sequence[int], signs: Sequence[int]) -> Matrix:
-    """The matrix g with `_signed_perm(g) == (perm, signs)`: g[perm[j], j] = signs[j]."""
-    m = len(perm)
-    return Matrix(m, m, tuple(Q(signs[j]) if i == perm[j] else Q(0)
-                              for i in range(m) for j in range(m)))
+    return MatrixGroup(n, tuple(_signed_perm(g) or g for g in gens),
+                       tuple(_signed_perm(g) or g for g in elements))
 
 
 def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
-    """Standard reflection representations, listed as signed permutation matrices.
+    """Standard reflection representations, listed as (perm, signs) pairs.
 
     S = symmetric group permuting coordinates, B = all signed permutations,
     D = permutations with an even number of sign changes (needs m >= 2).  The
@@ -129,8 +124,7 @@ def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> Ma
         gens.append((ident, (-1,) * flips + plus[flips:]))
     signs = [s for s in product((1, -1) if flips else (1,), repeat=m)
              if flips < 2 or s.count(-1) % 2 == 0]
-    return MatrixGroup(m, tuple(_signed_perm_matrix(p, s) for p, s in gens),
-                       tuple(_signed_perm_matrix(p, s) for p in permutations(ident) for s in signs))
+    return MatrixGroup(m, tuple(gens), tuple((p, s) for p in permutations(ident) for s in signs))
 
 
 @dataclass(frozen=True)
@@ -163,14 +157,13 @@ def _substitution_images(g: Matrix, layout: VariableLayout):
     return images
 
 
-def act(g: Matrix, p: Poly, action: DiagonalAction) -> Poly:
-    """(g.p)(v) = p(g^{-1} v), applied to every block of the layout."""
+def act(g: Element, p: Poly, action: DiagonalAction) -> Poly:
+    """(g.p)(v) = p(g^{-1} v) on every block: a pair remaps exponents, a Matrix substitutes."""
     if p.layout != action.layout:
         raise ValueError("polynomial layout does not match the action")
-    sp = _signed_perm(g)
-    if sp is None:
+    if isinstance(g, Matrix):
         return p.substitute(_substitution_images(g, action.layout))
-    src, odd = _layout_map(sp, action.layout)
+    src, odd = _layout_map(g, action.layout)
     terms = {}
     for e, c in p._terms.items():
         terms[tuple(map(e.__getitem__, src))] = -c if sum(map(e.__getitem__, odd)) & 1 else c
@@ -196,14 +189,14 @@ def _layout_map(sp, layout: VariableLayout):
 
 
 def _element_maps(action: DiagonalAction) -> tuple:
-    """(signed, images): the layout maps of the signed-permutation elements and
-    the substitution images of the other elements, in element order."""
+    """(signed, images): the layout maps of the (perm, signs) elements and the
+    substitution images of the `Matrix` elements, in element order."""
     signed, images = [], []
-    for g, sp in zip(action.group.elements, action.group.signed_perms):
-        if sp is None:
+    for g in action.group.elements:
+        if isinstance(g, Matrix):
             images.append(_substitution_images(g, action.layout))
         else:
-            signed.append(_layout_map(sp, action.layout))
+            signed.append(_layout_map(g, action.layout))
     return signed, images
 
 
@@ -281,18 +274,25 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
     return rank(Matrix.from_rows(rows))
 
 
+def point_image(g: Element, v: Sequence, layout: VariableLayout) -> tuple:
+    """g v on every block of the layout: a signed remap of the coordinates
+    for a (perm, signs) pair, `Matrix.matvec` for a matrix."""
+    m = layout.vars_per_block
+    if isinstance(g, Matrix):
+        return tuple(x for base in range(0, layout.total, m) for x in g.matvec(v[base:base + m]))
+    perm, signs = g
+    image = [0] * layout.total
+    for base in range(0, layout.total, m):
+        for j in range(m):
+            image[base + perm[j]] = v[base + j] if signs[j] > 0 else -v[base + j]
+    return tuple(image)
+
+
 def same_orbit(v: Sequence, w: Sequence, action: DiagonalAction) -> bool:
     """True when some group element maps v to w, blockwise matrix action."""
     total = action.layout.total
     if len(v) != total or len(w) != total:
         raise ValueError("vector length does not match layout")
-    m = action.layout.vars_per_block
     v = [frac(x) for x in v]
     w = tuple(frac(x) for x in w)
-    for g in action.group.elements:
-        image = []
-        for a in range(action.layout.blocks):
-            image.extend(g.matvec(v[a * m : (a + 1) * m]))
-        if tuple(image) == w:
-            return True
-    return False
+    return any(point_image(g, v, action.layout) == w for g in action.group.elements)

@@ -62,7 +62,7 @@ def torus_nullcone_member(ws: WeightSystem, v: Sequence) -> Optional[tuple]:
 
 def _support_weights(ws: WeightSystem, vectors) -> list:
     """The distinct weights of the coordinates where some vector is nonzero, first seen first."""
-    return list(dict.fromkeys(w for v in vectors for x, w in zip(v, ws.weights) if frac(x) != 0))
+    return list(dict.fromkeys(w for v in vectors for x, w in zip(v, ws.weights) if x != 0))
 
 
 def v_gamma(ws: WeightSystem, gamma: Sequence[int]) -> tuple:

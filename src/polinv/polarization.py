@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import Matrix, rref, solve_in_span
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
-                     invariant_dimension, is_invariant, same_orbit)
+                     invariant_dimension, is_invariant, point_image, same_orbit)
 from .poly import Poly, VariableLayout, glex_key, is_scalar_multiple, multidegrees
 
 Q = Fraction
@@ -421,14 +421,9 @@ def separation_test(group: MatrixGroup, gens: GeneratorSet, trials: int = 200,
             failures.append((v, w))
 
     controls_agree = 0
-    m = layout.vars_per_block
     for _ in range(controls):
         v = draw_point()
-        g = group.elements[rng.randrange(group.order)]
-        w = []
-        for a in range(layout.blocks):
-            w.extend(g.matvec(v[a * m : (a + 1) * m]))
-        w = tuple(w)
+        w = point_image(group.elements[rng.randrange(group.order)], v, layout)
         if all(p.evaluate(v) == p.evaluate(w) for p in polys):
             controls_agree += 1
     return SeparationReport(seed, trials, tested, separated, controls, controls_agree,

@@ -150,9 +150,10 @@ def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
     return enumerate_group(gens, cap)
 
 
-def _capped_layout(blocks: int, vars_per_block: int, cap: int) -> VariableLayout:
+def capped_layout(blocks: int, vars_per_block: int, cap: int) -> VariableLayout:
     """The layout, refused when its variable count exceeds the monomial cap:
-    the degree-1 monomial basis alone is already that large."""
+    the degree-1 monomial basis alone is already that large.  The command
+    line checks its n copies of V here too."""
     layout = VariableLayout(blocks, vars_per_block)
     if layout.total > cap:
         raise CapExceededError("too many variables", "monomials", cap)
@@ -161,9 +162,9 @@ def _capped_layout(blocks: int, vars_per_block: int, cap: int) -> VariableLayout
 
 def _layout_from_spec(fields: _Object, cap: int) -> VariableLayout:
     if "vars" in fields:
-        return _capped_layout(1, fields.read("vars", _integer), cap)
-    return _capped_layout(fields.read("blocks", _integer),
-                          fields.read("vars_per_block", _integer), cap)
+        return capped_layout(1, fields.read("vars", _integer), cap)
+    return capped_layout(fields.read("blocks", _integer),
+                         fields.read("vars_per_block", _integer), cap)
 
 
 def poly_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> Tuple[VariableLayout, Poly]:
@@ -177,11 +178,11 @@ def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> GeneratorSe
     if "family" in fields:
         family, m = fields.read("family", _string), fields.read("m", _integer)
         copies = fields.read("copies", _integer)
-        _capped_layout(copies, m, cap)
+        capped_layout(copies, m, cap)
         return polarization_generators(classical_generators(family, m), copies)
     if "invariants" in fields:
         m, copies = fields.read("vars", _integer), fields.read("copies", _integer)
-        _capped_layout(copies, m, cap)
+        capped_layout(copies, m, cap)
         invs = fields.read("invariants", _list(_poly(VariableLayout(1, m))))
         return polarization_generators(invs, copies)
     if "generators" in fields:

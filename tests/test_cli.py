@@ -245,6 +245,12 @@ def test_cap_exceeded_exits_3(files, tmp_path, capsys):
     pytest.param(["membership", {"vars": 2, "poly": "x1"},
                   {"vars": 2, "copies": 10 ** 8, "invariants": ["x1"]}],
                  id="gens-copies-huge"),
+    pytest.param(["polarize", {"vars": 2, "poly": "x1"}, "--copies", "100000000"],
+                 id="polarize-copies-huge"),
+    pytest.param(["compare", {"builtin": {"family": "S", "m": 2}}, "--copies", "100000000",
+                  "--max-degree", "1"], id="compare-copies-huge"),
+    pytest.param(["invariant-dims", {"builtin": {"family": "S", "m": 2}},
+                  "--copies", "100000000", "--max-degree", "1"], id="invariant-dims-copies-huge"),
 ])
 def test_huge_layout_exits_3(tmp_path, capsys, argv):
     # the variable count alone exceeds the monomial cap (the degree-1 basis is

@@ -5,14 +5,24 @@ from math import factorial
 import pytest
 
 from polinv.limits import CapExceededError
-from polinv.linalg import Matrix, rref
+from polinv.linalg import Matrix, inverse, rref
 from polinv.poly import Poly, VariableLayout, parse_poly
 from polinv.groups import (DiagonalAction, act, builtin_family, enumerate_group,
                            invariant_dimension, is_invariant,
-                           monomials_of_multidegree, reynolds, same_orbit)
+                           monomials_of_multidegree, point_image, reynolds, same_orbit)
 from polinv.specs import group_from_spec
 
 SWAP2 = Matrix.from_rows([[0, 1], [1, 0]])
+
+
+def as_matrix(g):
+    """The matrix of a stored element: g[perm[j], j] = signs[j] for a (perm, signs) pair."""
+    if isinstance(g, Matrix):
+        return g
+    perm, signs = g
+    m = len(perm)
+    return Matrix(m, m, tuple(Q(signs[j]) if i == perm[j] else Q(0)
+                              for i in range(m) for j in range(m)))
 
 
 def action_for(family, m, blocks=1):
@@ -34,7 +44,7 @@ def test_builtin_orders():
 
 def test_builtin_s2_elements():
     g = builtin_family("S", 2)
-    assert set(e.entries for e in g.elements) == {Matrix.identity(2).entries, SWAP2.entries}
+    assert set(g.elements) == {((0, 1), (1, 1)), ((1, 0), (1, 1))}
 
 
 def test_unsupported_family():
@@ -60,12 +70,14 @@ def test_element_set_independent_of_generator_order(family, m):
     # the closed-form list against the BFS closure of its generators, in both orders
     g = builtin_family(family, m)
     assert g.order == factorial(m) * {"S": 1, "B": 2 ** m, "D": 2 ** (m - 1)}[family]
-    elements = set(e.entries for e in g.elements)
+    elements = set(g.elements)
     assert len(elements) == g.order
-    for gens in (g.generators, g.generators[::-1]):
-        bfs = enumerate_group(gens)
+    gens = [as_matrix(h) for h in g.generators]
+    for order in (gens, gens[::-1]):
+        bfs = enumerate_group(order)
         assert bfs.order == g.order
-        assert set(e.entries for e in bfs.elements) == elements
+        assert set(bfs.generators) == set(g.generators)
+        assert set(bfs.elements) == elements
 
 
 def test_act_examples():
@@ -80,22 +92,25 @@ def test_act_examples():
 
 
 def test_act_is_a_left_action_on_random_groups():
-    # a non-monomial rational representation exercises the generic path
-    g1 = Matrix.from_rows([[0, -1], [1, 0]])     # rotation of order 4
-    g2 = Matrix.from_rows([[1, 0], [0, -1]])
+    # the 2-dimensional representation of S_3: 4 of its 6 elements are not
+    # signed permutations, so both stored forms and both paths of act() run
+    g1 = Matrix.from_rows([[0, -1], [1, -1]])    # order 3
+    g2 = Matrix.from_rows([[0, 1], [1, 0]])
     group = enumerate_group([g1, g2])
-    assert group.order == 8
+    assert group.order == 6
+    assert sum(isinstance(g, Matrix) for g in group.elements) == 4
     action = DiagonalAction(group, VariableLayout(1, 2))
     L = action.layout
     p = parse_poly("x1^2*x2 - 3*x2^3", L)
     for a in group.elements:
         for b in group.elements:
-            assert act(a, act(b, p, action), action) == act(a @ b, p, action)
+            ab = as_matrix(a) @ as_matrix(b)
+            assert act(a, act(b, p, action), action) == act(ab, p, action)
 
 
 def test_act_convention_matches_point_action():
-    # (g.p)(v) = p(g^{-1} v), blockwise, checked by evaluation
-    from polinv.linalg import inverse
+    # (g.p)(v) = p(g^{-1} v), blockwise, checked by evaluation; and
+    # point_image(g) undoes g^{-1}
     rng = random.Random(22)
     group = builtin_family("D", 3)
     action = DiagonalAction(group, VariableLayout(2, 3))
@@ -103,10 +118,11 @@ def test_act_convention_matches_point_action():
     p = parse_poly("x1_1^2*x2_3 - 2*x1_2*x2_1 + x1_3", L)
     for _ in range(10):
         g = group.elements[rng.randrange(group.order)]
-        ginv = inverse(g)
+        ginv = inverse(as_matrix(g))
         v = [rng.randint(-4, 4) for _ in range(6)]
         moved = list(ginv.matvec(v[0:3])) + list(ginv.matvec(v[3:6]))
         assert act(g, p, action).evaluate(v) == p.evaluate(moved)
+        assert point_image(g, moved, L) == tuple(v)
 
 
 def test_reynolds_examples():
@@ -163,10 +179,10 @@ def test_reynolds_and_invariant_dimension_match_act_sums(family, m, degs):
     if family == "custom":
         # order 3, not a signed permutation: the substitute path of act()
         assert group.order == 3
-        assert group.signed_perms[0] is not None
-        assert group.signed_perms[1] is None and group.signed_perms[2] is None
+        assert group.elements[0] == ((0, 1), (1, 1))
+        assert all(isinstance(g, Matrix) for g in group.elements[1:])
     else:
-        assert all(sp is not None for sp in group.signed_perms)
+        assert not any(isinstance(g, Matrix) for g in group.elements)
     action = DiagonalAction(group, VariableLayout(2, m))
     rng = random.Random(f"{family}{m}")
     for deg in degs:
@@ -217,6 +233,11 @@ def test_same_orbit_examples():
     assert not same_orbit((1, 2), (1, 3), s2)
     assert same_orbit((1, 0), (-1, 0), action_for("B", 2))
     assert not same_orbit((1, 0), (-1, 0), action_for("S", 2))
+    # the Matrix path: the orbit of (1, 0) under ORDER3 is (1, 0), (0, 1), (-1, -1)
+    order3 = DiagonalAction(group_from_spec(ORDER3), VariableLayout(1, 2))
+    assert same_orbit((1, 0), (0, 1), order3)
+    assert same_orbit((1, 0), (-1, -1), order3)
+    assert not same_orbit((1, 0), (0, -1), order3)
     with pytest.raises(ValueError):
         same_orbit((1,), (1, 2), s2)
 
