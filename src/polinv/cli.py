@@ -173,7 +173,7 @@ def cmd_membership(args, caps: Caps) -> dict:
     gens = generators_from_spec(load_spec(args.gens_file), caps.monomials)
     if gens.layout != layout:
         raise ValueError("polynomial and generator layouts differ")
-    cert = membership(f, gens, caps.span_products)
+    cert = membership(f, gens, caps.span_products, caps.monomials)
     checks = [check("member", cert is not None)]
     payload = {"polynomial": poly_to_string(f),
                "multidegree": list(f.multidegree() or ()),

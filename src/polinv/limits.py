@@ -23,7 +23,8 @@ class Caps:
 
     group_order    largest finite group that enumeration will close
     span_products  most generator products expanded in one graded piece
-    monomials      largest monomial basis for a dimension count
+    monomials      largest monomial basis for a dimension count, and most
+                   columns (monomials) in one span or membership system
     """
 
     group_order: int = 100_000

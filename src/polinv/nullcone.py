@@ -17,8 +17,6 @@ from functools import lru_cache
 from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .limits import DEFAULT_SEED
 from .linalg import Matrix, frac, strict_positive_functional
 from .poly import Poly, VariableLayout, homogeneous_bivariate_gcd
@@ -99,9 +97,14 @@ def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec) -> Optional[tup
 
 
 # --- independent brute-force oracle (used by agreement certificates) --------
+#
+# The only numpy code in polinv: numpy is imported here, on the first call, so
+# a process that never runs the box oracle never loads it.
 
 @lru_cache(maxsize=None)
-def _grid(dim: int, bound: int) -> np.ndarray:
+def _grid(dim: int, bound: int):
+    import numpy as np
+
     axis = np.arange(-bound, bound + 1, dtype=np.int64)
     mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -113,12 +116,18 @@ def brute_box_functional(points: Sequence[Sequence[int]], dim: int,
 
     Exhaustive integer enumeration (exact int64 arithmetic), independent of
     the Fourier-Motzkin path.  Empty input follows the (1, ..., 1) convention.
+    Raises ValueError when some <gamma, p> could leave int64.
     """
     if not points:
         return tuple([1] * dim)
-    pts = np.array([[int(x) for x in p] for p in points], dtype=np.int64)
-    if pts.shape[1] != dim:
+    rows = [[int(x) for x in p] for p in points]
+    if any(len(r) != dim for r in rows):
         raise ValueError("dimension mismatch")
+    if max((abs(x) for r in rows for x in r), default=0) * bound * dim >= 2 ** 63:
+        raise ValueError("box products exceed int64")
+    import numpy as np
+
+    pts = np.array(rows, dtype=np.int64)
     grid = _grid(dim, bound)
     feasible = (grid @ pts.T > 0).all(axis=1)
     idx = int(np.argmax(feasible))
@@ -392,6 +401,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
     for _ in range(systems):
         ws = _random_weight_system(rng)
         cache: dict = {}
+        decided: dict = {}
 
         def brute_feasible(support) -> bool:
             key = tuple(sorted(set(support)))
@@ -401,10 +411,19 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
                 cache[key] = got
             return got
 
+        def decide(support: tuple, v) -> Optional[tuple]:
+            # torus_nullcone_member's answer depends only on the support weights
+            if support not in decided:
+                decided[support] = torus_nullcone_member(ws, v)
+            return decided[support]
+
+        def member(v) -> bool:
+            return decide(tuple(_support_weights(ws, [v])), v) is not None
+
         for _ in range(vectors_per_system):
             v = _random_vector(rng, ws.coordinates)
-            gamma = torus_nullcone_member(ws, v)
-            support = [w for x, w in zip(v, ws.weights) if x != 0]
+            support = tuple(_support_weights(ws, [v]))
+            gamma = decide(support, v)
             vector_queries += 1
             if (gamma is not None) == brute_feasible(support):
                 agreements += 1
@@ -417,9 +436,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
             v2 = _random_vector(rng, ws.coordinates)
             L = SubspaceSpec(ws.coordinates, (v1, v2))
             gamma = subspace_in_common_vgamma(ws, L)
-            probe = span_probe_nullcone(
-                lambda vec: torus_nullcone_member(ws, vec) is not None,
-                L, trials=probe_trials, seed=seed)
+            probe = span_probe_nullcone(member, L, trials=probe_trials, seed=seed)
             planes += 1
             if not probe.escaped:
                 planes_contained += 1

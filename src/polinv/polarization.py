@@ -181,11 +181,16 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int):
     return products
 
 
-def _vectorize(polys: Sequence[Poly]):
-    """Coefficient vectors over the union of supports, graded-lex descending."""
+def _vectorize(polys: Sequence[Poly], monomial_cap: int):
+    """Coefficient vectors over the union of supports, graded-lex descending.
+
+    Raises when that union, the column count, exceeds `monomial_cap`.
+    """
     support = set()
     for p in polys:
         support.update(p._terms)
+    if len(support) > monomial_cap:
+        raise CapExceededError("too many monomials", "monomials", monomial_cap)
     columns = sorted(support, key=glex_key, reverse=True)
     index = {e: i for i, e in enumerate(columns)}
     vectors = []
@@ -198,14 +203,15 @@ def _vectorize(polys: Sequence[Poly]):
 
 
 def graded_span_basis(gens: GeneratorSet, target: Sequence[int],
-                      cap: int = DEFAULT_CAPS.span_products) -> GradedSpan:
+                      cap: int = DEFAULT_CAPS.span_products,
+                      monomial_cap: int = DEFAULT_CAPS.monomials) -> GradedSpan:
     """Deterministic basis of the graded piece spanned by generator products."""
     target = tuple(target)
     products = _products_for_target(gens, target, cap)
     nonzero = [p for _, p in products if not p.is_zero()]
     if not nonzero:
         return GradedSpan(target, (), 0)
-    columns, vectors = _vectorize(nonzero)
+    columns, vectors = _vectorize(nonzero, monomial_cap)
     reduced, rk, _ = rref(Matrix.from_rows(vectors))
     basis = []
     for r in range(rk):
@@ -214,8 +220,9 @@ def graded_span_basis(gens: GeneratorSet, target: Sequence[int],
     return GradedSpan(target, tuple(basis), rk)
 
 
-def membership(f: Poly, gens: GeneratorSet,
-               cap: int = DEFAULT_CAPS.span_products) -> Optional[List[Tuple[tuple, Fraction]]]:
+def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_products,
+               monomial_cap: int = DEFAULT_CAPS.monomials
+               ) -> Optional[List[Tuple[tuple, Fraction]]]:
     """Exact membership of f in the graded piece of the polarization algebra.
 
     Returns a certificate [(exponent tuple, coefficient), ...] whose product
@@ -231,7 +238,7 @@ def membership(f: Poly, gens: GeneratorSet,
         raise ValueError("membership needs a multihomogeneous polynomial")
     products = _products_for_target(gens, deg, cap)
     nonzero = [(e, p) for e, p in products if not p.is_zero()]
-    columns, vectors = _vectorize([p for _, p in nonzero] + [f])
+    columns, vectors = _vectorize([p for _, p in nonzero] + [f], monomial_cap)
     target_vec = vectors[-1]
     coeffs = solve_in_span(vectors[:-1], target_vec)
     if coeffs is None:
@@ -301,7 +308,7 @@ def compare_graded_dims(group: MatrixGroup, invariant_gens: Sequence[Poly], n: i
     rows = []
     for deg in multidegrees(max_total_degree, n):
         dim_inv = invariant_dimension(action, deg, monomial_cap)
-        dim_pol = graded_span_basis(gens, deg, span_cap).dimension
+        dim_pol = graded_span_basis(gens, deg, span_cap, monomial_cap).dimension
         rows.append((deg, dim_inv, dim_pol))
     return rows
 
@@ -332,14 +339,15 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
     dims = {}
     for deg in ((2, 2), (3, 3)):
         dims[deg] = (invariant_dimension(action, deg, caps.monomials),
-                     graded_span_basis(gens, deg, caps.span_products).dimension)
+                     graded_span_basis(gens, deg, caps.span_products,
+                                       caps.monomials).dimension)
 
     sigma4 = embed_in_copies(invs[3], 2)
     h = wallach_operator(1, wallach_operator(1, sigma4)) * Q(1, 2)
     h_component = polarize(invs[3], 2)[(2, 2)]
     w = wallach_operator(3, sigma4)
-    w_cert = membership(w, gens, caps.span_products)
-    square_cert = membership(w * w, gens, caps.span_products)
+    w_cert = membership(w, gens, caps.span_products, caps.monomials)
+    square_cert = membership(w * w, gens, caps.span_products, caps.monomials)
     square_ok = (square_cert is not None
                  and certificate_combination(gens, square_cert) == w * w)
 

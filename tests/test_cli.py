@@ -2,7 +2,11 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
+import textwrap
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
@@ -230,6 +234,32 @@ def test_cap_exceeded_exits_3(files, tmp_path, capsys):
             out, err = capsys.readouterr()
             assert (code, out) == (3, "")
             assert err == f"error: group too large (cap group_order={cap})\n"
+    # the monomial cap also bounds the columns of a span: 126 quartics in 6 variables
+    poly = write(tmp_path, "p.json", {"vars": 6, "poly": "x1^4 + x2*x3*x5*x6"})
+    gens = write(tmp_path, "g.json", {"vars": 6, "generators": [f"x{i}" for i in range(1, 7)]})
+    capsys.readouterr()
+    code = main(["--cap-monomials", "50", "membership", poly, gens])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "error: too many monomials (cap monomials=50)\n"
+
+
+def test_numpy_loads_only_for_the_box_oracle():
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        from polinv.cli import main
+        print("numpy" in sys.modules)
+        for scenario in ("dm", "so5", "sl3", "sl2-r1", "torus"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["certify", scenario])
+            print(scenario, code, "numpy" in sys.modules)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == ["False", "dm 0 False", "so5 0 False", "sl3 0 False",
+                                "sl2-r1 0 False", "torus 0 True"]
 
 
 @pytest.mark.parametrize("argv", [

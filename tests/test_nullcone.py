@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction as Q
 
 import pytest
 
+from polinv import nullcone
 from polinv.linalg import Matrix
 from polinv.poly import Poly, VariableLayout
 from polinv.nullcone import (BinaryForm, SubspaceSpec, WeightSystem,
@@ -71,6 +73,10 @@ def test_brute_box_deterministic_and_exact():
     assert brute_box_functional([(1, 0), (0, 1)], 2) == (1, 1)
     assert brute_box_functional([(1, -1), (-1, 1)], 2) is None
     assert brute_box_functional([], 3) == (1, 1, 1)
+    # products that could leave int64 are refused, not wrapped around
+    for points in ([(2 ** 60, 1), (-2 ** 60, 1)], [(2 ** 59, -1)], [(2 ** 70, 1)]):
+        with pytest.raises(ValueError):
+            brute_box_functional(points, 2)
 
 
 # -- binary forms -------------------------------------------------------------
@@ -222,3 +228,33 @@ def test_certify_torus_small_run():
     report = certify_torus(seed=5, systems=8, vectors_per_system=6,
                            subspaces_per_system=2)
     assert report["result"] == "PASS"
+
+
+def test_torus_member_depends_only_on_support_weights():
+    # the premise of certify_torus's per-support memo
+    rng = random.Random(43)
+    for _ in range(60):
+        ws = nullcone._random_weight_system(rng)
+        seen = {}
+        for _ in range(20):
+            v = nullcone._random_vector(rng, ws.coordinates)
+            other = tuple(x and rng.choice([-7, -1, 2, 5]) for x in v)
+            for u in (v, other):
+                support = tuple(nullcone._support_weights(ws, [u]))
+                gamma = torus_nullcone_member(ws, u)
+                assert seen.setdefault(support, gamma) == gamma
+
+
+def test_certify_torus_decides_each_support_once(monkeypatch):
+    calls = []  # holds every system, so no id() below is reused
+    decide = nullcone.torus_nullcone_member
+
+    def counting(ws, v):
+        calls.append((ws, tuple(nullcone._support_weights(ws, [v]))))
+        return decide(ws, v)
+
+    monkeypatch.setattr(nullcone, "torus_nullcone_member", counting)
+    assert certify_torus()["result"] == "PASS"
+    per_pair = Counter((id(ws), support) for ws, support in calls)
+    assert max(per_pair.values()) == 1
+    assert len(calls) < 500

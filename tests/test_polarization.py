@@ -154,6 +154,12 @@ def test_graded_span_cap():
     gens = GeneratorSet(L, ((x, (1,)), (y, (1,))))
     with pytest.raises(CapExceededError):
         graded_span_basis(gens, (40,), cap=10)
+    # x^2, xy, y^2: three columns, so a monomial cap of 2 refuses both builders
+    assert graded_span_basis(gens, (2,), monomial_cap=3).dimension == 3
+    with pytest.raises(CapExceededError):
+        graded_span_basis(gens, (2,), monomial_cap=2)
+    with pytest.raises(CapExceededError):
+        membership(x * y, gens, monomial_cap=2)
 
 
 def test_monotone_span_under_redundant_generators():
