@@ -404,7 +404,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
         decided: dict = {}
 
         def brute_feasible(support) -> bool:
-            key = tuple(sorted(set(support)))
+            key = tuple(sorted(support))
             got = cache.get(key)
             if got is None:
                 got = brute_box_functional(key, ws.torus_rank, box_bound) is not None
