@@ -6,6 +6,10 @@ families are listed in closed form as such pairs; a group given by rational
 generator matrices is enumerated to a full element list by breadth-first
 closure.  The polynomial action follows the left-action convention
 (g.p)(v) = p(g^{-1} v), applied per block.
+
+Invariant dimensions of a group of signed permutations are monomial orbit
+counts; only a group with a `Matrix` element takes the rank of Reynolds
+images.
 """
 
 from __future__ import annotations
@@ -242,17 +246,24 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
                         monomial_cap: int = DEFAULT_CAPS.monomials) -> int:
     """Exact dimension of the invariant subspace in one multidegree.
 
-    Computed as the rank of the Reynolds images of all monomials of that
-    multidegree.  Refuses with a cap error instead of degrading when the
-    monomial basis is too large.
+    When every element is a (perm, signs) pair, each sends x^e to +-x^e', so
+    the Reynolds image of x^e is 0 when some element of its stabilizer acts
+    by -1 and a nonzero multiple of its signed orbit sum otherwise; distinct
+    orbits have disjoint supports.  The dimension is then the number of
+    monomial orbits with a sign-trivial stabilizer, counted without any
+    `Poly` or rank.  A group holding a `Matrix` element takes the rank of the
+    Reynolds images of all monomials instead.  Either way a monomial basis
+    above `monomial_cap` is refused with a cap error first.
     """
     deg = tuple(deg)
     n_mono = count_monomials((action.layout.vars_per_block,) * len(deg), deg)
     if n_mono > monomial_cap:
         raise CapExceededError("degree too large", "monomials", monomial_cap)
     monos = monomials_of_multidegree(action.layout, deg)
-    index = {e: i for i, e in enumerate(monos)}
     maps = _element_maps(action)
+    if not maps[1]:  # every element is a (perm, signs) pair
+        return _count_live_orbits(monos, maps[0])
+    index = {e: i for i, e in enumerate(monos)}
     rows = []
     seen = set()
     for e in monos:
@@ -272,6 +283,24 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
     if not rows:
         return 0
     return rank(Matrix.from_rows(rows))
+
+
+def _count_live_orbits(monos: Sequence[tuple], signed: Sequence[tuple]) -> int:
+    """Orbits of the exponent tuples `monos` under the layout maps `signed`
+    whose stabilizer has no element acting by -1."""
+    seen = set()
+    live = 0
+    for e in monos:
+        if e in seen:
+            continue
+        dead = False
+        for src, odd in signed:
+            ne = tuple(map(e.__getitem__, src))
+            seen.add(ne)
+            if ne == e and sum(map(e.__getitem__, odd)) & 1:
+                dead = True
+        live += not dead
+    return live
 
 
 def point_image(g: Element, v: Sequence, layout: VariableLayout) -> tuple:

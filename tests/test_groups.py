@@ -1,13 +1,16 @@
+import json
 import random
 from fractions import Fraction as Q
 from math import factorial
 
 import pytest
 
+from polinv import groups
+from polinv.cli import main
 from polinv.limits import CapExceededError
 from polinv.linalg import Matrix, inverse, rref
-from polinv.poly import Poly, VariableLayout, parse_poly
-from polinv.groups import (DiagonalAction, act, builtin_family, enumerate_group,
+from polinv.poly import Poly, VariableLayout, multidegrees, parse_poly
+from polinv.groups import (DiagonalAction, MatrixGroup, act, builtin_family, enumerate_group,
                            invariant_dimension, is_invariant,
                            monomials_of_multidegree, point_image, reynolds, same_orbit)
 from polinv.specs import group_from_spec
@@ -192,6 +195,86 @@ def test_reynolds_and_invariant_dimension_match_act_sums(family, m, degs):
                                      for _ in range(3)})
             assert reynolds(p, action) == _act_sum_reynolds(p, action)
         assert invariant_dimension(action, deg) == _act_sum_invariant_dimension(action, deg)
+
+
+def _symmetric_power_traces(g, max_k):
+    """[h_0(g), ..., h_max_k(g)]: traces of a (perm, signs) pair on Sym^k, read
+    off 1/det(1 - s g) = prod over cycles of 1/(1 - eps s^L), L the cycle
+    length and eps the product of the cycle's signs."""
+    perm, signs = g
+    h = [1] + [0] * max_k
+    unseen = set(range(len(perm)))
+    while unseen:
+        j = start = unseen.pop()
+        length, eps = 1, signs[j]
+        while perm[j] != start:
+            j = perm[j]
+            unseen.remove(j)
+            length, eps = length + 1, eps * signs[j]
+        for k in range(length, max_k + 1):  # multiply by 1/(1 - eps s^L)
+            h[k] += eps * h[k - length]
+    return h
+
+
+def _molien_dimensions(group, max_total):
+    """{(a, b): dim R_(a,b)} on two copies, as sum_g h_a(g) h_b(g) / |G|."""
+    traces = [_symmetric_power_traces(g, max_total) for g in group.elements]
+    dims = {}
+    for a, b in multidegrees(max_total, 2):
+        total = sum(h[a] * h[b] for h in traces)
+        assert total % group.order == 0, (a, b)
+        dims[(a, b)] = total // group.order
+    return dims
+
+
+@pytest.mark.parametrize("family,m", [("S", 4), ("B", 3), ("D", 4), ("D", 5)])
+def test_invariant_dimension_matches_molien(family, m):
+    group = builtin_family(family, m)
+    action = DiagonalAction(group, VariableLayout(2, m))
+    molien = _molien_dimensions(group, 6)
+    assert {deg: invariant_dimension(action, deg) for deg in molien} == molien
+    assert molien[(3, 3)] == {"S": 27, "B": 6, "D": 10 if m == 4 else 6}[family]
+
+
+@pytest.mark.parametrize("family,m", [("B", 3), ("D", 4)])
+def test_orbit_count_matches_reynolds_rank_on_matrix_groups(family, m):
+    # the same group with every element stored as a Matrix takes the Reynolds path
+    pairs = builtin_family(family, m)
+    matrices = MatrixGroup(m, tuple(map(as_matrix, pairs.generators)),
+                           tuple(map(as_matrix, pairs.elements)))
+    on_pairs = DiagonalAction(pairs, VariableLayout(2, m))
+    on_matrices = DiagonalAction(matrices, VariableLayout(2, m))
+    for deg in [(1, 1), (2, 1), (2, 2), (3, 1)]:
+        assert invariant_dimension(on_pairs, deg) == invariant_dimension(on_matrices, deg), deg
+
+
+def test_only_groups_with_a_matrix_element_take_the_reynolds_rank(monkeypatch):
+    calls = []
+    reynolds_rank = groups._reynolds
+
+    def counted(*args):
+        calls.append(args)
+        return reynolds_rank(*args)
+
+    monkeypatch.setattr(groups, "_reynolds", counted)
+    d4 = DiagonalAction(builtin_family("D", 4), VariableLayout(2, 4))
+    assert invariant_dimension(d4, (3, 3)) == 10
+    assert calls == []
+    order3 = DiagonalAction(group_from_spec(ORDER3), VariableLayout(2, 2))
+    assert invariant_dimension(order3, (2, 2)) == _act_sum_invariant_dimension(order3, (2, 2))
+    assert calls
+
+
+def test_invariant_dims_cli_on_d5_matches_molien(tmp_path, capsys):
+    d5 = tmp_path / "d5.json"
+    d5.write_text(json.dumps({"builtin": {"family": "D", "m": 5}}))
+    code = main(["--format", "structured", "invariant-dims", str(d5),
+                 "--copies", "2", "--max-degree", "4"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert {tuple(row["multidegree"]): row["dim_invariants"] for row in report["table"]} == (
+        _molien_dimensions(builtin_family("D", 5), 4))
+    assert report["checks"] == [{"name": "dims_bounded_by_monomial_count", "pass": True}]
 
 
 def test_invariant_dimension_examples():
