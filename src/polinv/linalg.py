@@ -2,13 +2,16 @@
 
 Matrix entries are `fractions.Fraction` values, which Python keeps reduced
 to lowest terms with a positive denominator.  `rref` works on them directly
-and is kept for callers that use the reduced basis itself.  `rank` and
-`solve_in_span` instead use fraction-free integer elimination (in the style
-of Bareiss): each vector is scaled by the lcm of its denominators to a
-sparse integer row, rows are combined as b*r - a*k, and the gcd content is
-divided out after every step, so entries stay small integers and no
-Fraction is built until the final coefficients.  There is no floating point
-anywhere in this module; every answer is exact.
+and serves only `liealg` and `inverse`.  The elimination kernel is
+`_echelon`, fraction-free integer elimination (in the style of Bareiss) on
+`(row, scale)` pairs: a sparse {column: int} row that is `scale` times the
+vector it stands for.  `rank` and `solve_in_span` build these pairs with
+`_integer_row` (each vector scaled by the lcm of its denominators);
+`polarization` passes generator products it already expanded over the
+integers.  Rows are combined as b*r - a*k and the gcd content is divided
+out after every step, so entries stay small integers and no Fraction is
+built until the final coefficients.  There is no floating point anywhere in
+this module; every answer is exact.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 Q = Fraction
 
@@ -157,37 +160,45 @@ def rref(m: Matrix):
     return reduced, r, pivots
 
 
+def _integer_terms(terms: Mapping) -> tuple:
+    """(row, d): d*terms as a {key: int} map, d the lcm of the denominators.
+
+    `terms` maps keys to nonzero Fractions.
+    """
+    d = lcm(*[q.denominator for q in terms.values()])
+    return {k: q.numerator * (d // q.denominator) for k, q in terms.items()}, d
+
+
 def _integer_row(v: Sequence) -> tuple:
     """(row, d): d*v as a sparse {column: int} row, d the lcm of the denominators."""
-    nz = {i: frac(x) for i, x in enumerate(v) if x}
-    d = lcm(*[q.denominator for q in nz.values()])
-    return {i: q.numerator * (d // q.denominator) for i, q in nz.items() if q}, d
+    return _integer_terms({i: frac(x) for i, x in enumerate(v) if x})
 
 
-def _echelon(vectors: Iterable[Sequence], track: bool = False):
-    """Fraction-free sparse elimination of `vectors`, taken in order.
+def _echelon(rows: Iterable[tuple], track: bool = False):
+    """Fraction-free sparse elimination of scaled integer rows, taken in order.
 
-    Each vector becomes an integer row (see `_integer_row`) and is reduced
-    against the rows kept so far: for a kept row k with pivot column p and
-    a = r[p], b = k[p] (divided by their gcd), r becomes b*r - a*k, and the
-    gcd content of r is divided out.  Kept rows are zero at every earlier
-    pivot, so one pass in order clears all pivots of r.  A vector is kept
-    when a nonzero row remains, so the kept indices are the lex-first
-    independent vectors: the pivot columns of the RREF of the matrix whose
-    columns are `vectors`.
+    Each entry of `rows` is a pair (row, scale): a sparse {column: int} row
+    equal to `scale` times the vector v_j it stands for (see `_integer_row`).
+    The row dicts are reduced in place.  Each row is reduced against the
+    rows kept so far: for a kept row k with pivot column p and a = r[p],
+    b = k[p] (divided by their gcd), r becomes b*r - a*k, and the gcd
+    content of r is divided out.  Kept rows are zero at every earlier
+    pivot, so one pass in order clears all pivots of r.  A row is kept when
+    a nonzero row remains, so the kept indices are the lex-first independent
+    vectors: the pivot columns of the RREF of the matrix whose columns are
+    the v_j.
 
     Returns (kept, relation).  With `track`, every row also carries its
-    integer combination of the scaled inputs (without `track` the
-    combinations stay empty); when the last vector is not kept, `relation`
-    maps kept indices j to Fractions c_j with
-    vectors[-1] = sum_j c_j * vectors[j].  Otherwise `relation` is None.
+    integer combination of the input rows (without `track` the combinations
+    stay empty); when the last row is not kept, `relation` maps kept
+    indices j to Fractions c_j with v_last = sum_j c_j * v_j, in terms of
+    the unscaled vectors.  Otherwise `relation` is None.
     """
     pivots = []  # (pivot column, row, combination)
     kept = []
     scales = []
     row, combo = {}, {}
-    for j, v in enumerate(vectors):
-        row, d = _integer_row(v)
+    for j, (row, d) in enumerate(rows):
         scales.append(d)
         combo = {j: 1} if track else {}
         for p, prow, pcombo in pivots:
@@ -225,7 +236,7 @@ def _echelon(vectors: Iterable[Sequence], track: bool = False):
 
 
 def rank(m: Matrix) -> int:
-    return len(_echelon(m.row(i) for i in range(m.rows))[0])
+    return len(_echelon(_integer_row(m.row(i)) for i in range(m.rows))[0])
 
 
 def inverse(m: Matrix) -> Matrix:
@@ -253,7 +264,7 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]
     n = len(target)
     if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")
-    _, relation = _echelon(vectors, track=True)
+    _, relation = _echelon(map(_integer_row, vectors), track=True)
     if relation is None:
         return None
     return [relation.get(j, Q(0)) for j in range(len(basis))]

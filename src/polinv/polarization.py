@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED
-from .linalg import Matrix, rref, solve_in_span
+from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
 from .poly import Poly, VariableLayout, glex_key, is_scalar_multiple, multidegrees
@@ -77,7 +77,9 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class GradedSpan:
-    """A row-reduced basis of one graded piece of the polarization algebra."""
+    """One graded piece of the polarization algebra: its dimension, and as a
+    basis the lex-first independent generator products (in the exponent-tuple
+    order of `_exponent_tuples`), each expanded as a Poly."""
 
     multidegree: tuple
     basis: Tuple[Poly, ...]
@@ -134,6 +136,7 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     """
     blocks = len(target)
     out: List[tuple] = []
+    dead = set()  # (i, remaining) from which no tuple completes
 
     def rec(i: int, remaining: tuple, prefix: tuple):
         if i == len(degrees):
@@ -142,82 +145,149 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
                     raise CapExceededError("span too large", "span_products", cap)
                 out.append(prefix)
             return
+        if (i, remaining) in dead:
+            return
+        found = len(out)
         deg = degrees[i]
         if all(d == 0 for d in deg):
             rec(i + 1, remaining, prefix + (0,))
-            return
-        emax = min(remaining[b] // deg[b] for b in range(blocks) if deg[b] > 0)
-        for e in range(emax + 1):
-            rest = tuple(r - e * d for r, d in zip(remaining, deg))
-            if any(x < 0 for x in rest):
-                break
-            rec(i + 1, rest, prefix + (e,))
+        else:
+            emax = min(remaining[b] // deg[b] for b in range(blocks) if deg[b] > 0)
+            for e in range(emax + 1):
+                rec(i + 1, tuple(r - e * d for r, d in zip(remaining, deg)), prefix + (e,))
+        if len(out) == found:
+            dead.add((i, remaining))
 
     rec(0, tuple(target), ())
     return out
 
 
-def _products_for_target(gens: GeneratorSet, target: tuple, cap: int):
-    """Expanded generator products of the target multidegree, with exponents."""
+def _digit_width(target: Sequence[int]) -> int:
+    """Bits per variable in a packed exponent key for monomials of multidegree target."""
+    return max(max(target).bit_length(), 1)
+
+
+def _pack(exps: Sequence[int], width: int) -> int:
+    """One int for an exponent tuple, `width` bits per variable, variable 0 most significant.
+
+    Every exponent must be below 2**width; then adding keys multiplies
+    monomials, and for one total degree descending keys are graded-lex
+    descending.
+    """
+    key = 0
+    for e in exps:
+        key = (key << width) | e
+    return key
+
+
+def _unpack(key: int, width: int, nvars: int) -> tuple:
+    mask = (1 << width) - 1
+    return tuple((key >> (width * (nvars - 1 - v))) & mask for v in range(nvars))
+
+
+def _packed(p: Poly, width: int) -> Tuple[Dict[int, int], int]:
+    """(terms, d): d*p on packed keys with int coefficients, d the lcm of its denominators."""
+    return _integer_terms({_pack(e, width): c for e, c in p._terms.items()})
+
+
+def _mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
+    """Product of two integer polynomials on packed keys."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: Dict[int, int] = {}
+    get = out.get
+    a_items = a.items()
+    for kb, cb in b.items():
+        for ka, ca in a_items:
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
+                         monomial_cap: int = DEFAULT_CAPS.monomials):
+    """Generator products of the target multidegree, expanded over the integers.
+
+    Returns [(exps, terms, scale), ...], one entry per exponent tuple of
+    `_exponent_tuples`, in its lex order.  Each generator g_i is scaled once
+    by the lcm d_i of its denominators; `terms` maps packed exponent keys
+    (`_pack`, width `_digit_width(target)`) to ints and equals scale times
+    prod_i g_i^{e_i}, with scale = prod_i d_i^{e_i}.  Powers g_i^e are built
+    once each, as g_i^{e-1} * g_i, and consecutive tuples share the product
+    of their common prefix.  Raises as soon as the union of the supports of
+    the finished products exceeds `monomial_cap`; partial products, which
+    can still cancel, are not counted.
+    """
     degrees = [deg for _, deg in gens.generators]
     tuples = _exponent_tuples(degrees, tuple(target), cap)
-    pow_cache: Dict[tuple, Poly] = {}
+    width = _digit_width(target)
+    ladders: Dict[int, list] = {}  # i -> [(terms, scale) of g_i^1, g_i^2, ...]
 
-    def gen_power(i: int, e: int) -> Poly:
-        key = (i, e)
-        got = pow_cache.get(key)
-        if got is None:
-            got = gens.generators[i][0] ** e
-            pow_cache[key] = got
-        return got
+    def gen_power(i: int, e: int):
+        ladder = ladders.get(i)
+        if ladder is None:
+            ladder = ladders[i] = [_packed(gens.generators[i][0], width)]
+        base, d = ladder[0]
+        while len(ladder) < e:
+            terms, scale = ladder[-1]
+            ladder.append((_mul(terms, base), scale * d))
+        return ladder[e - 1]
 
+    one = ({0: 1}, 1)
+    prefix = [one]  # prefix[i]: product of the current tuple's factors before generator i
+    previous: tuple = ()
     products = []
+    support = set()
     for exps in tuples:
-        prod = Poly.constant(gens.layout, 1)
-        for i, e in enumerate(exps):
-            if e:
-                prod = prod * gen_power(i, e)
-        products.append((exps, prod))
+        start = next((i for i, (a, b) in enumerate(zip(exps, previous)) if a != b), len(previous))
+        del prefix[start + 1:]
+        for i in range(start, len(exps)):
+            factor = prefix[i]
+            if exps[i]:
+                terms, scale = gen_power(i, exps[i])
+                if factor is not one:
+                    terms, scale = _mul(factor[0], terms), factor[1] * scale
+                factor = (terms, scale)
+            prefix.append(factor)
+        previous = exps
+        terms, scale = prefix[-1]
+        products.append((exps, terms, scale))
+        support.update(terms)
+        if len(support) > monomial_cap:
+            raise CapExceededError("too many monomials", "monomials", monomial_cap)
     return products
 
 
-def _vectorize(polys: Sequence[Poly], monomial_cap: int):
-    """Coefficient vectors over the union of supports, graded-lex descending.
+def _rows(term_maps: Sequence[Dict[int, int]], monomial_cap: int) -> List[Dict[int, int]]:
+    """Re-key packed integer polynomials by column, the union of their supports
+    in graded-lex descending order.
 
     Raises when that union, the column count, exceeds `monomial_cap`.
     """
     support = set()
-    for p in polys:
-        support.update(p._terms)
+    for terms in term_maps:
+        support.update(terms)
     if len(support) > monomial_cap:
         raise CapExceededError("too many monomials", "monomials", monomial_cap)
-    columns = sorted(support, key=glex_key, reverse=True)
-    index = {e: i for i, e in enumerate(columns)}
-    vectors = []
-    for p in polys:
-        vec = [Q(0)] * len(columns)
-        for e, c in p._terms.items():
-            vec[index[e]] = c
-        vectors.append(vec)
-    return columns, vectors
+    index = {key: i for i, key in enumerate(sorted(support, reverse=True))}
+    return [{index[key]: c for key, c in terms.items()} for terms in term_maps]
 
 
 def graded_span_basis(gens: GeneratorSet, target: Sequence[int],
                       cap: int = DEFAULT_CAPS.span_products,
                       monomial_cap: int = DEFAULT_CAPS.monomials) -> GradedSpan:
-    """Deterministic basis of the graded piece spanned by generator products."""
+    """Dimension of the graded piece spanned by generator products, with a basis."""
     target = tuple(target)
-    products = _products_for_target(gens, target, cap)
-    nonzero = [p for _, p in products if not p.is_zero()]
-    if not nonzero:
-        return GradedSpan(target, (), 0)
-    columns, vectors = _vectorize(nonzero, monomial_cap)
-    reduced, rk, _ = rref(Matrix.from_rows(vectors))
+    products = _products_for_target(gens, target, cap, monomial_cap)
+    rows = _rows([terms for _, terms, _ in products], monomial_cap)
+    kept, _ = _echelon(zip(rows, (scale for _, _, scale in products)))
+    width, nvars = _digit_width(target), gens.layout.total
     basis = []
-    for r in range(rk):
-        row = reduced.row(r)
-        basis.append(Poly(gens.layout, {columns[i]: c for i, c in enumerate(row) if c != 0}))
-    return GradedSpan(target, tuple(basis), rk)
+    for j in kept:
+        _, terms, scale = products[j]
+        basis.append(Poly._trusted(gens.layout, {_unpack(key, width, nvars): Q(c, scale)
+                                                 for key, c in terms.items()}))
+    return GradedSpan(target, tuple(basis), len(kept))
 
 
 def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_products,
@@ -227,7 +297,8 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
 
     Returns a certificate [(exponent tuple, coefficient), ...] whose product
     combination reconstructs f exactly, or None when f is not in the span at
-    its multidegree.
+    its multidegree.  Only the lex-first independent products get nonzero
+    coefficients.
     """
     if f.layout != gens.layout:
         raise ValueError("layout mismatch")
@@ -236,14 +307,14 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
     deg = f.multidegree()
     if deg is None:
         raise ValueError("membership needs a multihomogeneous polynomial")
-    products = _products_for_target(gens, deg, cap)
-    nonzero = [(e, p) for e, p in products if not p.is_zero()]
-    columns, vectors = _vectorize([p for _, p in nonzero] + [f], monomial_cap)
-    target_vec = vectors[-1]
-    coeffs = solve_in_span(vectors[:-1], target_vec)
-    if coeffs is None:
+    products = _products_for_target(gens, deg, cap, monomial_cap)
+    f_terms, f_scale = _packed(f, _digit_width(deg))
+    rows = _rows([terms for _, terms, _ in products] + [f_terms], monomial_cap)
+    scales = [scale for _, _, scale in products] + [f_scale]
+    _, relation = _echelon(zip(rows, scales), track=True)
+    if relation is None:
         return None
-    return [(nonzero[i][0], c) for i, c in enumerate(coeffs) if c != 0]
+    return [(products[j][0], c) for j, c in sorted(relation.items())]
 
 
 def certificate_combination(gens: GeneratorSet, certificate) -> Poly:
@@ -347,9 +418,10 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
     h_component = polarize(invs[3], 2)[(2, 2)]
     w = wallach_operator(3, sigma4)
     w_cert = membership(w, gens, caps.span_products, caps.monomials)
-    square_cert = membership(w * w, gens, caps.span_products, caps.monomials)
+    square = w * w
+    square_cert = membership(square, gens, caps.span_products, caps.monomials)
     square_ok = (square_cert is not None
-                 and certificate_combination(gens, square_cert) == w * w)
+                 and certificate_combination(gens, square_cert) == square)
 
     checks = [
         check("p1p1_image_is_a_polarization_component", h == h_component),
@@ -368,7 +440,7 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
         {"multidegree": [3, 3], "dim_invariants": dims[(3, 3)][0],
          "dim_pol_span": dims[(3, 3)][1], "witness_polynomial": w,
          "membership_certificate": None},
-        {"multidegree": [6, 6], "witness_polynomial": w * w,
+        {"multidegree": [6, 6], "witness_polynomial": square,
          "membership_certificate": [
              {"exponents": list(e), "coefficient": c} for e, c in (square_cert or [])]},
     ]

@@ -242,6 +242,15 @@ def test_cap_exceeded_exits_3(files, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err == "error: too many monomials (cap monomials=50)\n"
+    # one product, (x1_1 + ... + x1_6)^24 with 118755 terms: refused once it is
+    # expanded, before the target joins the columns or any elimination starts
+    poly = write(tmp_path, "p24.json", {"vars": 6, "poly": "x1_1^24"})
+    gens = write(tmp_path, "g24.json",
+                 {"vars": 6, "generators": ["+".join(f"x1_{i}" for i in range(1, 7))]})
+    code = main(["--cap-monomials", "100", "membership", poly, gens])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "error: too many monomials (cap monomials=100)\n"
 
 
 def test_numpy_loads_only_for_the_box_oracle():

@@ -1,17 +1,21 @@
+import itertools
 import random
 from fractions import Fraction as Q
+from math import gcd, lcm
 
 import pytest
 
 from polinv.groups import DiagonalAction, builtin_family, is_invariant
 from polinv.limits import CapExceededError
-from polinv.poly import Poly, VariableLayout, parse_poly
+from polinv.linalg import Matrix, rank, solve_in_span
+from polinv.poly import Poly, VariableLayout, glex_key, monomials, parse_poly
 from polinv.polarization import (GeneratorSet, certificate_combination,
                                  classical_generators, compare_graded_dims,
                                  copies_layout, embed_in_copies,
                                  graded_span_basis, membership, polarize,
                                  polarization_generators, separation_test,
                                  wallach_operator)
+from polinv.polarization import _products_for_target
 
 L1 = VariableLayout(1, 1)
 X = Poly.variable(L1, 0)
@@ -160,6 +164,10 @@ def test_graded_span_cap():
         graded_span_basis(gens, (2,), monomial_cap=2)
     with pytest.raises(CapExceededError):
         membership(x * y, gens, monomial_cap=2)
+    # the expansion itself refuses, once the finished products pass the cap
+    with pytest.raises(CapExceededError):
+        _products_for_target(gens, (2,), 10, monomial_cap=2)
+    assert len(_products_for_target(gens, (2,), 10, monomial_cap=3)) == 3
 
 
 def test_monotone_span_under_redundant_generators():
@@ -232,3 +240,142 @@ def test_separation_simple():
     report = separation_test(group, gens, trials=25, seed=7)
     assert report.all_separated
     assert report.controls_agreeing == report.controls_tested
+
+
+# ---------------------------------------------------------------------------
+# The integer product path against the Fraction route it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_products(gens, target):
+    """Every product prod_i g_i^{e_i} of multidegree `target` as a Poly, exponent
+    tuples in lex order; generators of zero multidegree stay at exponent 0."""
+    bounds = [0 if not any(deg) else min(t // d for t, d in zip(target, deg) if d)
+              for _, deg in gens.generators]
+    out = []
+    for exps in itertools.product(*(range(b + 1) for b in bounds)):
+        total = tuple(sum(e * deg[b] for e, (_, deg) in zip(exps, gens.generators))
+                      for b in range(len(target)))
+        if total != tuple(target):
+            continue
+        prod = Poly.constant(gens.layout, 1)
+        for (g, _), e in zip(gens.generators, exps):
+            if e:
+                prod = prod * g ** e
+        out.append((exps, prod))
+    return out
+
+
+def _dense_vectors(polys):
+    columns = sorted(set().union(*(p._terms for p in polys)), key=glex_key, reverse=True)
+    return [[p.coefficient(c) for c in columns] for p in polys]
+
+
+def _reference_membership(f, gens):
+    products = _reference_products(gens, f.multidegree())
+    vectors = _dense_vectors([p for _, p in products] + [f])
+    coeffs = solve_in_span(vectors[:-1], vectors[-1])
+    if coeffs is None:
+        return None
+    return [(products[i][0], c) for i, c in enumerate(coeffs) if c != 0]
+
+
+def _reference_span(gens, target):
+    """(dimension, lex-first independent products) of the graded piece."""
+    polys = [p for _, p in _reference_products(gens, target)]
+    if not polys:
+        return 0, ()
+    vectors = _dense_vectors(polys)
+    kept = []
+    for j in range(len(polys)):
+        if rank(Matrix.from_rows([vectors[i] for i in kept + [j]])) > len(kept):
+            kept.append(j)
+    return rank(Matrix.from_rows(vectors)), tuple(polys[j] for j in kept)
+
+
+def _non_primitive_generators(rng, layout, bidegrees):
+    """Generators whose coefficients are 7*a/den with a coprime to den in 2..6:
+    every coefficient is a non-integer, and each generator scaled by the lcm
+    of its denominators keeps the content 7."""
+    gens = []
+    for deg in bidegrees:
+        mons = monomials([layout.vars_per_block] * layout.blocks, deg)
+        terms = {}
+        for mon in rng.sample(mons, min(len(mons), rng.randint(1, 3))):
+            terms[mon] = Q(7 * rng.choice((1, -1, 11, -11, 13)), rng.randint(2, 6))
+        gens.append((Poly(layout, terms), deg))
+    return GeneratorSet(layout, tuple(gens))
+
+
+def test_integer_products_match_the_fraction_reference():
+    rng = random.Random(2024)
+    layout = copies_layout(2, 2)
+    members = non_members = 0
+    for _ in range(6):
+        gens = _non_primitive_generators(
+            rng, layout, [(1, 0), (0, 1), (1, 1), (2, 0), (1, 1), (2, 1), (0, 2)])
+        for g, _ in gens.generators:
+            d = lcm(*(c.denominator for c in g._terms.values()))
+            assert all(c.denominator > 1 for c in g._terms.values())
+            assert gcd(*(c.numerator * (d // c.denominator) for c in g._terms.values())) % 7 == 0
+        for target in [(2, 1), (2, 2), (3, 2), (3, 3)]:
+            dim, basis = _reference_span(gens, target)
+            span = graded_span_basis(gens, target)
+            assert (span.dimension, span.basis) == (dim, basis), target
+            products = [p for _, p in _reference_products(gens, target)]
+            f = sum((Q(rng.randint(-9, 9), rng.randint(1, 6)) * p
+                     for p in rng.sample(products, min(3, len(products)))),
+                    Poly.zero(layout))
+            mons = monomials([2, 2], target)
+            for candidate in (f, f + Poly.monomial(layout, rng.choice(mons), Q(1, 3))):
+                if candidate.is_zero():
+                    continue
+                want = _reference_membership(candidate, gens)
+                assert membership(candidate, gens) == want, (target, candidate)
+                if want is None:
+                    non_members += 1
+                else:
+                    members += 1
+                    assert certificate_combination(gens, want) == candidate
+    assert members >= 10 and non_members >= 5
+
+
+# ---------------------------------------------------------------------------
+# Packed exponent keys at the edges
+# ---------------------------------------------------------------------------
+
+def test_zero_target_is_the_constant_product():
+    L = copies_layout(2, 2)
+    gens = GeneratorSet(L, ((Poly.variable(L, 0), (1, 0)), (Poly.variable(L, 2), (0, 1))))
+    assert _products_for_target(gens, (0, 0), 10) == [((0, 0), {0: 1}, 1)]
+    span = graded_span_basis(gens, (0, 0))
+    assert (span.dimension, span.basis) == (1, (Poly.constant(L, 1),))
+    assert membership(Poly.constant(L, Q(3, 2)), gens) == [((0, 0), Q(3, 2))]
+
+
+def test_zero_multidegree_generator_stays_at_exponent_zero():
+    L = copies_layout(1, 2)
+    x, y = Poly.variable(L, 0), Poly.variable(L, 1)
+    gens = GeneratorSet(L, ((Poly.constant(L, Q(2, 3)), (0, 0)), (x, (1, 0)), (x * y, (1, 1))))
+    assert [e for e, _, _ in _products_for_target(gens, (2, 1), 10)] == [(0, 1, 1)]
+    assert [e for e, _, _ in _products_for_target(gens, (0, 0), 10)] == [(0, 0, 0)]
+    assert membership(Q(5, 4) * x * x * y, gens) == [((0, 1, 1), Q(5, 4))]
+    assert graded_span_basis(gens, (0, 0)).dimension == 1
+    assert graded_span_basis(gens, (2, 1)).basis == (x * x * y,)
+
+
+def test_exponents_past_one_byte_do_not_carry_into_the_next_variable():
+    L = copies_layout(1, 2)
+    x, y = Poly.variable(L, 0), Poly.variable(L, 1)
+    gens = GeneratorSet(L, ((x, (1, 0)), (y, (0, 1))))
+    # 300 needs 9 bits: a fixed 8-bit digit would carry x^300 into y's digit
+    span = graded_span_basis(gens, (300, 301))
+    assert span.dimension == 1
+    assert span.basis == (x ** 300 * y ** 301,)
+    assert membership(Q(7, 2) * x ** 300 * y ** 301, gens) == [((300, 301), Q(7, 2))]
+    L1x2 = VariableLayout(1, 2)
+    u, v = Poly.variable(L1x2, 0), Poly.variable(L1x2, 1)
+    gens = GeneratorSet(L1x2, ((u ** 150 + v ** 150, (150,)), (u * v, (2,))))
+    # the products are (uv)^150, (u^150 + v^150)(uv)^75 and (u^150 + v^150)^2
+    assert graded_span_basis(gens, (300,)).dimension == 3
+    assert membership(u ** 300 + v ** 300, gens) == [((0, 150), Q(-2)), ((2, 0), Q(1))]
+    assert membership(u ** 300, gens) is None
