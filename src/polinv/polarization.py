@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import _echelon, _integer_terms
@@ -136,7 +136,6 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     """
     blocks = len(target)
     out: List[tuple] = []
-    dead = set()  # (i, remaining) from which no tuple completes
 
     def rec(i: int, remaining: tuple, prefix: tuple):
         if i == len(degrees):
@@ -145,18 +144,16 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
                     raise CapExceededError("span too large", "span_products", cap)
                 out.append(prefix)
             return
-        if (i, remaining) in dead:
-            return
-        found = len(out)
         deg = degrees[i]
         if all(d == 0 for d in deg):
             rec(i + 1, remaining, prefix + (0,))
-        else:
-            emax = min(remaining[b] // deg[b] for b in range(blocks) if deg[b] > 0)
-            for e in range(emax + 1):
-                rec(i + 1, tuple(r - e * d for r, d in zip(remaining, deg)), prefix + (e,))
-        if len(out) == found:
-            dead.add((i, remaining))
+            return
+        emax = min(remaining[b] // deg[b] for b in range(blocks) if deg[b] > 0)
+        for e in range(emax + 1):
+            rest = tuple(r - e * d for r, d in zip(remaining, deg))
+            if any(x < 0 for x in rest):
+                break
+            rec(i + 1, rest, prefix + (e,))
 
     rec(0, tuple(target), ())
     return out
@@ -205,70 +202,65 @@ def _mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
 
 
 def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
-                         monomial_cap: int = DEFAULT_CAPS.monomials):
+                         monomial_cap: int = DEFAULT_CAPS.monomials,
+                         extra_keys: Iterable[int] = ()):
     """Generator products of the target multidegree, expanded over the integers.
 
     Returns [(exps, terms, scale), ...], one entry per exponent tuple of
     `_exponent_tuples`, in its lex order.  Each generator g_i is scaled once
     by the lcm d_i of its denominators; `terms` maps packed exponent keys
     (`_pack`, width `_digit_width(target)`) to ints and equals scale times
-    prod_i g_i^{e_i}, with scale = prod_i d_i^{e_i}.  Powers g_i^e are built
-    once each, as g_i^{e-1} * g_i, and consecutive tuples share the product
-    of their common prefix.  Raises as soon as the union of the supports of
-    the finished products exceeds `monomial_cap`; partial products, which
-    can still cancel, are not counted.
+    prod_i g_i^{e_i}, with scale = prod_i d_i^{e_i}.  Only the powers g_i^e
+    that some product uses are kept, each built once from the largest kept
+    lower power.  The monomial cap bounds the union of `extra_keys` (the
+    packed support of a polynomial to be tested against the span) and the
+    supports of the finished products, and is checked as each product
+    finishes; partial products, which can still cancel, are not counted.
     """
     degrees = [deg for _, deg in gens.generators]
     tuples = _exponent_tuples(degrees, tuple(target), cap)
     width = _digit_width(target)
-    ladders: Dict[int, list] = {}  # i -> [(terms, scale) of g_i^1, g_i^2, ...]
+    powers: Dict[int, Dict[int, tuple]] = {}  # i -> {e: (terms, scale) of g_i^e}
 
     def gen_power(i: int, e: int):
-        ladder = ladders.get(i)
-        if ladder is None:
-            ladder = ladders[i] = [_packed(gens.generators[i][0], width)]
-        base, d = ladder[0]
-        while len(ladder) < e:
-            terms, scale = ladder[-1]
-            ladder.append((_mul(terms, base), scale * d))
-        return ladder[e - 1]
+        kept = powers.get(i)
+        if kept is None:
+            kept = powers[i] = {1: _packed(gens.generators[i][0], width)}
+        got = kept.get(e)
+        if got is None:
+            k = max(k for k in kept if k < e)
+            (terms, scale), (base, d) = kept[k], kept[1]
+            for _ in range(e - k):
+                terms, scale = _mul(terms, base), scale * d
+            got = kept[e] = (terms, scale)
+        return got
 
-    one = ({0: 1}, 1)
-    prefix = [one]  # prefix[i]: product of the current tuple's factors before generator i
-    previous: tuple = ()
-    products = []
     support = set()
-    for exps in tuples:
-        start = next((i for i, (a, b) in enumerate(zip(exps, previous)) if a != b), len(previous))
-        del prefix[start + 1:]
-        for i in range(start, len(exps)):
-            factor = prefix[i]
-            if exps[i]:
-                terms, scale = gen_power(i, exps[i])
-                if factor is not one:
-                    terms, scale = _mul(factor[0], terms), factor[1] * scale
-                factor = (terms, scale)
-            prefix.append(factor)
-        previous = exps
-        terms, scale = prefix[-1]
-        products.append((exps, terms, scale))
-        support.update(terms)
+
+    def count(keys):
+        support.update(keys)
         if len(support) > monomial_cap:
             raise CapExceededError("too many monomials", "monomials", monomial_cap)
+
+    count(extra_keys)
+    products = []
+    for exps in tuples:
+        terms, scale = {0: 1}, 1
+        for i, e in enumerate(exps):
+            if e:
+                factor, d = gen_power(i, e)
+                terms, scale = _mul(terms, factor), scale * d
+        products.append((exps, terms, scale))
+        count(terms)
     return products
 
 
-def _rows(term_maps: Sequence[Dict[int, int]], monomial_cap: int) -> List[Dict[int, int]]:
+def _rows(term_maps: Sequence[Dict[int, int]]) -> List[Dict[int, int]]:
     """Re-key packed integer polynomials by column, the union of their supports
-    in graded-lex descending order.
-
-    Raises when that union, the column count, exceeds `monomial_cap`.
-    """
+    in graded-lex descending order."""
     support = set()
     for terms in term_maps:
         support.update(terms)
-    if len(support) > monomial_cap:
-        raise CapExceededError("too many monomials", "monomials", monomial_cap)
     index = {key: i for i, key in enumerate(sorted(support, reverse=True))}
     return [{index[key]: c for key, c in terms.items()} for terms in term_maps]
 
@@ -279,7 +271,7 @@ def graded_span_basis(gens: GeneratorSet, target: Sequence[int],
     """Dimension of the graded piece spanned by generator products, with a basis."""
     target = tuple(target)
     products = _products_for_target(gens, target, cap, monomial_cap)
-    rows = _rows([terms for _, terms, _ in products], monomial_cap)
+    rows = _rows([terms for _, terms, _ in products])
     kept, _ = _echelon(zip(rows, (scale for _, _, scale in products)))
     width, nvars = _digit_width(target), gens.layout.total
     basis = []
@@ -307,9 +299,9 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
     deg = f.multidegree()
     if deg is None:
         raise ValueError("membership needs a multihomogeneous polynomial")
-    products = _products_for_target(gens, deg, cap, monomial_cap)
     f_terms, f_scale = _packed(f, _digit_width(deg))
-    rows = _rows([terms for _, terms, _ in products] + [f_terms], monomial_cap)
+    products = _products_for_target(gens, deg, cap, monomial_cap, f_terms)
+    rows = _rows([terms for _, terms, _ in products] + [f_terms])
     scales = [scale for _, _, scale in products] + [f_scale]
     _, relation = _echelon(zip(rows, scales), track=True)
     if relation is None:
