@@ -164,6 +164,11 @@ def test_graded_span_cap():
         graded_span_basis(gens, (2,), monomial_cap=2)
     with pytest.raises(CapExceededError):
         membership(x * y, gens, monomial_cap=2)
+    # the tested polynomial's own monomials count too: x^2 and xy are two columns
+    only_x = GeneratorSet(L, ((x, (1,)),))
+    with pytest.raises(CapExceededError):
+        membership(x * y, only_x, monomial_cap=1)
+    assert membership(x * y, only_x, monomial_cap=2) is None
     # the expansion itself refuses, once the finished products pass the cap
     with pytest.raises(CapExceededError):
         _products_for_target(gens, (2,), 10, monomial_cap=2)
