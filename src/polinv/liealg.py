@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import Matrix, frac, rank, rref, solve_in_span
@@ -86,11 +86,13 @@ class LieSubspace:
                 raise ValueError("spanning matrix lies outside the algebra")
 
 
-def subalgebra_closure(sub: LieSubspace, cap: Optional[int] = None) -> List[Matrix]:
+def subalgebra_closure(sub: LieSubspace) -> List[Matrix]:
     """Smallest bracket-closed subspace containing the span, as a deterministic
-    basis (reduced row echelon rows of flattened matrices)."""
-    if cap is None:
-        cap = sub.algebra.dimension
+    basis (reduced row echelon rows of flattened matrices).
+
+    Every candidate lies in the algebra (`LieSubspace` checks the spanning
+    matrices, `LieAlgebraBasis` the brackets), and every round but the last
+    adds a dimension, so the loop ends within `sub.algebra.dimension` rounds."""
     n = sub.algebra.matrix_size
 
     def reduce(rows):
@@ -105,9 +107,6 @@ def subalgebra_closure(sub: LieSubspace, cap: Optional[int] = None) -> List[Matr
             for y in mats[i + 1:]:
                 candidates.append(list(bracket(x, y).entries))
         new_rows = reduce(candidates)
-        if len(new_rows) > cap:
-            raise CapExceededError("closure exceeds the algebra dimension cap",
-                                   "closure_dimension", cap)
         if len(new_rows) == len(rows):
             return [Matrix(n, n, tuple(r)) for r in new_rows]
         rows = new_rows

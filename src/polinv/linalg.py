@@ -1,12 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Matrix entries are `fractions.Fraction` values, which Python keeps reduced
-to lowest terms with a positive denominator.  `rref` works on them directly
-and serves only `liealg` and `inverse`.  The elimination kernel is
+to lowest terms with a positive denominator.  The one elimination kernel is
 `_echelon`, fraction-free integer elimination (in the style of Bareiss) on
 `(row, scale)` pairs: a sparse {column: int} row that is `scale` times the
-vector it stands for.  `rank` and `solve_in_span` build these pairs with
-`_integer_row` (each vector scaled by the lcm of its denominators);
+vector it stands for.  `rank`, `rref` and `solve_in_span` build these pairs
+with `_integer_row` (each vector scaled by the lcm of its denominators);
 `polarization` passes generator products it already expanded over the
 integers.  Rows are combined as b*r - a*k and the gcd content is divided
 out after every step, so entries stay small integers and no Fraction is
@@ -36,11 +35,6 @@ def frac(x) -> Fraction:
         return Fraction(x)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {x!r}") from None
-
-
-def _bits(q: Fraction) -> int:
-    # size measure used for pivot selection, keeps intermediate entries small
-    return abs(q.numerator).bit_length() + q.denominator.bit_length()
 
 
 @dataclass(frozen=True)
@@ -123,43 +117,6 @@ class Matrix:
         return all(a == 0 for a in self.entries)
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
-
-    Returns (reduced, rank, pivot_columns).  The result is the unique RREF of
-    the input; the pivot row in each column is chosen by the smallest bit
-    length of its entry (ties broken by row index) purely to keep
-    intermediate coefficients small.
-    """
-    a = m.to_rows()
-    pivots = []
-    r = 0
-    for c in range(m.cols):
-        if r == m.rows:
-            break
-        best = None
-        for i in range(r, m.rows):
-            if a[i][c] != 0:
-                key = (_bits(a[i][c]), i)
-                if best is None or key < best[0]:
-                    best = (key, i)
-        if best is None:
-            continue
-        i = best[1]
-        a[r], a[i] = a[i], a[r]
-        piv = a[r][c]
-        if piv != 1:
-            a[r] = [x / piv for x in a[r]]
-        for i2 in range(m.rows):
-            if i2 != r and a[i2][c] != 0:
-                f = a[i2][c]
-                a[i2] = [x - f * y for x, y in zip(a[i2], a[r])]
-        pivots.append(c)
-        r += 1
-    reduced = Matrix(m.rows, m.cols, tuple(x for row in a for x in row))
-    return reduced, r, pivots
-
-
 def _integer_terms(terms: Mapping) -> tuple:
     """(row, d): d*terms as a {key: int} map, d the lcm of the denominators.
 
@@ -237,6 +194,28 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
 
 def rank(m: Matrix) -> int:
     return len(_echelon(_integer_row(m.row(i)) for i in range(m.rows))[0])
+
+
+def rref(m: Matrix):
+    """Reduced row echelon form, as (reduced, rank, pivot_columns).
+
+    Two passes of `_echelon`.  The forward pass leaves each kept row zero
+    before its pivot and at the pivots of the rows kept before it.  The
+    second pass takes the kept rows in descending pivot order, which clears
+    every pivot column in the other rows without moving a pivot; each row
+    is then divided by its pivot entry.
+    """
+    rows = [_integer_row(m.row(i)) for i in range(m.rows)]
+    kept, _ = _echelon(rows)
+    echelon = sorted((rows[j][0] for j in kept), key=min, reverse=True)
+    _echelon((row, 1) for row in echelon)
+    echelon.reverse()
+    pivots = [min(row) for row in echelon]
+    entries = [Q(0)] * (m.rows * m.cols)
+    for i, (row, p) in enumerate(zip(echelon, pivots)):
+        for c, x in row.items():
+            entries[i * m.cols + c] = Fraction(x, row[p])
+    return Matrix(m.rows, m.cols, tuple(entries)), len(pivots), pivots
 
 
 def inverse(m: Matrix) -> Matrix:

@@ -131,10 +131,12 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     """All exponent tuples e with sum_i e_i * degrees[i] = target, in lex order.
 
     Generators of zero multidegree are held at exponent zero (a constant
-    factor never enlarges the span).  Raises when more than `cap` tuples
-    would be produced.
+    factor never enlarges the span).  The exponent of the last generator of
+    nonzero multidegree is solved for, not searched.  Raises when more than
+    `cap` tuples would be produced.
     """
     blocks = len(target)
+    last = max((i for i, deg in enumerate(degrees) if any(deg)), default=-1)
     out: List[tuple] = []
 
     def rec(i: int, remaining: tuple, prefix: tuple):
@@ -149,6 +151,11 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
             rec(i + 1, remaining, prefix + (0,))
             return
         emax = min(remaining[b] // deg[b] for b in range(blocks) if deg[b] > 0)
+        if i == last:
+            # the one exponent that could zero the remainder
+            if all(r == emax * d for r, d in zip(remaining, deg)):
+                rec(i + 1, (0,) * blocks, prefix + (emax,))
+            return
         for e in range(emax + 1):
             rest = tuple(r - e * d for r, d in zip(remaining, deg))
             if any(x < 0 for x in rest):

@@ -8,12 +8,14 @@ import pytest
 from polinv import groups
 from polinv.cli import main
 from polinv.limits import CapExceededError
-from polinv.linalg import Matrix, inverse, rref
+from polinv.linalg import Matrix, inverse
 from polinv.poly import Poly, VariableLayout, multidegrees, parse_poly
 from polinv.groups import (DiagonalAction, MatrixGroup, act, builtin_family, enumerate_group,
                            invariant_dimension, is_invariant,
                            monomials_of_multidegree, point_image, reynolds, same_orbit)
 from polinv.specs import group_from_spec
+
+from fraction_rref import fraction_rref
 
 SWAP2 = Matrix.from_rows([[0, 1], [1, 0]])
 
@@ -165,7 +167,7 @@ def _act_sum_invariant_dimension(action, deg):
     for e in monos:
         image = _act_sum_reynolds(Poly.monomial(action.layout, e), action)
         rows.append([image.coefficient(ee) for ee in monos])
-    return rref(Matrix.from_rows(rows))[1]
+    return fraction_rref(Matrix.from_rows(rows))[1]
 
 
 ORDER3 = {"generators": [["0", "-1", "1", "-1"]]}

@@ -7,6 +7,8 @@ from polinv.linalg import (Matrix, inverse, rank, rref, solve_in_span,
                            strict_positive_functional)
 from polinv.nullcone import brute_box_functional
 
+from fraction_rref import fraction_rref
+
 
 def test_rref_identity():
     red, rk, pivots = rref(Matrix.identity(3))
@@ -44,11 +46,80 @@ def test_rank_equals_rank_of_transpose():
         assert rank(mat) == rank(mat.transpose())
 
 
+def _random_matrix(rng, rows, cols):
+    return Matrix.from_rows([[Q(rng.randint(-6, 6), rng.randint(1, 5))
+                              if rng.random() < 0.7 else Q(0) for _ in range(cols)]
+                             for _ in range(rows)])
+
+
+RREF_EDGE_CASES = [
+    Matrix(0, 0, ()),
+    Matrix(0, 4, ()),
+    Matrix(3, 0, ()),
+    Matrix.from_rows([[0, 0, 0], [0, 0, 0]]),
+    Matrix.from_rows([[0, "1/2", 3], [0, "1/2", 3], [1, 0, 0], [0, "1/2", 3]]),
+    Matrix.from_rows([[2 ** 200 + 1, -(3 ** 126), Q(1, 2 ** 199)],
+                      [Q(5 ** 86, 7), 2 ** 201, -1],
+                      [3 ** 127, Q(-(2 ** 200), 3), 2 ** 200 - 1]]),
+    Matrix.from_rows([[2 ** 200, 2 ** 201], [-(2 ** 200), -(2 ** 201)]]),
+]
+
+
+@pytest.mark.parametrize("m", RREF_EDGE_CASES,
+                         ids=["0x0", "0x4", "3x0", "zero", "duplicate-rows",
+                              "2^200-entries", "2^200-rank-1"])
+def test_rref_matches_the_fraction_reference_on_edge_cases(m):
+    assert rref(m) == fraction_rref(m)
+
+
+def test_rref_matches_the_fraction_reference_on_random_matrices():
+    rng = random.Random(707)
+    for _ in range(300):
+        m = _random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7))
+        if m.rows > 1 and rng.random() < 0.4:
+            # a row that depends on the others
+            rows = m.to_rows()
+            c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[-1] = [x + c * y for x, y in zip(rows[0], rows[1])]
+            m = Matrix.from_rows(rows)
+        assert rref(m) == fraction_rref(m), m
+
+
 def test_inverse_roundtrip():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert m @ inverse(m) == Matrix.identity(2)
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+
+
+def test_inverse_of_random_invertible_matrices():
+    rng = random.Random(808)
+    for n in range(1, 7):
+        checked = 0
+        while checked < 6:
+            m = _random_matrix(rng, n, n)
+            if fraction_rref(m)[1] < n:
+                continue
+            inv = inverse(m)
+            assert m @ inv == inv @ m == Matrix.identity(n)
+            checked += 1
+
+
+def test_inverse_of_rank_deficient_matrices_raises():
+    rng = random.Random(909)
+    for n in range(1, 7):
+        rows = _random_matrix(rng, n, n).to_rows()
+        if n == 1:
+            rows = [[0]]
+        else:
+            c = Q(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[rng.randrange(1, n)] = [c * x for x in rows[0]]
+        m = Matrix.from_rows(rows)
+        assert fraction_rref(m)[1] < n
+        with pytest.raises(ValueError):
+            inverse(m)
+    with pytest.raises(ValueError):
+        inverse(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
 
 
 def test_solve_in_span_examples():
@@ -86,7 +157,7 @@ def _rref_solve(basis, target):
     """Reference: the coefficients read off the RREF of [basis | target]."""
     k = len(basis)
     rows = [[basis[j][i] for j in range(k)] + [target[i]] for i in range(len(target))]
-    red, _, pivots = rref(Matrix.from_rows(rows))
+    red, _, pivots = fraction_rref(Matrix.from_rows(rows))
     if k in pivots:
         return None
     coeffs = [Q(0)] * k
@@ -140,8 +211,8 @@ def test_solve_in_span_and_rank_match_the_rref_reference():
         missing += got is None
         if basis:
             mat = Matrix.from_rows(basis)
-            assert rank(mat) == rref(mat)[1]
-            assert rank(mat.transpose()) == rref(mat)[1]
+            assert rank(mat) == fraction_rref(mat)[1]
+            assert rank(mat.transpose()) == fraction_rref(mat)[1]
     assert found > 100 and missing > 50
 
 

@@ -15,7 +15,7 @@ from polinv.polarization import (GeneratorSet, certificate_combination,
                                  graded_span_basis, membership, polarize,
                                  polarization_generators, separation_test,
                                  wallach_operator)
-from polinv.polarization import _products_for_target
+from polinv.polarization import _exponent_tuples, _products_for_target
 
 L1 = VariableLayout(1, 1)
 X = Poly.variable(L1, 0)
@@ -173,6 +173,47 @@ def test_graded_span_cap():
     with pytest.raises(CapExceededError):
         _products_for_target(gens, (2,), 10, monomial_cap=2)
     assert len(_products_for_target(gens, (2,), 10, monomial_cap=3)) == 3
+
+
+def _brute_exponent_tuples(degrees, target):
+    """Reference: filter every exponent tuple up to the target, in lex order."""
+    ranges = [range(1) if not any(deg) else
+              range(min(t // d for t, d in zip(target, deg) if d) + 1) for deg in degrees]
+    return [e for e in itertools.product(*ranges)
+            if all(sum(x * deg[b] for x, deg in zip(e, degrees)) == t
+                   for b, t in enumerate(target))]
+
+
+def test_exponent_tuples_match_a_brute_force_filter():
+    rng = random.Random(1212)
+    empty = 0
+    for _ in range(300):
+        blocks = rng.randint(1, 3)
+        degrees = [tuple(rng.choice((0, 0, 1, 1, 2, 3)) for _ in range(blocks))
+                   for _ in range(rng.randint(0, 4))]
+        target = tuple(rng.randint(0, 6) for _ in range(blocks))
+        expected = _brute_exponent_tuples(degrees, target)
+        assert _exponent_tuples(degrees, target, 10 ** 6) == expected, (degrees, target)
+        empty += not expected
+        # the span_products cap refuses exactly when there are more tuples
+        if expected:
+            assert _exponent_tuples(degrees, target, len(expected)) == expected
+            with pytest.raises(CapExceededError):
+                _exponent_tuples(degrees, target, len(expected) - 1)
+    assert empty > 30
+    # zero-degree generators, also after the last one of nonzero degree
+    assert _exponent_tuples([(0, 0), (1, 0), (0, 0), (0, 1), (0, 0)], (2, 3), 10) == [
+        (0, 2, 0, 3, 0)]
+    assert _exponent_tuples([(0,)], (0,), 10) == [(0,)]
+    assert _exponent_tuples([(0,)], (1,), 10) == []
+    assert _exponent_tuples([(2, 2)], (4, 3), 10) == []
+
+
+def test_exponent_tuples_solve_the_last_exponent():
+    # x + z = 200 and y + z = 201: one tuple per x, listed without trying
+    # every exponent of (1, 1) for each (x, y) pair
+    tuples = _exponent_tuples([(1, 0), (0, 1), (1, 1)], (200, 201), 201)
+    assert tuples == [(x, x + 1, 200 - x) for x in range(201)]
 
 
 def test_monotone_span_under_redundant_generators():
