@@ -7,24 +7,24 @@ generator matrices is enumerated to a full element list by breadth-first
 closure.  The polynomial action follows the left-action convention
 (g.p)(v) = p(g^{-1} v), applied per block.
 
-Invariant dimensions of a group of signed permutations are monomial orbit
-counts; only a group with a `Matrix` element takes the rank of Reynolds
-images.
+Invariant dimensions come from Molien's formula for every group: each
+element contributes the coefficients h_k of 1/det(1 - s g), read off its
+cycles for a (perm, signs) pair and off its power traces for a `Matrix`.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations, product
-from typing import List, Sequence, Tuple, Union
+from typing import Sequence, Tuple, Union
 
 from .limits import CapExceededError, DEFAULT_CAPS
-from .linalg import Matrix, frac, inverse, rank
-from .poly import Poly, VariableLayout, count_monomials, monomials
+from .linalg import Matrix, frac, inverse, power_traces, rank
+from .poly import Poly, VariableLayout, count_monomials
 
-Q = Fraction
 # a stored group element: the (perm, signs) pair of `_signed_perm`, or a Matrix
 Element = Union[Tuple[Tuple[int, ...], Tuple[int, ...]], Matrix]
 
@@ -64,6 +64,41 @@ class MatrixGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def molien_classes(self) -> Tuple[Tuple[tuple, int], ...]:
+        """(coefficients of det(1 - s g), number of elements g sharing them)
+        for each distinct such polynomial, built once per group."""
+        return tuple(Counter(map(_det_one_minus, self.elements)).items())
+
+
+def _det_one_minus(g: Element) -> tuple:
+    """Coefficients c_k of det(1 - s g) in s, constant term first.
+
+    A (perm, signs) pair gives the product over its cycles of 1 - eps s^L,
+    L the cycle length and eps the product of the cycle's signs, in integers.
+    A `Matrix` gives them from its power traces by Newton's identities,
+    k c_k = -sum_{i=1..k} c_{k-i} tr(g^i), over Q.
+    """
+    if isinstance(g, Matrix):
+        c, traces = [1], []
+        for t in power_traces(g.to_rows()):
+            traces.append(t)
+            c.append(-sum(a * b for a, b in zip(reversed(c), traces)) / len(traces))
+        return tuple(c)
+    perm, signs = g
+    c = [1] + [0] * len(perm)
+    unseen = set(range(len(perm)))
+    while unseen:
+        j = start = unseen.pop()
+        length, eps = 1, signs[j]
+        while perm[j] != start:
+            j = perm[j]
+            unseen.remove(j)
+            length, eps = length + 1, eps * signs[j]
+        for k in range(len(perm), length - 1, -1):  # multiply by 1 - eps s^L
+            c[k] -= eps * c[k - length]
+    return tuple(c)
 
 
 def enumerate_group(generators: Sequence[Matrix], cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
@@ -192,21 +227,16 @@ def _layout_map(sp, layout: VariableLayout):
     return src, odd
 
 
-def _element_maps(action: DiagonalAction) -> tuple:
-    """(signed, images): the layout maps of the (perm, signs) elements and the
-    substitution images of the `Matrix` elements, in element order."""
+def reynolds(p: Poly, action: DiagonalAction) -> Poly:
+    """Average over the group: (1/|G|) sum_g g.p.  Projects onto invariants."""
+    if p.layout != action.layout:
+        raise ValueError("polynomial layout does not match the action")
     signed, images = [], []
     for g in action.group.elements:
         if isinstance(g, Matrix):
             images.append(_substitution_images(g, action.layout))
         else:
             signed.append(_layout_map(g, action.layout))
-    return signed, images
-
-
-def _reynolds(p: Poly, action: DiagonalAction, maps: tuple) -> Poly:
-    """reynolds(p, action), given `_element_maps(action)`."""
-    signed, images = maps
     sums: dict = {}  # zero sums are dropped by the Poly constructor
     for g_images in images:
         for e, c in p.substitute(g_images)._terms.items():
@@ -224,83 +254,41 @@ def _reynolds(p: Poly, action: DiagonalAction, maps: tuple) -> Poly:
     return Poly(p.layout, {e: c * scale for e, c in sums.items()})
 
 
-def reynolds(p: Poly, action: DiagonalAction) -> Poly:
-    """Average over the group: (1/|G|) sum_g g.p.  Projects onto invariants."""
-    if p.layout != action.layout:
-        raise ValueError("polynomial layout does not match the action")
-    return _reynolds(p, action, _element_maps(action))
-
-
 def is_invariant(p: Poly, action: DiagonalAction) -> bool:
     return all(act(g, p, action) == p for g in action.group.generators)
 
 
-def monomials_of_multidegree(layout: VariableLayout, deg: Sequence[int]) -> List[tuple]:
-    """Exponent tuples with the given total degree in each block, deterministic order."""
-    if len(deg) != layout.blocks:
-        raise ValueError("multidegree length does not match layout")
-    return monomials((layout.vars_per_block,) * layout.blocks, deg)
-
-
 def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
                         monomial_cap: int = DEFAULT_CAPS.monomials) -> int:
-    """Exact dimension of the invariant subspace in one multidegree.
+    """Exact dimension of the invariant subspace in multidegree (a_1, ..., a_n).
 
-    When every element is a (perm, signs) pair, each sends x^e to +-x^e', so
-    the Reynolds image of x^e is 0 when some element of its stabilizer acts
-    by -1 and a nonzero multiple of its signed orbit sum otherwise; distinct
-    orbits have disjoint supports.  The dimension is then the number of
-    monomial orbits with a sign-trivial stabilizer, counted without any
-    `Poly` or rank.  A group holding a `Matrix` element takes the rank of the
-    Reynolds images of all monomials instead.  Either way a monomial basis
-    above `monomial_cap` is refused with a cap error first.
+    Molien's formula, dim = (1/|G|) sum_g prod_j h_{a_j}(g), where h_k(g) is
+    the coefficient of s^k in 1/det(1 - s g) (the trace of g on degree-k
+    forms).  The sum runs over `molien_classes`, one term per distinct
+    det(1 - s g) = sum_i c_i s^i weighted by its element count, with
+    h_k = -sum_{i>=1} c_i h_{k-i}.  No `Poly` and no rank is formed.  A
+    multidegree whose monomial basis is above `monomial_cap` is refused with
+    a cap error first.
     """
     deg = tuple(deg)
     n_mono = count_monomials((action.layout.vars_per_block,) * len(deg), deg)
     if n_mono > monomial_cap:
         raise CapExceededError("degree too large", "monomials", monomial_cap)
-    monos = monomials_of_multidegree(action.layout, deg)
-    maps = _element_maps(action)
-    if not maps[1]:  # every element is a (perm, signs) pair
-        return _count_live_orbits(monos, maps[0])
-    index = {e: i for i, e in enumerate(monos)}
-    rows = []
-    seen = set()
-    for e in monos:
-        image = _reynolds(Poly.monomial(action.layout, e), action, maps)
-        if image.is_zero():
-            continue
-        # normalize so scalar-multiple images collapse to one row
-        entries = sorted((index[ee], c) for ee, c in image._terms.items())
-        lead = entries[0][1]
-        key = tuple((i, c / lead) for i, c in entries)
-        if key not in seen:
-            seen.add(key)
-            vec = [Q(0)] * n_mono
-            for i, c in key:
-                vec[i] = c
-            rows.append(vec)
-    if not rows:
-        return 0
-    return rank(Matrix.from_rows(rows))
-
-
-def _count_live_orbits(monos: Sequence[tuple], signed: Sequence[tuple]) -> int:
-    """Orbits of the exponent tuples `monos` under the layout maps `signed`
-    whose stabilizer has no element acting by -1."""
-    seen = set()
-    live = 0
-    for e in monos:
-        if e in seen:
-            continue
-        dead = False
-        for src, odd in signed:
-            ne = tuple(map(e.__getitem__, src))
-            seen.add(ne)
-            if ne == e and sum(map(e.__getitem__, odd)) & 1:
-                dead = True
-        live += not dead
-    return live
+    if len(deg) != action.layout.blocks:
+        raise ValueError("multidegree length does not match layout")
+    top, total = max(deg, default=0), 0
+    for c, count in action.group.molien_classes:
+        h = [1]
+        for _ in range(top):
+            h.append(-sum(a * b for a, b in zip(c[1:], reversed(h))))
+        term = count
+        for a in deg:
+            term *= h[a]
+        total += term
+    dim, rest = divmod(total, action.group.order)
+    if rest:
+        raise ArithmeticError(f"Molien sum {total} is not divisible by |G| = {action.group.order}")
+    return dim
 
 
 def point_image(g: Element, v: Sequence, layout: VariableLayout) -> tuple:

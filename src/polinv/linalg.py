@@ -9,8 +9,9 @@ with `_integer_row` (each vector scaled by the lcm of its denominators);
 `polarization` passes generator products it already expanded over the
 integers.  Rows are combined as b*r - a*k and the gcd content is divided
 out after every step, so entries stay small integers and no Fraction is
-built until the final coefficients.  There is no floating point anywhere in
-this module; every answer is exact.
+built until the final coefficients.  `power_traces` yields tr(A^k) for the
+Molien count in `groups` and the nilpotency test in `nullcone`.  There is no
+floating point anywhere in this module; every answer is exact.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 Q = Fraction
 
@@ -190,6 +191,23 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
     last = len(scales) - 1
     den = -combo.pop(last) * scales[last]
     return kept, {j: Fraction(c * scales[j], den) for j, c in combo.items()}
+
+
+def power_traces(rows: Sequence[Sequence], zero=0) -> Iterator:
+    """tr(A), tr(A^2), ..., tr(A^n) of the n x n matrix `rows`, one at a time.
+
+    Entries are rationals (`zero` = 0) or Polys of one layout (`zero` their
+    zero Poly).  Products with a zero factor are skipped, and each power is
+    formed only when its trace is asked for.
+    """
+    n = len(rows)
+    power = rows  # A^k
+    for k in range(1, n + 1):
+        yield sum((power[i][i] for i in range(n)), zero)
+        if k < n:
+            power = [[sum((p[t] * rows[t][j] for t in range(n)
+                           if p[t] != zero and rows[t][j] != zero), zero)
+                      for j in range(n)] for p in power]
 
 
 def rank(m: Matrix) -> int:

@@ -18,7 +18,7 @@ from math import lcm
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .limits import DEFAULT_SEED
-from .linalg import Matrix, frac, strict_positive_functional
+from .linalg import Matrix, frac, power_traces, strict_positive_functional
 from .poly import Poly, VariableLayout, homogeneous_bivariate_gcd
 
 Q = Fraction
@@ -300,17 +300,7 @@ def matrix_nilpotent(mat) -> bool:
     the sum of the principal k x k minors.
     """
     rows, zero = _lift_entries(mat)
-    nonzero = (lambda x: not x.is_zero()) if isinstance(zero, Poly) else bool
-    n = len(rows)
-    power = rows  # A^k
-    for k in range(1, n + 1):
-        if sum((power[i][i] for i in range(n)), zero) != zero:
-            return False
-        if k < n:
-            power = [[sum((p[t] * rows[t][j] for t in range(n)
-                           if nonzero(p[t]) and nonzero(rows[t][j])), zero)
-                      for j in range(n)] for p in power]
-    return True
+    return all(t == zero for t in power_traces(rows, zero))
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 import json
 import random
 from fractions import Fraction as Q
+from functools import partial
 from math import factorial
 
 import pytest
 
-from polinv import groups
+from polinv import groups, linalg
 from polinv.cli import main
 from polinv.limits import CapExceededError
 from polinv.linalg import Matrix, inverse
-from polinv.poly import Poly, VariableLayout, multidegrees, parse_poly
+from polinv.poly import Poly, VariableLayout, monomials, multidegrees, parse_poly
 from polinv.groups import (DiagonalAction, MatrixGroup, act, builtin_family, enumerate_group,
-                           invariant_dimension, is_invariant,
-                           monomials_of_multidegree, point_image, reynolds, same_orbit)
+                           invariant_dimension, is_invariant, point_image, reynolds, same_orbit)
 from polinv.specs import group_from_spec
 
 from fraction_rref import fraction_rref
@@ -28,6 +28,17 @@ def as_matrix(g):
     m = len(perm)
     return Matrix(m, m, tuple(Q(signs[j]) if i == perm[j] else Q(0)
                               for i in range(m) for j in range(m)))
+
+
+def as_matrix_group(group):
+    """The same group with every generator and element stored as a Matrix."""
+    return MatrixGroup(group.dimension, tuple(map(as_matrix, group.generators)),
+                       tuple(map(as_matrix, group.elements)))
+
+
+def monomials_of_multidegree(layout, deg):
+    """Exponent tuples with total degree deg[j] in block j of the layout."""
+    return monomials((layout.vars_per_block,) * layout.blocks, deg)
 
 
 def action_for(family, m, blocks=1):
@@ -161,13 +172,53 @@ def _act_sum_reynolds(p, action):
     return total * Q(1, action.group.order)
 
 
+def _element_actions(action):
+    """p -> g.p for every element; a Matrix element's substitution is built once."""
+    out = []
+    for g in action.group.elements:
+        if isinstance(g, Matrix):
+            out.append(partial(Poly.substitute, images=groups._substitution_images(g, action.layout)))
+        else:
+            out.append(partial(act, g, action=action))
+    return out
+
+
 def _act_sum_invariant_dimension(action, deg):
-    rows = []
+    """Reference: the rank, by fraction_rref, of sum_g g.x^e over the monomials
+    x^e; images that are scalar multiples of each other share one row."""
+    actions = _element_actions(action)
     monos = monomials_of_multidegree(action.layout, deg)
+    rows = {}
     for e in monos:
-        image = _act_sum_reynolds(Poly.monomial(action.layout, e), action)
-        rows.append([image.coefficient(ee) for ee in monos])
-    return fraction_rref(Matrix.from_rows(rows))[1]
+        x = Poly.monomial(action.layout, e)
+        image = sum((f(x) for f in actions), Poly.zero(action.layout))
+        coeffs = [image.coefficient(ee) for ee in monos]
+        lead = next((c for c in coeffs if c), None)
+        if lead is not None:
+            rows[tuple(c / lead for c in coeffs)] = None
+    return fraction_rref(Matrix.from_rows(list(rows)))[1] if rows else 0
+
+
+def _orbit_count(action, deg):
+    """Reference for signed-permutation groups.  Each element sends x^e to
+    +-x^e', so the Reynolds image of x^e is 0 when some element of its
+    stabilizer acts by -1 and a nonzero multiple of its signed orbit sum
+    otherwise, and distinct orbits have disjoint supports: the dimension is
+    the number of monomial orbits whose stabilizer acts by +1 only."""
+    signed = [groups._layout_map(g, action.layout) for g in action.group.elements]
+    seen = set()
+    live = 0
+    for e in monomials_of_multidegree(action.layout, deg):
+        if e in seen:
+            continue
+        dead = False
+        for src, odd in signed:
+            ne = tuple(map(e.__getitem__, src))
+            seen.add(ne)
+            if ne == e and sum(map(e.__getitem__, odd)) & 1:
+                dead = True
+        live += not dead
+    return live
 
 
 ORDER3 = {"generators": [["0", "-1", "1", "-1"]]}
@@ -235,36 +286,71 @@ def test_invariant_dimension_matches_molien(family, m):
     action = DiagonalAction(group, VariableLayout(2, m))
     molien = _molien_dimensions(group, 6)
     assert {deg: invariant_dimension(action, deg) for deg in molien} == molien
+    assert {deg: _orbit_count(action, deg) for deg in molien} == molien
     assert molien[(3, 3)] == {"S": 27, "B": 6, "D": 10 if m == 4 else 6}[family]
 
 
 @pytest.mark.parametrize("family,m", [("B", 3), ("D", 4)])
 def test_orbit_count_matches_reynolds_rank_on_matrix_groups(family, m):
-    # the same group with every element stored as a Matrix takes the Reynolds path
+    # the same group with every element stored as a Matrix: the count from
+    # its power traces against the Reynolds rank of the monomials
     pairs = builtin_family(family, m)
-    matrices = MatrixGroup(m, tuple(map(as_matrix, pairs.generators)),
-                           tuple(map(as_matrix, pairs.elements)))
     on_pairs = DiagonalAction(pairs, VariableLayout(2, m))
-    on_matrices = DiagonalAction(matrices, VariableLayout(2, m))
+    on_matrices = DiagonalAction(as_matrix_group(pairs), VariableLayout(2, m))
     for deg in [(1, 1), (2, 1), (2, 2), (3, 1)]:
+        rank = _act_sum_invariant_dimension(on_matrices, deg)
+        assert _orbit_count(on_pairs, deg) == rank, deg
+        assert invariant_dimension(on_matrices, deg) == rank, deg
+
+
+@pytest.mark.parametrize("family,m", [("S", 3), ("B", 2), ("D", 3)])
+def test_rational_conjugates_match_the_reynolds_rank(family, m):
+    # P g P^-1 for a random rational P: Matrix elements with fractional
+    # entries, so the class table runs Newton's identities over Q
+    rng = random.Random(f"conjugate{family}{m}")
+    while True:
+        p = Matrix.from_rows([[Q(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(m)]
+                              for _ in range(m)])
+        if fraction_rref(p)[1] == m:
+            break
+    p_inv = inverse(p)
+    group = enumerate_group([p @ as_matrix(g) @ p_inv for g in builtin_family(family, m).generators])
+    assert any(x.denominator > 1 for g in group.elements if isinstance(g, Matrix) for x in g.entries)
+    action = DiagonalAction(group, VariableLayout(2, m))
+    for deg in multidegrees(3, 2):
+        assert invariant_dimension(action, deg) == _act_sum_invariant_dimension(action, deg), deg
+
+
+@pytest.mark.parametrize("family,m", [("B", 3), ("D", 4)])
+def test_pair_and_matrix_elements_give_the_same_dimensions(family, m):
+    pairs = builtin_family(family, m)
+    on_pairs = DiagonalAction(pairs, VariableLayout(2, m))
+    on_matrices = DiagonalAction(as_matrix_group(pairs), VariableLayout(2, m))
+    for deg in multidegrees(6, 2):
         assert invariant_dimension(on_pairs, deg) == invariant_dimension(on_matrices, deg), deg
 
 
-def test_only_groups_with_a_matrix_element_take_the_reynolds_rank(monkeypatch):
-    calls = []
-    reynolds_rank = groups._reynolds
-
-    def counted(*args):
-        calls.append(args)
-        return reynolds_rank(*args)
-
-    monkeypatch.setattr(groups, "_reynolds", counted)
-    d4 = DiagonalAction(builtin_family("D", 4), VariableLayout(2, 4))
-    assert invariant_dimension(d4, (3, 3)) == 10
-    assert calls == []
+def test_invariant_dimension_forms_no_poly_and_no_rank(monkeypatch):
+    d4 = builtin_family("D", 4)
     order3 = DiagonalAction(group_from_spec(ORDER3), VariableLayout(2, 2))
-    assert invariant_dimension(order3, (2, 2)) == _act_sum_invariant_dimension(order3, (2, 2))
-    assert calls
+    degs = list(multidegrees(4, 2))
+    reference = [_act_sum_invariant_dimension(order3, deg) for deg in degs]
+    calls = []
+
+    def recorded(name, f):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for owner, name in ((groups, "act"), (groups, "reynolds"), (groups, "rank"),
+                        (linalg, "rank"), (Poly, "substitute")):
+        monkeypatch.setattr(owner, name, recorded(name, getattr(owner, name)))
+    # each group's class table is first built inside invariant_dimension
+    for group in (d4, as_matrix_group(d4)):
+        assert invariant_dimension(DiagonalAction(group, VariableLayout(2, 4)), (3, 3)) == 10
+    assert [invariant_dimension(order3, deg) for deg in degs] == reference
+    assert calls == []
 
 
 def test_invariant_dims_cli_on_d5_matches_molien(tmp_path, capsys):
@@ -277,6 +363,37 @@ def test_invariant_dims_cli_on_d5_matches_molien(tmp_path, capsys):
     assert {tuple(row["multidegree"]): row["dim_invariants"] for row in report["table"]} == (
         _molien_dimensions(builtin_family("D", 5), 4))
     assert report["checks"] == [{"name": "dims_bounded_by_monomial_count", "pass": True}]
+
+
+def test_invariant_dims_cli_on_d4_to_degree_12_matches_molien(tmp_path, capsys):
+    d4 = tmp_path / "d4.json"
+    d4.write_text(json.dumps({"builtin": {"family": "D", "m": 4}}))
+    code = main(["--format", "structured", "invariant-dims", str(d4),
+                 "--copies", "2", "--max-degree", "12"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert {tuple(row["multidegree"]): row["dim_invariants"] for row in report["table"]} == (
+        _molien_dimensions(builtin_family("D", 4), 12))
+
+
+def test_invariant_dims_cli_on_a_generator_file_keeps_the_monomial_cap(tmp_path, capsys):
+    # the largest multidegree to total degree 6 on two copies of ORDER3 is (3,3), 16 monomials
+    order3 = tmp_path / "order3.json"
+    order3.write_text(json.dumps(ORDER3))
+    argv = ["invariant-dims", str(order3), "--copies", "2", "--max-degree", "6"]
+    assert main(["--cap-monomials", "16"] + argv) == 0
+    capsys.readouterr()
+    assert main(["--cap-monomials", "15"] + argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: degree too large (cap monomials=15)\n"
+
+
+def test_invariant_dimension_refuses_a_molien_sum_not_divisible_by_the_order():
+    # three elements that are not a group: the degree-1 sum is 1 + 1 - 1 = 1
+    fake = MatrixGroup(1, (), (((0,), (1,)), ((0,), (1,)), ((0,), (-1,))))
+    with pytest.raises(ArithmeticError):
+        invariant_dimension(DiagonalAction(fake, VariableLayout(1, 1)), (1,))
 
 
 def test_invariant_dimension_examples():

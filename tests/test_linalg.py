@@ -3,9 +3,10 @@ from fractions import Fraction as Q
 
 import pytest
 
-from polinv.linalg import (Matrix, inverse, rank, rref, solve_in_span,
+from polinv.linalg import (Matrix, inverse, power_traces, rank, rref, solve_in_span,
                            strict_positive_functional)
 from polinv.nullcone import brute_box_functional
+from polinv.poly import Poly, VariableLayout
 
 from fraction_rref import fraction_rref
 
@@ -120,6 +121,28 @@ def test_inverse_of_rank_deficient_matrices_raises():
             inverse(m)
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
+def test_power_traces_match_matrix_powers():
+    rng = random.Random(31)
+    for n in range(0, 6):
+        m = Matrix.from_rows([[Q(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < 0.6 else 0
+                               for _ in range(n)] for _ in range(n)])
+        power, expected = m, []
+        for _ in range(n):
+            expected.append(sum((power.at(i, i) for i in range(n)), Q(0)))
+            power = power @ m
+        assert list(power_traces(m.to_rows())) == expected
+
+
+def test_power_traces_on_polys_are_lazy():
+    layout = VariableLayout(1, 2)
+    a, b = Poly.variable(layout, 0), Poly.variable(layout, 1)
+    z = Poly.zero(layout)
+    traces = power_traces([[a, b], [b, z]], z)
+    assert next(traces) == a
+    assert next(traces) == a * a + b * b * 2
+    assert next(traces, None) is None
 
 
 def test_solve_in_span_examples():
