@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
-from .linalg import Matrix, frac, rank, rref, solve_in_span
+from .linalg import Matrix, _echelon, _integer_terms, frac, mat_mul, rank, rref
 from .nullcone import SubspaceSpec, matrix_nilpotent, span_probe_nullcone
 from .poly import Poly, VariableLayout, count_monomials, monomials
 from .polarization import polarize
@@ -38,20 +38,25 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
 
 @dataclass(frozen=True)
 class LieAlgebraBasis:
-    """A matrix Lie algebra given by a basis, checked to be bracket-closed."""
+    """A matrix Lie algebra given by a basis, checked to be bracket-closed:
+    the brackets [b_i, b_j], i < j, must not raise the rank of the basis
+    ([b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0 give the others)."""
 
     name: str
     matrix_size: int
     basis: Tuple[Matrix, ...]
 
     def __post_init__(self):
-        flat = [list(b.entries) for b in self.basis]
+        n = self.matrix_size
+        if any((b.rows, b.cols) != (n, n) for b in self.basis):
+            raise ValueError("basis matrices must be matrix_size x matrix_size")
+        flat = [b.entries for b in self.basis]
         if rank(Matrix.from_rows(flat)) != len(self.basis):
             raise ValueError("basis matrices are linearly dependent")
-        for x in self.basis:
-            for y in self.basis:
-                if solve_in_span(flat, list(bracket(x, y).entries)) is None:
-                    raise ValueError("basis is not closed under the bracket")
+        brackets = [bracket(x, y).entries
+                    for i, x in enumerate(self.basis) for y in self.basis[i + 1:]]
+        if rank(Matrix.from_rows(flat + brackets)) != len(self.basis):
+            raise ValueError("basis is not closed under the bracket")
 
     @property
     def dimension(self) -> int:
@@ -80,10 +85,9 @@ class LieSubspace:
     spanning: Tuple[Matrix, ...]
 
     def __post_init__(self):
-        flat = [list(b.entries) for b in self.algebra.basis]
-        for m in self.spanning:
-            if solve_in_span(flat, list(m.entries)) is None:
-                raise ValueError("spanning matrix lies outside the algebra")
+        flat = [m.entries for m in (*self.algebra.basis, *self.spanning)]
+        if rank(Matrix.from_rows(flat)) != self.algebra.dimension:
+            raise ValueError("spanning matrix lies outside the algebra")
 
 
 def subalgebra_closure(sub: LieSubspace) -> List[Matrix]:
@@ -175,15 +179,14 @@ def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
     rule_sets = sl2_derivation_rules(module)
     rows = []
     for e in monos:
-        row = []
-        for rules in rule_sets:
-            image = apply_derivation(rules, layout, e)
-            vec = [Q(0)] * len(monos)
-            for ee, c in image._terms.items():
-                vec[index[ee]] = c
-            row.extend(vec)
-        rows.append(row)
-    return len(monos) - rank(Matrix.from_rows(rows))
+        # the images under e, f, h side by side, as one sparse row
+        row = {}
+        for block, rules in enumerate(rule_sets):
+            offset = block * len(monos)
+            for ee, c in apply_derivation(rules, layout, e)._terms.items():
+                row[offset + index[ee]] = c
+        rows.append(_integer_terms(row))
+    return len(monos) - len(_echelon(rows)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +214,6 @@ def _skew_symbolic(layout: VariableLayout, block: int):
     return rows
 
 
-def _poly_mat_mul(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = a[i][k] * b[k][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def _poly_trace_product(a, b) -> Poly:
     """tr(a b) without forming the full product."""
     n = len(a)
@@ -242,12 +230,8 @@ def so5_trace_invariants() -> Tuple[Poly, Poly]:
     in the ten entries above the diagonal.  These generate the invariant ring."""
     layout = VariableLayout(1, 10)
     A = _skew_symbolic(layout, 0)
-    A2 = _poly_mat_mul(A, A)
-    tr2 = A2[0][0]
-    for i in range(1, 5):
-        tr2 = tr2 + A2[i][i]
-    tr4 = _poly_trace_product(A2, A2)
-    return tr2, tr4
+    A2 = mat_mul(A, list(zip(*A)), Poly.zero(layout))
+    return _poly_trace_product(A, A), _poly_trace_product(A2, A2)
 
 
 SO5_POL2_BIDEGREES = ((2, 0), (1, 1), (0, 2), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4))
@@ -260,9 +244,10 @@ def so5_pol2_generators() -> List[Poly]:
     layout = VariableLayout(2, 10)
     B = _skew_symbolic(layout, 0)
     C = _skew_symbolic(layout, 1)
-    B2 = _poly_mat_mul(B, B)
-    C2 = _poly_mat_mul(C, C)
-    BC = _poly_mat_mul(B, C)
+    zero = Poly.zero(layout)
+    B2 = mat_mul(B, list(zip(*B)), zero)
+    C2 = mat_mul(C, list(zip(*C)), zero)
+    BC = mat_mul(B, list(zip(*C)), zero)
     gens = [
         _poly_trace_product(B, B),
         _poly_trace_product(B, C),

@@ -9,9 +9,10 @@ with `_integer_row` (each vector scaled by the lcm of its denominators);
 `polarization` passes generator products it already expanded over the
 integers.  Rows are combined as b*r - a*k and the gcd content is divided
 out after every step, so entries stay small integers and no Fraction is
-built until the final coefficients.  `power_traces` yields tr(A^k) for the
-Molien count in `groups` and the nilpotency test in `nullcone`.  There is no
-floating point anywhere in this module; every answer is exact.
+built until the final coefficients.  `mat_mul` is the one matrix product,
+for rational or `Poly` entries; `power_traces` yields tr(A^k) through it
+for the Molien count in `groups` and the nilpotency test in `nullcone`.
+There is no floating point anywhere in this module; every answer is exact.
 """
 
 from __future__ import annotations
@@ -81,19 +82,14 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("matrix size mismatch")
-        out = []
-        for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other.at(k, j) for k in range(self.cols)), Q(0)))
-        return Matrix(self.rows, other.cols, tuple(out))
+        columns = [other.entries[j::other.cols] for j in range(other.cols)]
+        product = mat_mul(self.to_rows(), columns, Q(0))
+        return Matrix(self.rows, other.cols, tuple(x for row in product for x in row))
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        v = [frac(x) for x in v]
-        return tuple(sum((self.row(i)[k] * v[k] for k in range(self.cols)), Q(0))
-                     for i in range(self.rows))
+        return tuple(row[0] for row in mat_mul(self.to_rows(), [[frac(x) for x in v]], Q(0)))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -193,21 +189,36 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
     return kept, {j: Fraction(c * scales[j], den) for j, c in combo.items()}
 
 
+def mat_mul(rows: Sequence[Sequence], columns: Sequence[Sequence], zero=0) -> list:
+    """AB as a list of rows, from the rows of A and the columns of B (so the
+    shape is right also when the inner dimension is 0).  Entries are
+    rationals (`zero` = 0) or Polys of one layout (`zero` their zero Poly).
+    Products with a zero factor are skipped, and each sum starts from its
+    first product, so no Poly is copied once more by adding it to `zero`."""
+    out = []
+    for r in rows:
+        out_row = []
+        for c in columns:
+            terms = [x * y for x, y in zip(r, c) if x != zero and y != zero]
+            out_row.append(sum(terms[1:], terms[0]) if terms else zero)
+        out.append(out_row)
+    return out
+
+
 def power_traces(rows: Sequence[Sequence], zero=0) -> Iterator:
     """tr(A), tr(A^2), ..., tr(A^n) of the n x n matrix `rows`, one at a time.
 
     Entries are rationals (`zero` = 0) or Polys of one layout (`zero` their
-    zero Poly).  Products with a zero factor are skipped, and each power is
-    formed only when its trace is asked for.
+    zero Poly).  Each power is formed by `mat_mul` only when its trace is
+    asked for.
     """
     n = len(rows)
+    columns = list(zip(*rows))
     power = rows  # A^k
     for k in range(1, n + 1):
         yield sum((power[i][i] for i in range(n)), zero)
         if k < n:
-            power = [[sum((p[t] * rows[t][j] for t in range(n)
-                           if p[t] != zero and rows[t][j] != zero), zero)
-                      for j in range(n)] for p in power]
+            power = mat_mul(power, columns, zero)
 
 
 def rank(m: Matrix) -> int:

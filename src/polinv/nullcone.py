@@ -366,8 +366,7 @@ def _random_vector(rng: random.Random, ncoords: int) -> tuple:
 
 
 def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
-                  vectors_per_system: int = 20, subspaces_per_system: int = 3,
-                  probe_trials: int = 64, box_bound: int = 20) -> dict:
+                  vectors_per_system: int = 20, subspaces_per_system: int = 3) -> dict:
     """Torus nullcone certificates on seeded random weight systems.
 
     For every system the decision procedure is compared with the exhaustive
@@ -379,6 +378,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
     from .reports import check, make_report
 
     caps = caps or DEFAULT_CAPS
+    box_bound = 20
     rng = random.Random(seed)
     vector_queries = 0
     agreements = 0
@@ -426,7 +426,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
             v2 = _random_vector(rng, ws.coordinates)
             L = SubspaceSpec(ws.coordinates, (v1, v2))
             gamma = subspace_in_common_vgamma(ws, L)
-            probe = span_probe_nullcone(member, L, trials=probe_trials, seed=seed)
+            probe = span_probe_nullcone(member, L, trials=64, seed=seed)
             planes += 1
             if not probe.escaped:
                 planes_contained += 1

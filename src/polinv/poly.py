@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .linalg import frac
 
@@ -64,10 +64,11 @@ def compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def multidegrees(max_total: int, parts: int) -> List[tuple]:
-    """Every multidegree with `parts` entries and total degree <= max_total, graded-lex ascending."""
-    return sorted((deg for total in range(max_total + 1) for deg in compositions(total, parts)),
-                  key=glex_key)
+def multidegrees(max_total: int, parts: int) -> Iterator[tuple]:
+    """Every multidegree with `parts` entries and total degree <= max_total, graded-lex
+    ascending, one total degree at a time (so a caller that refuses one stops early)."""
+    for total in range(max_total + 1):
+        yield from reversed(list(compositions(total, parts)))
 
 
 def monomials(block_sizes: Sequence[int], deg: Sequence[int]) -> List[tuple]:

@@ -294,28 +294,32 @@ def test_ac09_sl2_invariant_dimensions():
 
 # -- AC-10: byte-identical reports ------------------------------------------------
 
-# SHA-256 of each `--format structured --seed 12345 certify` report; a
+# SHA-256 of each `--format <format> --seed 12345 certify` report; a
 # refactor that changes any byte of a report changes its digest
 AC10_DIGESTS = {
-    "dm": "7c10a7e7ee3d291c9faf8a225f8bbd4eb3dca6d83588d88f16159eda3e1c4e45",
-    "so5": "ebfc6e46e0d8232d2a052b05058375d06ac0aebcf16ed4ff853139963f176f82",
-    "sl3": "febd4d5efcc7a5bedd78ad14f4c0e5fe87827de3c94ae3adb5106b06136d14f0",
-    "torus": "2c7580096105e7819c3986aa7cc7d048c798a0dba8db94096ecd343586c9015b",
-    "sl2-r1": "e90c608cba5da9a8387f6f30c46356719074b46233eb988d9412e889f5312a53",
+    ("structured", "dm"): "7c10a7e7ee3d291c9faf8a225f8bbd4eb3dca6d83588d88f16159eda3e1c4e45",
+    ("structured", "so5"): "ebfc6e46e0d8232d2a052b05058375d06ac0aebcf16ed4ff853139963f176f82",
+    ("structured", "sl3"): "febd4d5efcc7a5bedd78ad14f4c0e5fe87827de3c94ae3adb5106b06136d14f0",
+    ("structured", "torus"): "2c7580096105e7819c3986aa7cc7d048c798a0dba8db94096ecd343586c9015b",
+    ("structured", "sl2-r1"): "e90c608cba5da9a8387f6f30c46356719074b46233eb988d9412e889f5312a53",
+    ("text", "dm"): "2d85a4f0d3e53c3838904e736163add1ef28d4eeb264881ebadee8bc7b5a1814",
+    ("text", "so5"): "fe3cacd0d648ce85d8cd802d35b4bf7af45ba9c4a282b5f5f144d5b1547eddbd",
+    ("text", "sl3"): "651215bf85e0fb0998fec6681777bdc02d1bf7ba62121fe85aa7511312ab4a18",
+    ("text", "torus"): "78e505fa2b2dcc3c2a64d34fda3fd9899555bd7a6ff7faad8c3b108c88448032",
+    ("text", "sl2-r1"): "c919f3408b365302e06e6e8ab797ed502bc8d5084bcd6993b080f3a6621ff6dd",
 }
 
 
 def test_ac10_determinism(capsys):
-    for scenario, digest in AC10_DIGESTS.items():
+    for (fmt, scenario), digest in AC10_DIGESTS.items():
         outputs = []
         for _ in range(2):
-            code = cli_main(["--format", "structured", "--seed", "12345",
-                             "certify", scenario])
+            code = cli_main(["--format", fmt, "--seed", "12345", "certify", scenario])
             captured = capsys.readouterr().out
-            assert code == 0, scenario
+            assert code == 0, (fmt, scenario)
             outputs.append(captured.encode())
-        assert outputs[0] == outputs[1], scenario
-        assert hashlib.sha256(outputs[0]).hexdigest() == digest, scenario
+        assert outputs[0] == outputs[1], (fmt, scenario)
+        assert hashlib.sha256(outputs[0]).hexdigest() == digest, (fmt, scenario)
     _line("AC-10 determinism", True,
-          "all five certify scenarios byte-identical across repeated runs "
-          "and to their recorded digests")
+          "all five certify scenarios, structured and text, byte-identical "
+          "across repeated runs and to their recorded digests")

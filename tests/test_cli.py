@@ -318,6 +318,18 @@ def test_caps_env_and_flag_precedence(files, capsys, monkeypatch):
     assert code == 0
 
 
+@pytest.mark.parametrize("command,copies", [("invariant-dims", "3"), ("compare", "2")])
+def test_huge_max_degree_exits_3_at_the_first_capped_degree(tmp_path, capsys, command, copies):
+    # the multidegrees are listed one total degree at a time, so the cap stops
+    # the run before the table of every degree up to 10^6 is built
+    d4 = write(tmp_path, "d4.json", {"builtin": {"family": "D", "m": 4}})
+    code = main(["--cap-monomials", "100", command, d4,
+                 "--copies", copies, "--max-degree", "1000000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == "error: degree too large (cap monomials=100)\n"
+
+
 def test_compare_reports_the_d4_gap(tmp_path, capsys):
     d4 = write(tmp_path, "d4.json", {"builtin": {"family": "D", "m": 4}})
     code, out = run(capsys, ["--format", "structured", "compare", d4,

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from polinv import liealg
 from polinv.limits import CapExceededError
 from polinv.linalg import Matrix
-from polinv.poly import Poly, VariableLayout
+from polinv.poly import Poly, VariableLayout, monomials
 from polinv.polarization import polarize
 from polinv.liealg import (LieAlgebraBasis, LieSubspace, apply_derivation,
                            bracket, certify_sl2_r1, certify_sl3, certify_so5,
@@ -13,6 +14,8 @@ from polinv.liealg import (LieAlgebraBasis, LieSubspace, apply_derivation,
                            sl2_invariant_dimension, so5, so5_pol2_generators,
                            so5_trace_invariants, subalgebra_closure, unit_matrix,
                            SO5_POL2_BIDEGREES)
+
+from fraction_rref import fraction_rref
 
 
 def test_bracket_examples():
@@ -35,16 +38,45 @@ def test_algebra_constructions():
 
 
 def test_algebra_rejects_non_closed_basis():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not closed under the bracket"):
         LieAlgebraBasis("bad", 2, (unit_matrix(2, 0, 1), unit_matrix(2, 1, 0)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="linearly dependent"):
         LieAlgebraBasis("dep", 2, (unit_matrix(2, 0, 1),
                                    unit_matrix(2, 0, 1).scale(2)))
 
 
+def test_algebra_rejects_basis_matrices_of_the_wrong_shape():
+    with pytest.raises(ValueError, match="matrix_size x matrix_size"):
+        LieAlgebraBasis("lone", 2, (Matrix.from_rows([[1, 0, 0], [0, 1, 0]]),))
+    with pytest.raises(ValueError, match="matrix_size x matrix_size"):
+        LieAlgebraBasis("size", 2, sl(3).basis)
+    # a single square matrix spans an abelian algebra
+    assert LieAlgebraBasis("line", 2, (Matrix.from_rows([[1, 2], [3, 4]]),)).dimension == 1
+
+
+def test_closure_check_forms_one_bracket_per_pair(monkeypatch):
+    calls = []
+
+    def counting_bracket(a, b):
+        calls.append((a, b))
+        return bracket(a, b)
+
+    monkeypatch.setattr(liealg, "bracket", counting_bracket)
+    assert so5().dimension == 10
+    assert len(calls) == 45
+    calls.clear()
+    assert sl(3).dimension == 8
+    assert len(calls) == 28
+
+
 def test_subspace_membership_validated():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="lies outside the algebra"):
         LieSubspace(sl(2), (Matrix.identity(2),))
+    with pytest.raises(ValueError, match="lies outside the algebra"):
+        LieSubspace(so5(), (unit_matrix(5, 0, 1),))
+    # combinations of basis matrices, repeated or not, lie inside
+    e12, e21 = unit_matrix(3, 0, 1), unit_matrix(3, 1, 0)
+    LieSubspace(sl(3), (e12 + e21, e12 + e21, e12.scale(3) - e21))
 
 
 def test_closure_examples():
@@ -130,6 +162,47 @@ def test_sl2_derivations_satisfy_bracket_relations():
         assert hf - fh == -2 * apply_poly(rules_f, mu)
 
 
+def _dense_sl2_invariant_dimension(module, deg):
+    """The joint kernel of e, f, h from a dense N x 3N Fraction matrix of the
+    derivation images, reduced by the Fraction reference: the construction
+    that `sl2_invariant_dimension` replaced by sparse integer rows."""
+    sizes = tuple(d + 1 for d in module)
+    layout = VariableLayout(1, sum(sizes))
+    monos = monomials(sizes, deg)
+    index = {e: i for i, e in enumerate(monos)}
+    rows = []
+    for e in monos:
+        row = []
+        for rules in sl2_derivation_rules(module):
+            vec = [0] * len(monos)
+            for exps, c in apply_derivation(rules, layout, e).terms():
+                vec[index[exps]] = c
+            row.extend(vec)
+        rows.append(row)
+    return len(monos) - fraction_rref(Matrix.from_rows(rows))[1]
+
+
+@pytest.mark.parametrize("module,deg,dim", [
+    ((3,), (4,), 1),            # the discriminant of the binary cubic
+    ((4,), (6,), 2),            # I^3, J^2 of the binary quartic
+    ((4,), (8,), 2),            # I^4, I J^2
+    ((6,), (6,), 3),            # the three sextic invariants of degree 6
+    ((2, 2), (2, 2), 2),        # disc(f) disc(g) and the square of the joint invariant
+    ((1, 1, 1, 1), (1, 1, 1, 1), 2),  # three pairings, one Pluecker relation
+])
+def test_sl2_classical_invariant_counts(module, deg, dim):
+    assert sl2_invariant_dimension(module, deg) == dim
+
+
+def test_sl2_dimension_matches_the_dense_reference():
+    cases = [((d,), (k,)) for d in range(1, 5) for k in range(1, 6)]
+    cases += [((1, 1), (a, b)) for a in range(3) for b in range(3)]
+    cases += [((2, 1), (2, 2)), ((2, 2), (1, 1)), ((3, 1), (1, 3)), ((1, 1, 1), (1, 1, 2))]
+    for module, deg in cases:
+        assert sl2_invariant_dimension(module, deg) == \
+            _dense_sl2_invariant_dimension(module, deg), (module, deg)
+
+
 def test_sl2_dimension_cap():
     with pytest.raises(CapExceededError):
         sl2_invariant_dimension((3,), (8,), monomial_cap=10)
@@ -142,6 +215,26 @@ def test_so5_trace_invariants():
     point[0] = 1  # the matrix E12 - E21
     assert tr2.evaluate(point) == -2
     assert tr4.evaluate(point) == 2
+
+
+def _triple_loop(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def test_so5_trace_invariants_at_random_integer_points():
+    tr2, tr4 = so5_trace_invariants()
+    above = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    rng = random.Random(57)
+    for _ in range(20):
+        point = [rng.randint(-6, 6) for _ in range(10)]
+        a = [[0] * 5 for _ in range(5)]
+        for x, (i, j) in zip(point, above):
+            a[i][j], a[j][i] = x, -x
+        assert tr2.evaluate(point) == -2 * sum(x * x for x in point)
+        a2 = _triple_loop(a, a)
+        a4 = _triple_loop(a2, a2)
+        assert tr4.evaluate(point) == sum(a4[i][i] for i in range(5))
 
 
 def test_so5_pol2_generator_list():

@@ -3,8 +3,8 @@ from fractions import Fraction as Q
 
 import pytest
 
-from polinv.linalg import (Matrix, inverse, power_traces, rank, rref, solve_in_span,
-                           strict_positive_functional)
+from polinv.linalg import (Matrix, inverse, mat_mul, power_traces, rank, rref,
+                           solve_in_span, strict_positive_functional)
 from polinv.nullcone import brute_box_functional
 from polinv.poly import Poly, VariableLayout
 
@@ -121,6 +121,65 @@ def test_inverse_of_rank_deficient_matrices_raises():
             inverse(m)
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+
+
+def _triple_loop(a, b, cols, zero):
+    """(AB)_ij = sum over every k of a_ik b_kj: the reference for `mat_mul`."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), zero) for j in range(cols)]
+            for i in range(len(a))]
+
+
+def test_mat_mul_matches_a_triple_loop_on_rationals():
+    rng = random.Random(41)
+    for _ in range(200):
+        r, k, c = (rng.randint(0, 4) for _ in range(3))
+        density = rng.choice((0.0, 0.3, 0.7, 1.0))
+
+        def entry():
+            return Q(rng.randint(-4, 4), rng.randint(1, 3)) if rng.random() < density else Q(0)
+
+        a = [[entry() for _ in range(k)] for _ in range(r)]
+        b = [[entry() for _ in range(c)] for _ in range(k)]
+        if r:
+            a[rng.randrange(r)] = [Q(0)] * k  # a zero row
+        expected = _triple_loop(a, b, c, Q(0))
+        columns = [[b[t][j] for t in range(k)] for j in range(c)]
+        assert mat_mul(a, columns, Q(0)) == expected
+        a_matrix = Matrix(r, k, tuple(x for row in a for x in row))
+        product = a_matrix @ Matrix(k, c, tuple(x for row in b for x in row))
+        assert (product.rows, product.cols) == (r, c)
+        assert product.to_rows() == expected
+        assert all(type(x) is Q for x in product.entries)
+        v = [entry() for _ in range(k)]
+        image = a_matrix.matvec(v)
+        assert list(image) == [row[0] for row in _triple_loop(a, [[x] for x in v], 1, Q(0))]
+        assert all(type(x) is Q for x in image)
+
+
+def test_mat_mul_keeps_the_shape_for_an_empty_inner_dimension():
+    assert Matrix(2, 0, ()) @ Matrix(0, 3, ()) == Matrix(2, 3, (Q(0),) * 6)
+    assert mat_mul([[], []], [(), (), ()]) == [[0, 0, 0], [0, 0, 0]]
+    with pytest.raises(ValueError):
+        Matrix(2, 1, (Q(1), Q(2))) @ Matrix(2, 1, (Q(1), Q(2)))
+
+
+def test_mat_mul_matches_a_triple_loop_on_polys():
+    layout = VariableLayout(1, 3)
+    zero = Poly.zero(layout)
+    rng = random.Random(42)
+
+    def entry():
+        if rng.random() < 0.4:
+            return zero
+        return Poly(layout, {tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(-3, 3)
+                             for _ in range(rng.randint(1, 3))})
+
+    for _ in range(40):
+        r, k, c = (rng.randint(0, 3) for _ in range(3))
+        a = [[entry() for _ in range(k)] for _ in range(r)]
+        b = [[entry() for _ in range(c)] for _ in range(k)]
+        columns = [[b[t][j] for t in range(k)] for j in range(c)]
+        assert mat_mul(a, columns, zero) == _triple_loop(a, b, c, zero)
 
 
 def test_power_traces_match_matrix_powers():

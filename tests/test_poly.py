@@ -3,8 +3,9 @@ from fractions import Fraction as Q
 
 import pytest
 
-from polinv.poly import (Poly, VariableLayout, homogeneous_bivariate_gcd,
-                         is_scalar_multiple, parse_poly, poly_to_string)
+from polinv.poly import (Poly, VariableLayout, compositions, glex_key,
+                         homogeneous_bivariate_gcd, is_scalar_multiple, multidegrees,
+                         parse_poly, poly_to_string)
 
 L2 = VariableLayout(1, 2)
 X = Poly.variable(L2, 0)
@@ -216,3 +217,17 @@ def test_gcd_against_factored_cases():
         # the output divides each input: gcd with either input returns it back
         assert homogeneous_bivariate_gcd([f1, got]) == got
         assert homogeneous_bivariate_gcd([f2, got]) == got
+
+
+def test_multidegrees_are_graded_lex_ascending():
+    for parts in (1, 2, 3):
+        for max_total in range(8):
+            expected = sorted((deg for total in range(max_total + 1)
+                               for deg in compositions(total, parts)), key=glex_key)
+            assert list(multidegrees(max_total, parts)) == expected
+
+
+def test_multidegrees_list_one_total_degree_at_a_time():
+    degrees = multidegrees(10 ** 6, 3)
+    assert [next(degrees) for _ in range(5)] == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
+                                                 (0, 0, 2)]
