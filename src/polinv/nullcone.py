@@ -13,8 +13,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from itertools import product
 from math import lcm
+from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .limits import DEFAULT_SEED
@@ -97,43 +98,43 @@ def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec) -> Optional[tup
 
 
 # --- independent brute-force oracle (used by agreement certificates) --------
-#
-# The only numpy code in polinv: numpy is imported here, on the first call, so
-# a process that never runs the box oracle never loads it.
-
-@lru_cache(maxsize=None)
-def _grid(dim: int, bound: int):
-    import numpy as np
-
-    axis = np.arange(-bound, bound + 1, dtype=np.int64)
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
-
 
 def brute_box_functional(points: Sequence[Sequence[int]], dim: int,
                          bound: int = 20) -> Optional[tuple]:
     """First integer gamma in the box [-bound, bound]^dim with all <gamma, p> > 0.
 
-    Exhaustive integer enumeration (exact int64 arithmetic), independent of
-    the Fourier-Motzkin path.  Empty input follows the (1, ..., 1) convention.
-    Raises ValueError when some <gamma, p> could leave int64.
+    Exhaustive search in Python integers, lex-ordered with the first
+    coordinate slowest, independent of the Fourier-Motzkin path.  For each
+    prefix of the first dim - 1 coordinates the points cut the last coordinate
+    down to one integer interval, whose least member is the first feasible
+    point with that prefix.  Empty input follows the (1, ..., 1) convention.
     """
+    if bound < 0:
+        raise ValueError(f"box bound must be non-negative, got {bound}")
     if not points:
         return tuple([1] * dim)
-    rows = [[int(x) for x in p] for p in points]
+    if dim < 1:
+        raise ValueError(f"dimension must be positive, got {dim}")
+    rows = [tuple(int(x) for x in p) for p in points]
     if any(len(r) != dim for r in rows):
         raise ValueError("dimension mismatch")
-    if max((abs(x) for r in rows for x in r), default=0) * bound * dim >= 2 ** 63:
-        raise ValueError("box products exceed int64")
-    import numpy as np
-
-    pts = np.array(rows, dtype=np.int64)
-    grid = _grid(dim, bound)
-    feasible = (grid @ pts.T > 0).all(axis=1)
-    idx = int(np.argmax(feasible))
-    if not feasible[idx]:
-        return None
-    return tuple(int(x) for x in grid[idx])
+    split = [(r[:-1], r[-1]) for r in rows]
+    for prefix in product(range(-bound, bound + 1), repeat=dim - 1):
+        lo, hi = -bound, bound
+        for head, c in split:
+            # <gamma, p> = s + c * g > 0 for the last coordinate g
+            s = sum(map(mul, prefix, head))
+            if c > 0:
+                lo = max(lo, -s // c + 1)
+            elif c < 0:
+                hi = min(hi, (s - 1) // -c)
+            elif s <= 0:
+                break
+            if lo > hi:
+                break
+        else:
+            return prefix + (lo,)
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -253,22 +253,25 @@ def test_cap_exceeded_exits_3(files, tmp_path, capsys):
     assert err == "error: too many monomials (cap monomials=100)\n"
 
 
-def test_numpy_loads_only_for_the_box_oracle():
-    script = textwrap.dedent("""
+def test_numpy_never_loads(tmp_path):
+    module = write(tmp_path, "torus.json", {"torus_rank": 2, "weights": [[1, 0], [-1, 1]]})
+    script = textwrap.dedent(f"""
         import contextlib, io, sys
         from polinv.cli import main
         print("numpy" in sys.modules)
-        for scenario in ("dm", "so5", "sl3", "sl2-r1", "torus"):
+        for argv in (["certify", "dm"], ["certify", "so5"], ["certify", "sl3"],
+                     ["certify", "sl2-r1"], ["certify", "torus"],
+                     ["nullcone", "torus", {module!r}, "1,1"]):
             with contextlib.redirect_stdout(io.StringIO()):
-                code = main(["certify", scenario])
-            print(scenario, code, "numpy" in sys.modules)
+                code = main(argv)
+            print(argv[-1], code, "numpy" in sys.modules)
     """)
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines() == ["False", "dm 0 False", "so5 0 False", "sl3 0 False",
-                                "sl2-r1 0 False", "torus 0 True"]
+                                "sl2-r1 0 False", "torus 0 False", "1,1 0 False"]
 
 
 @pytest.mark.parametrize("argv", [

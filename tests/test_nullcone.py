@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as Q
@@ -73,10 +74,43 @@ def test_brute_box_deterministic_and_exact():
     assert brute_box_functional([(1, 0), (0, 1)], 2) == (1, 1)
     assert brute_box_functional([(1, -1), (-1, 1)], 2) is None
     assert brute_box_functional([], 3) == (1, 1, 1)
-    # products that could leave int64 are refused, not wrapped around
-    for points in ([(2 ** 60, 1), (-2 ** 60, 1)], [(2 ** 59, -1)], [(2 ** 70, 1)]):
-        with pytest.raises(ValueError):
-            brute_box_functional(points, 2)
+    # entries of any size are exact Python integers, with no fixed-width wrap
+    assert brute_box_functional([(2 ** 60, 1), (-2 ** 60, 1)], 2) == (0, 1)
+    assert brute_box_functional([(2 ** 59, -1)], 2) == (0, -20)
+    assert brute_box_functional([(2 ** 70, 1)], 2) == (0, 1)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        brute_box_functional([()], 0)
+    with pytest.raises(ValueError, match="box bound must be non-negative"):
+        brute_box_functional([(1, 0)], 2, bound=-1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        brute_box_functional([(1, 0), (1,)], 2)
+
+
+def _reference_box_functional(points, dim, bound):
+    # every point of the box, first coordinate slowest, with no interval logic
+    for gamma in itertools.product(range(-bound, bound + 1), repeat=dim):
+        if all(sum(g * x for g, x in zip(gamma, p)) > 0 for p in points):
+            return gamma
+    return None
+
+
+def test_brute_box_matches_the_full_enumeration():
+    rng = random.Random(1515)
+    entries = range(-4, 5)
+    for case in range(400):
+        dim = rng.randint(1, 4)
+        bound = rng.randint(0, 3)
+        points = [tuple(rng.choice(entries) for _ in range(dim))
+                  for _ in range(1 if case % 4 == 0 else rng.randint(2, 5))]
+        if case % 5 == 1:
+            points.append(tuple(rng.choice(entries) for _ in range(dim - 1)) + (0,))
+        if case % 7 == 2:
+            points.append((0,) * dim)
+        if case % 3 == 0:
+            points.append(rng.choice(points))
+        rng.shuffle(points)
+        assert (brute_box_functional(points, dim, bound)
+                == _reference_box_functional(points, dim, bound)), (points, dim, bound)
 
 
 # -- binary forms -------------------------------------------------------------
