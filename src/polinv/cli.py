@@ -153,6 +153,11 @@ def cmd_compare(args, caps: Caps) -> dict:
     family, m = builtin
     group = builtin_family(family, m, caps.group_order)
     capped_layout(args.copies, m, caps.monomials)
+    # the rows are computed in this order and `invariant_dimension` refuses
+    # each degree over the cap: refuse before the first row instead
+    for deg in multidegrees(args.max_degree, args.copies):
+        if count_monomials((m,) * args.copies, deg) > caps.monomials:
+            raise CapExceededError("degree too large", "monomials", caps.monomials)
     invs = classical_generators(family, m)
     rows = compare_graded_dims(group, invs, args.copies, args.max_degree,
                                caps.span_products, caps.monomials)

@@ -7,18 +7,21 @@ to lowest terms with a positive denominator.  The one elimination kernel is
 vector it stands for.  `rank`, `rref` and `solve_in_span` build these pairs
 with `_integer_row` (each vector scaled by the lcm of its denominators);
 `polarization` passes generator products it already expanded over the
-integers.  Rows are combined as b*r - a*k and the gcd content is divided
-out after every step, so entries stay small integers and no Fraction is
-built until the final coefficients.  `mat_mul` is the one matrix product,
-for rational or `Poly` entries; `power_traces` yields tr(A^k) through it
-for the Molien count in `groups` and the nilpotency test in `nullcone`.
-There is no floating point anywhere in this module; every answer is exact.
+integers.  Rows are combined as b*r - a*k, pivots are sparse +-1 entries
+where they exist, and the gcd content is divided out after every step that
+scaled a row, so entries stay small integers and no Fraction is built
+until the final coefficients.  `mat_mul` is the one matrix product, for
+rational or `Poly` entries; `power_traces` yields tr(A^k) through it for
+the Molien count in `groups` and the nilpotency test in `nullcone`.  There
+is no floating point anywhere in this module; every answer is exact.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -133,29 +136,48 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
 
     Each entry of `rows` is a pair (row, scale): a sparse {column: int} row
     equal to `scale` times the vector v_j it stands for (see `_integer_row`).
-    The row dicts are reduced in place.  Each row is reduced against the
-    rows kept so far: for a kept row k with pivot column p and a = r[p],
-    b = k[p] (divided by their gcd), r becomes b*r - a*k, and the gcd
-    content of r is divided out.  Kept rows are zero at every earlier
-    pivot, so one pass in order clears all pivots of r.  A row is kept when
-    a nonzero row remains, so the kept indices are the lex-first independent
-    vectors: the pivot columns of the RREF of the matrix whose columns are
-    the v_j.
+    The row dicts are reduced in place.  A row r is reduced against the kept
+    rows in the order they were kept, visiting only those whose pivot column
+    r holds (a heap of kept indices, fed from `meets` as fill-in appears):
+    for a kept row k with pivot column p, a = r[p] and b = k[p] (divided by
+    their gcd), r becomes b*r - a*k.  A kept row is zero at every earlier
+    pivot, so this clears every pivot of r.  A row is kept when a nonzero row
+    remains, so the kept indices are the lex-first independent vectors: the
+    pivot columns of the RREF of the matrix whose columns are the v_j.
 
-    Returns (kept, relation).  With `track`, every row also carries its
-    integer combination of the input rows (without `track` the combinations
-    stay empty); when the last row is not kept, `relation` maps kept
-    indices j to Fractions c_j with v_last = sum_j c_j * v_j, in terms of
-    the unscaled vectors.  Otherwise `relation` is None.
+    Pivots follow Markowitz: a kept row is made primitive (with its
+    combination), takes a column where its entry is +-1 if it has one, the
+    one fewest input rows touch (ties to the lowest index), and is
+    sign-normalized to a positive pivot.  A step with b = 1 only subtracts
+    a*k, so the content gcd is divided out only after steps with b != 1.
+    The pivot columns change no answer: v_j is kept iff it is outside the
+    span of the vectors before it, and a relation writes v_j in the kept
+    vectors before it, which are independent, so it is unique.
+
+    Returns (kept, relations).  With `track`, every row also carries its
+    integer combination of the input rows, and `relations` maps each index j
+    not kept to {i: c_i}, Fractions with v_j = sum_i c_i * v_i over the kept
+    i < j (unscaled vectors).  Otherwise `relations` is None.
     """
-    pivots = []  # (pivot column, row, combination)
+    rows = list(rows)
+    touches = Counter(c for row, _ in rows for c in row)
+    pivots = []  # (pivot column, row, combination), in the order kept
+    position = {}  # pivot column -> index in pivots
+    meets = []  # meets[i]: the later indices whose pivot column kept row i holds
+    holders = defaultdict(list)  # column -> indices of the kept rows holding it
     kept = []
-    scales = []
-    row, combo = {}, {}
+    relations = {} if track else None
     for j, (row, d) in enumerate(rows):
-        scales.append(d)
         combo = {j: 1} if track else {}
-        for p, prow, pcombo in pivots:
+        todo = [t for t in map(position.get, row) if t is not None]
+        heapify(todo)
+        last = -1
+        while todo:
+            i = heappop(todo)
+            if i == last:
+                continue
+            last = i
+            p, prow, pcombo = pivots[i]
             a = row.get(p)
             if a is None:
                 continue
@@ -174,19 +196,37 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
                         del vec[c]
             if not row:
                 break
-            g = gcd(*row.values(), *combo.values())
-            if g != 1:
-                for vec in (row, combo):
-                    for c in vec:
-                        vec[c] //= g
+            if b != 1:
+                _divide((row, combo), gcd(*row.values(), *combo.values()))
+            if meets[i]:
+                todo += meets[i]
+                heapify(todo)
         if row:
-            pivots.append((min(row), row, combo))
+            g = gcd(*row.values(), *combo.values())
+            units = [c for c, x in row.items() if x == g or x == -g]
+            p = min((touches[c], c) for c in units or row)[1]
+            _divide((row, combo), g if row[p] > 0 else -g)
+            t = len(pivots)
+            for i in holders[p]:
+                meets[i].append(t)
+            for c in row:
+                holders[c].append(t)
+            position[p] = t
+            pivots.append((p, row, combo))
+            meets.append([])
             kept.append(j)
-    if not track or row or not scales:
-        return kept, None
-    last = len(scales) - 1
-    den = -combo.pop(last) * scales[last]
-    return kept, {j: Fraction(c * scales[j], den) for j, c in combo.items()}
+        elif track:
+            den = -combo.pop(j) * d
+            relations[j] = {i: Fraction(c * rows[i][1], den) for i, c in combo.items()}
+    return kept, relations
+
+
+def _divide(vecs, g: int) -> None:
+    """Divide every entry of the dicts `vecs` by g, which divides them all."""
+    if g != 1:
+        for vec in vecs:
+            for c in vec:
+                vec[c] //= g
 
 
 def mat_mul(rows: Sequence[Sequence], columns: Sequence[Sequence], zero=0) -> list:
@@ -228,22 +268,20 @@ def rank(m: Matrix) -> int:
 def rref(m: Matrix):
     """Reduced row echelon form, as (reduced, rank, pivot_columns).
 
-    Two passes of `_echelon`.  The forward pass leaves each kept row zero
-    before its pivot and at the pivots of the rows kept before it.  The
-    second pass takes the kept rows in descending pivot order, which clears
-    every pivot column in the other rows without moving a pivot; each row
-    is then divided by its pivot entry.
+    One `_echelon` over the columns of m.  The kept columns are the pivot
+    columns, and row i of the RREF holds, in every other column c, the
+    coefficient of pivot column i in the relation of c to the pivot
+    columns before it.
     """
-    rows = [_integer_row(m.row(i)) for i in range(m.rows)]
-    kept, _ = _echelon(rows)
-    echelon = sorted((rows[j][0] for j in kept), key=min, reverse=True)
-    _echelon((row, 1) for row in echelon)
-    echelon.reverse()
-    pivots = [min(row) for row in echelon]
+    columns = (_integer_row(m.entries[c::m.cols]) for c in range(m.cols))
+    pivots, relations = _echelon(columns, track=True)
     entries = [Q(0)] * (m.rows * m.cols)
-    for i, (row, p) in enumerate(zip(echelon, pivots)):
-        for c, x in row.items():
-            entries[i * m.cols + c] = Fraction(x, row[p])
+    for i, p in enumerate(pivots):
+        entries[i * m.cols + p] = Q(1)
+    position = {p: i for i, p in enumerate(pivots)}
+    for c, relation in relations.items():
+        for p, x in relation.items():
+            entries[position[p] * m.cols + c] = x
     return Matrix(m.rows, m.cols, tuple(entries)), len(pivots), pivots
 
 
@@ -272,7 +310,7 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]
     n = len(target)
     if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")
-    _, relation = _echelon(map(_integer_row, vectors), track=True)
+    relation = _echelon(map(_integer_row, vectors), track=True)[1].get(len(basis))
     if relation is None:
         return None
     return [relation.get(j, Q(0)) for j in range(len(basis))]

@@ -131,38 +131,55 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     """All exponent tuples e with sum_i e_i * degrees[i] = target, in lex order.
 
     Generators of zero multidegree are held at exponent zero (a constant
-    factor never enlarges the span).  The exponent of the last generator of
-    nonzero multidegree is solved for, not searched.  Raises when more than
-    `cap` tuples would be produced.
+    factor never enlarges the span).  The walk enters a prefix only when the
+    generators after it can fill its remainder exactly, so every prefix it
+    enters completes, and it makes at most 1 + (tuples listed) x
+    (generators) calls.  Raises when more than `cap` tuples would be
+    produced.
     """
-    blocks = len(target)
-    last = max((i for i, deg in enumerate(degrees) if any(deg)), default=-1)
+    n = len(degrees)
+    # A remainder r <= target is bit sum_b r_b * strides[b]; radix 2*t_b + 1
+    # lets a degree <= t_b be added to it with no carry into the next block.
+    # `box` has the bits of every r <= target.
+    strides = [1]
+    for t in target:
+        strides.append(strides[-1] * (2 * t + 1))
+    box = 1
+    for t, s in zip(target, strides):
+        box *= ((1 << (t + 1) * s) - 1) // ((1 << s) - 1)
+    steps = [sum(d * s for d, s in zip(deg, strides)) for deg in degrees]
+
+    def most(rem: tuple, deg: tuple) -> int:  # the largest e with e*deg <= rem
+        return min((r // d for r, d in zip(rem, deg) if d), default=0)
+
+    # fills[i]: the bits of the remainders that degrees[i:] fill exactly
+    size = box.bit_length() // 8 + 1
+    filled = 1
+    fills = [b""] * n + [filled.to_bytes(size, "little")]
+    for i in range(n - 1, 0, -1):
+        e, top = 1, most(target, degrees[i])
+        while e <= top:  # every multiple below 2e of degrees[i] is added
+            filled |= (filled << e * steps[i]) & box
+            e *= 2
+        fills[i] = filled.to_bytes(size, "little")
     out: List[tuple] = []
 
-    def rec(i: int, remaining: tuple, prefix: tuple):
-        if i == len(degrees):
-            if all(r == 0 for r in remaining):
-                if len(out) >= cap:
-                    raise CapExceededError("span too large", "span_products", cap)
-                out.append(prefix)
+    def rec(i: int, remaining: tuple, pos: int, prefix: tuple):
+        if i == n:
+            if pos:  # an empty degree list: the start is the only prefix not checked
+                return
+            if len(out) >= cap:
+                raise CapExceededError("span too large", "span_products", cap)
+            out.append(prefix)
             return
-        deg = degrees[i]
-        if all(d == 0 for d in deg):
-            rec(i + 1, remaining, prefix + (0,))
-            return
-        emax = min(remaining[b] // deg[b] for b in range(blocks) if deg[b] > 0)
-        if i == last:
-            # the one exponent that could zero the remainder
-            if all(r == emax * d for r, d in zip(remaining, deg)):
-                rec(i + 1, (0,) * blocks, prefix + (emax,))
-            return
-        for e in range(emax + 1):
-            rest = tuple(r - e * d for r, d in zip(remaining, deg))
-            if any(x < 0 for x in rest):
-                break
-            rec(i + 1, rest, prefix + (e,))
+        deg, reach = degrees[i], fills[i + 1]
+        for e in range(most(remaining, deg) + 1):
+            rest = pos - e * steps[i]
+            if reach[rest >> 3] >> (rest & 7) & 1:
+                rec(i + 1, tuple(r - e * d for r, d in zip(remaining, deg)), rest,
+                    prefix + (e,))
 
-    rec(0, tuple(target), ())
+    rec(0, tuple(target), sum(t * s for t, s in zip(target, strides)), ())
     return out
 
 
@@ -310,20 +327,25 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
     products = _products_for_target(gens, deg, cap, monomial_cap, f_terms)
     rows = _rows([terms for _, terms, _ in products] + [f_terms])
     scales = [scale for _, _, scale in products] + [f_scale]
-    _, relation = _echelon(zip(rows, scales), track=True)
+    relation = _echelon(zip(rows, scales), track=True)[1].get(len(products))
     if relation is None:
         return None
     return [(products[j][0], c) for j, c in sorted(relation.items())]
 
 
 def certificate_combination(gens: GeneratorSet, certificate) -> Poly:
-    """Expand a membership certificate back into a polynomial."""
+    """Expand a membership certificate back into a polynomial, in plain `Poly`
+    arithmetic (independent of the elimination and of `_mul`), building each
+    power g_i^e it uses once."""
+    powers: Dict[tuple, Poly] = {}
     total = Poly.zero(gens.layout)
     for exps, c in certificate:
         prod = Poly.constant(gens.layout, c)
         for i, e in enumerate(exps):
             if e:
-                prod = prod * gens.generators[i][0] ** e
+                if (i, e) not in powers:
+                    powers[i, e] = gens.generators[i][0] ** e
+                prod = prod * powers[i, e]
         total = total + prod
     return total
 

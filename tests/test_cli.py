@@ -333,6 +333,20 @@ def test_huge_max_degree_exits_3_at_the_first_capped_degree(tmp_path, capsys, co
     assert err == "error: degree too large (cap monomials=100)\n"
 
 
+def test_compare_refuses_a_capped_degree_before_any_row(tmp_path, capsys, monkeypatch):
+    # total degree 16 is the first over the default cap; no row before it is
+    # computed, so the refusal comes at once
+    def no_rows(*args, **kwargs):
+        raise AssertionError("compare computed rows before refusing")
+
+    monkeypatch.setattr("polinv.cli.compare_graded_dims", no_rows)
+    d4 = write(tmp_path, "d4.json", {"builtin": {"family": "D", "m": 4}})
+    code = main(["compare", d4, "--copies", "2", "--max-degree", "1000000"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (3, "")
+    assert err == f"error: degree too large (cap monomials={DEFAULT_CAPS.monomials})\n"
+
+
 def test_compare_reports_the_d4_gap(tmp_path, capsys):
     d4 = write(tmp_path, "d4.json", {"builtin": {"family": "D", "m": 4}})
     code, out = run(capsys, ["--format", "structured", "compare", d4,

@@ -2,10 +2,15 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polinv.linalg import (Matrix, inverse, mat_mul, power_traces, rank, rref,
+from polinv.groups import builtin_family
+from polinv.linalg import (Matrix, _echelon, inverse, mat_mul, power_traces, rank, rref,
                            solve_in_span, strict_positive_functional)
 from polinv.nullcone import brute_box_functional
+from polinv.polarization import (_digit_width, _packed, _products_for_target, _rows,
+                                 classical_generators, embed_in_copies,
+                                 polarization_generators, wallach_operator)
 from polinv.poly import Poly, VariableLayout
 
 from fraction_rref import fraction_rref
@@ -63,12 +68,21 @@ RREF_EDGE_CASES = [
                       [Q(5 ** 86, 7), 2 ** 201, -1],
                       [3 ** 127, Q(-(2 ** 200), 3), 2 ** 200 - 1]]),
     Matrix.from_rows([[2 ** 200, 2 ** 201], [-(2 ** 200), -(2 ** 201)]]),
+    Matrix.from_rows([[0, 2, 0, -1, 3, 0, 1], [1, 0, 0, 5, 0, "1/3", 0]]),
+    Matrix.from_rows([[1, 2], [3, 4], [0, 0], [5, 6], [-1, "1/2"], [7, 7], [2, 4]]),
+    Matrix.from_rows([[0, 1, 0, 0, 2], [0, 3, 0, 0, -1], [0, -2, 0, 0, 4]]),
+    Matrix.from_rows([[1, 2, 3, 4], [2, 4, 6, 8], [0, 1, 1, 0], [1, 3, 4, 4]]),
+    # [m | I] as `inverse` builds it, for an invertible and a singular m
+    Matrix.from_rows([[2, 1, 0, 1, 0, 0], [1, 3, "1/2", 0, 1, 0], [0, 1, 1, 0, 0, 1]]),
+    Matrix.from_rows([[1, 0, 1, 1, 0, 0], [1, 1, 2, 0, 1, 0], [0, 1, 1, 0, 0, 1]]),
 ]
 
 
 @pytest.mark.parametrize("m", RREF_EDGE_CASES,
                          ids=["0x0", "0x4", "3x0", "zero", "duplicate-rows",
-                              "2^200-entries", "2^200-rank-1"])
+                              "2^200-entries", "2^200-rank-1", "wide", "tall",
+                              "zero-columns", "rank-deficient", "augmented-m-I",
+                              "augmented-singular-m-I"])
 def test_rref_matches_the_fraction_reference_on_edge_cases(m):
     assert rref(m) == fraction_rref(m)
 
@@ -86,11 +100,77 @@ def test_rref_matches_the_fraction_reference_on_random_matrices():
         assert rref(m) == fraction_rref(m), m
 
 
+def _echelon_reference(vectors, dim):
+    """Kept indices and relations read off `fraction_rref` of the matrix whose
+    columns are the vectors: the pivot columns, and for each other column j
+    its nonzero RREF entries keyed by pivot column."""
+    red, _, pivots = fraction_rref(Matrix(dim, len(vectors), tuple(
+        v[i] for i in range(dim) for v in vectors)))
+    relations = {j: {p: red.at(r, j) for r, p in enumerate(pivots) if red.at(r, j)}
+                 for j in range(len(vectors)) if j not in pivots}
+    return pivots, relations
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_echelon_pivot_choice_changes_no_kept_row_or_relation(data):
+    draw = data.draw
+    n_rows, dim = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    entry = st.one_of(st.just(0), st.just(0), st.just(0), st.sampled_from([1, -1]),
+                      st.integers(-7, 7), st.integers(-2 ** 70, 2 ** 70))
+    rows = []
+    for j in range(n_rows):
+        if j >= 2 and draw(st.booleans()):
+            # a row that depends on two earlier ones
+            a, b = draw(st.integers(0, j - 1)), draw(st.integers(0, j - 1))
+            ca, cb = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+            rows.append([ca * x + cb * y for x, y in zip(rows[a], rows[b])])
+        else:
+            rows.append([draw(entry) for _ in range(dim)])
+    for c in range(1, dim):
+        if draw(st.integers(0, 3)) == 0:
+            # a column that repeats an earlier one, up to a factor
+            src, f = draw(st.integers(0, c - 1)), draw(st.sampled_from([1, -1, 2]))
+            for row in rows:
+                row[c] = f * row[src]
+    scales = [draw(st.integers(1, 6)) for _ in rows]
+    vectors = [[Q(x, s) for x in row] for row, s in zip(rows, scales)]
+    expected = _echelon_reference(vectors, dim)
+
+    def eliminate(order, track):
+        return _echelon([({order[c]: x for c, x in enumerate(row) if x}, s)
+                         for row, s in zip(rows, scales)], track=track)
+
+    identity = list(range(dim))
+    assert eliminate(identity, True) == expected
+    assert eliminate(identity, False) == (expected[0], None)
+    shuffled = draw(st.permutations(identity))
+    assert eliminate(shuffled, True) == expected
+
+
+def test_echelon_pins_the_dm_square_certificate_system():
+    # w^2 at bidegree (6,6) against the 154 products of the D_4 polarizations
+    invs = classical_generators("D", 4)
+    gens = polarization_generators(invs, 2, group=builtin_family("D", 4))
+    square = wallach_operator(3, embed_in_copies(invs[3], 2)) ** 2
+    products = _products_for_target(gens, (6, 6), 10 ** 6, 10 ** 6)
+    f_terms, f_scale = _packed(square, _digit_width((6, 6)))
+    rows = _rows([terms for _, terms, _ in products] + [f_terms])
+    scales = [scale for _, _, scale in products] + [f_scale]
+    kept, relations = _echelon(zip(rows, scales), track=True)
+    assert (len(products), len(kept), len(relations[len(products)])) == (154, 111, 42)
+
+
 def test_inverse_roundtrip():
     m = Matrix.from_rows([[1, 2], [3, 4]])
     assert m @ inverse(m) == Matrix.identity(2)
     with pytest.raises(ValueError):
         inverse(Matrix.from_rows([[1, 2], [2, 4]]))
+    # the two [m | I] edge cases above
+    m = Matrix.from_rows([[2, 1, 0], [1, 3, "1/2"], [0, 1, 1]])
+    assert m @ inverse(m) == Matrix.identity(3)
+    with pytest.raises(ValueError):
+        inverse(Matrix.from_rows([[1, 0, 1], [1, 1, 2], [0, 1, 1]]))
 
 
 def test_inverse_of_random_invertible_matrices():

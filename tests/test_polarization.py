@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 from fractions import Fraction as Q
 from math import gcd, lcm
 
@@ -16,6 +17,8 @@ from polinv.polarization import (GeneratorSet, certificate_combination,
                                  polarization_generators, separation_test,
                                  wallach_operator)
 from polinv.polarization import _exponent_tuples, _products_for_target
+
+from unpruned_walk import unpruned_exponent_tuples
 
 L1 = VariableLayout(1, 1)
 X = Poly.variable(L1, 0)
@@ -210,10 +213,55 @@ def test_exponent_tuples_match_a_brute_force_filter():
 
 
 def test_exponent_tuples_solve_the_last_exponent():
-    # x + z = 200 and y + z = 201: one tuple per x, listed without trying
-    # every exponent of (1, 1) for each (x, y) pair
+    # x + z = 200 and y + z = 201: one tuple per x, and the walk enters only
+    # the 201 (x, y) prefixes that complete, not all 201 x 202 of them
     tuples = _exponent_tuples([(1, 0), (0, 1), (1, 1)], (200, 201), 201)
     assert tuples == [(x, x + 1, 200 - x) for x in range(201)]
+
+
+def _walk(degrees, target, cap=10 ** 6):
+    """(tuples, calls): `_exponent_tuples` and the number of calls its inner
+    walk makes, counted with a profile hook."""
+    calls = 0
+
+    def hook(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec":
+            calls += 1
+
+    sys.setprofile(hook)
+    try:
+        tuples = _exponent_tuples(degrees, target, cap)
+    finally:
+        sys.setprofile(None)
+    return tuples, calls
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_pruned_walk_matches_the_unpruned_walk_on_polarization_degrees(m):
+    gens = polarization_generators(classical_generators("D", m), 2)
+    degrees = [deg for _, deg in gens.generators]
+    for target in itertools.product(range(8), repeat=2):
+        expected = unpruned_exponent_tuples(degrees, target, 10 ** 6)
+        tuples, calls = _walk(degrees, target)
+        assert tuples == expected, target
+        # every prefix the walk enters completes
+        assert calls <= 1 + len(tuples) * len(degrees), target
+    # the span_products cap refuses at the same tuple count
+    expected = unpruned_exponent_tuples(degrees, (6, 6), 10 ** 6)
+    assert _exponent_tuples(degrees, (6, 6), len(expected)) == expected
+    for walk in (_exponent_tuples, unpruned_exponent_tuples):
+        with pytest.raises(CapExceededError):
+            walk(degrees, (6, 6), len(expected) - 1)
+
+
+def test_pruned_walk_on_large_targets():
+    degrees = [(1, 0), (0, 1), (1, 1)]
+    assert (_exponent_tuples(degrees, (200, 201), 10 ** 6)
+            == unpruned_exponent_tuples(degrees, (200, 201), 10 ** 6))
+    # no tuple reaches an odd first degree: the walk enters no prefix
+    assert _walk([(2, 0), (0, 2)], (1001, 1000)) == ([], 1)
+    assert _walk([(2, 0), (0, 2), (2, 2)], (1001, 1000)) == ([], 1)
 
 
 def test_monotone_span_under_redundant_generators():
