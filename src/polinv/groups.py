@@ -168,7 +168,11 @@ def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> Ma
 
 @dataclass(frozen=True)
 class DiagonalAction:
-    """A group acting identically on each block of a layout (the action on V^n)."""
+    """A group acting identically on each block of a layout (the action on V^n).
+
+    The substitution that a `Matrix` element acts by is built once per
+    element and kept on the action, so repeated `act` calls share it.
+    """
 
     group: MatrixGroup
     layout: VariableLayout
@@ -176,6 +180,19 @@ class DiagonalAction:
     def __post_init__(self):
         if self.layout.vars_per_block != self.group.dimension:
             raise ValueError("layout block size must equal the group dimension")
+
+    @cached_property
+    def _images(self) -> dict:
+        """`Matrix` element -> its `_substitution_images` on this layout."""
+        return {}
+
+    def _images_of(self, g: Matrix) -> dict:
+        """`_substitution_images(g, layout)`, built (one `inverse`) on the
+        first call for g and kept on this action."""
+        images = self._images.get(g)
+        if images is None:
+            images = self._images[g] = _substitution_images(g, self.layout)
+        return images
 
 
 def _substitution_images(g: Matrix, layout: VariableLayout):
@@ -201,7 +218,7 @@ def act(g: Element, p: Poly, action: DiagonalAction) -> Poly:
     if p.layout != action.layout:
         raise ValueError("polynomial layout does not match the action")
     if isinstance(g, Matrix):
-        return p.substitute(_substitution_images(g, action.layout))
+        return p.substitute(action._images_of(g))
     src, odd = _layout_map(g, action.layout)
     terms = {}
     for e, c in p._terms.items():
@@ -234,7 +251,7 @@ def reynolds(p: Poly, action: DiagonalAction) -> Poly:
     signed, images = [], []
     for g in action.group.elements:
         if isinstance(g, Matrix):
-            images.append(_substitution_images(g, action.layout))
+            images.append(action._images_of(g))
         else:
             signed.append(_layout_map(g, action.layout))
     sums: dict = {}  # zero sums are dropped by the Poly constructor

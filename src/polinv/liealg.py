@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
@@ -262,19 +263,41 @@ def so5_pol2_generators() -> List[Poly]:
 
 
 def jacobian_rank(polys: Sequence[Poly], point: Sequence) -> int:
-    """Rank of the matrix of partial derivatives evaluated at the point."""
+    """Rank of the matrix of partial derivatives evaluated at the point.
+
+    Row r is read straight off the terms of polys[r]: the term c*x^e adds
+    c*e_j*x^(e - 1_j) to column j.  With the point written as n/D over a
+    common denominator D, the row is computed in integers times the lcm of
+    the coefficient denominators and D^deg (deg the total degree of the
+    polynomial); scaling a row by a nonzero number keeps the rank.
+    """
     if not polys:
         return 0
     layout = polys[0].layout
     if len(point) != layout.total:
         raise ValueError("point length does not match the variable count")
     point = [frac(x) for x in point]
+    D = lcm(*[x.denominator for x in point])
+    nums = [x.numerator * (D // x.denominator) for x in point]
+    top = max((k for p in polys for e in p._terms for k in e), default=0)
+    powers = [[n ** k for k in range(top + 1)] for n in nums]  # powers[v][k] = n_v^k
     rows = []
     for p in polys:
         if p.layout != layout:
             raise ValueError("layout mismatch")
-        rows.append([p.derivative(j).evaluate(point) for j in range(layout.total)])
-    return rank(Matrix.from_rows(rows))
+        terms, _ = _integer_terms(p._terms)
+        deg = p.total_degree()
+        row: dict = {}
+        for e, c in terms.items():
+            support = [v for v, k in enumerate(e) if k]
+            c *= D ** (deg + 1 - sum(e))
+            for j in support:
+                x = c * e[j]
+                for v in support:
+                    x *= powers[v][e[v] - (v == j)]
+                row[j] = row.get(j, 0) + x
+        rows.append(({j: x for j, x in row.items() if x}, 1))
+    return len(_echelon(rows)[0])
 
 
 def generic_orbit_dimension(alg: LieAlgebraBasis, point: Sequence[Matrix]) -> int:

@@ -10,7 +10,10 @@ with `_integer_row` (each vector scaled by the lcm of its denominators);
 integers.  Rows are combined as b*r - a*k, pivots are sparse +-1 entries
 where they exist, and the gcd content is divided out after every step that
 scaled a row, so entries stay small integers and no Fraction is built
-until the final coefficients.  `mat_mul` is the one matrix product, for
+until the final coefficients.  When relations are asked for, each row
+carries its integer combination of the inputs over one denominator of its
+own, so a tracked row is divided by its content and pivoted exactly as an
+untracked row is.  `mat_mul` is the one matrix product, for
 rational or `Poly` entries; `power_traces` yields tr(A^k) through it for
 the Molien count in `groups` and the nilpotency test in `nullcone`.  There
 is no floating point anywhere in this module; every answer is exact.
@@ -145,30 +148,35 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
     remains, so the kept indices are the lex-first independent vectors: the
     pivot columns of the RREF of the matrix whose columns are the v_j.
 
-    Pivots follow Markowitz: a kept row is made primitive (with its
-    combination), takes a column where its entry is +-1 if it has one, the
-    one fewest input rows touch (ties to the lowest index), and is
-    sign-normalized to a positive pivot.  A step with b = 1 only subtracts
-    a*k, so the content gcd is divided out only after steps with b != 1.
-    The pivot columns change no answer: v_j is kept iff it is outside the
-    span of the vectors before it, and a relation writes v_j in the kept
-    vectors before it, which are independent, so it is unique.
+    Pivots follow Markowitz: a kept row is made primitive, takes a column
+    where its entry is +-1 if it has one, the one fewest input rows touch
+    (ties to the lowest index), and is sign-normalized to a positive pivot.
+    A step with b = 1 only subtracts a*k, so the content gcd is divided out
+    only after steps with b != 1.  The pivot columns change no answer: v_j
+    is kept iff it is outside the span of the vectors before it, and a
+    relation writes v_j in the kept vectors before it, which are
+    independent, so it is unique.
 
     Returns (kept, relations).  With `track`, every row also carries its
-    integer combination of the input rows, and `relations` maps each index j
-    not kept to {i: c_i}, Fractions with v_j = sum_i c_i * v_i over the kept
-    i < j (unscaled vectors).  Otherwise `relations` is None.
+    integer combination of the input rows and a denominator q > 0 with
+    q * row = sum_i combination_i * (input row i), brought to lowest terms
+    whenever the row is divided.  The row alone is divided by its content
+    (q takes the factor), so the rows, pivots and row arithmetic are those
+    of the untracked elimination.
+    `relations` maps each index j not kept to {i: c_i}, Fractions with
+    v_j = sum_i c_i * v_i over the kept i < j (unscaled vectors).  Without
+    `track`, `relations` is None.
     """
     rows = list(rows)
     touches = Counter(c for row, _ in rows for c in row)
-    pivots = []  # (pivot column, row, combination), in the order kept
+    pivots = []  # (pivot column, row, combination, denominator), in the order kept
     position = {}  # pivot column -> index in pivots
     meets = []  # meets[i]: the later indices whose pivot column kept row i holds
     holders = defaultdict(list)  # column -> indices of the kept rows holding it
     kept = []
     relations = {} if track else None
     for j, (row, d) in enumerate(rows):
-        combo = {j: 1} if track else {}
+        combo, q = ({j: 1} if track else None), 1
         todo = [t for t in map(position.get, row) if t is not None]
         heapify(todo)
         last = -1
@@ -177,42 +185,39 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
             if i == last:
                 continue
             last = i
-            p, prow, pcombo = pivots[i]
+            p, prow, pcombo, pq = pivots[i]
             a = row.get(p)
             if a is None:
                 continue
             b = prow[p]
             g = gcd(a, b)
             a, b = a // g, b // g
-            for vec, other in ((row, prow), (combo, pcombo)):
-                if b != 1:
-                    for c in vec:
-                        vec[c] *= b
-                for c, y in other.items():
-                    x = vec.get(c, 0) - a * y
-                    if x:
-                        vec[c] = x
-                    else:
-                        del vec[c]
+            _sub_scaled(row, b, prow, a)
+            if track:
+                # q*row = combo.inputs and pq*prow = pcombo.inputs, so
+                # l*(b*row - a*prow) = (b*l/q)*combo - (a*l/pq)*pcombo
+                l = lcm(q, pq)
+                _sub_scaled(combo, b * (l // q), pcombo, a * (l // pq))
+                q = l
             if not row:
                 break
             if b != 1:
-                _divide((row, combo), gcd(*row.values(), *combo.values()))
+                q = _primitive(row, combo, q, gcd(*row.values()))
             if meets[i]:
                 todo += meets[i]
                 heapify(todo)
         if row:
-            g = gcd(*row.values(), *combo.values())
+            g = gcd(*row.values())
             units = [c for c, x in row.items() if x == g or x == -g]
             p = min((touches[c], c) for c in units or row)[1]
-            _divide((row, combo), g if row[p] > 0 else -g)
+            q = _primitive(row, combo, q, g if row[p] > 0 else -g)
             t = len(pivots)
             for i in holders[p]:
                 meets[i].append(t)
             for c in row:
                 holders[c].append(t)
             position[p] = t
-            pivots.append((p, row, combo))
+            pivots.append((p, row, combo, q))
             meets.append([])
             kept.append(j)
         elif track:
@@ -221,12 +226,34 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
     return kept, relations
 
 
-def _divide(vecs, g: int) -> None:
-    """Divide every entry of the dicts `vecs` by g, which divides them all."""
+def _sub_scaled(vec: dict, x: int, other: dict, y: int) -> None:
+    """vec <- x*vec - y*other in place, dropping zero entries."""
+    if x != 1:
+        for c in vec:
+            vec[c] *= x
+    for c, v in other.items():
+        s = vec.get(c, 0) - y * v
+        if s:
+            vec[c] = s
+        else:
+            del vec[c]
+
+
+def _primitive(row: dict, combo: Optional[dict], q: int, g: int) -> int:
+    """Divide `row` by g, which divides it, and return the denominator that
+    keeps q*row = combo.inputs, with (combo, q) in lowest terms and q > 0.
+    Without a combination (`combo` None) q is returned unchanged."""
     if g != 1:
-        for vec in vecs:
-            for c in vec:
-                vec[c] //= g
+        for c in row:
+            row[c] //= g
+    if combo is None:
+        return q
+    q *= abs(g)
+    h = gcd(q, *combo.values()) if g > 0 else -gcd(q, *combo.values())
+    if h != 1:
+        for c in combo:
+            combo[c] //= h
+    return q // abs(h)
 
 
 def mat_mul(rows: Sequence[Sequence], columns: Sequence[Sequence], zero=0) -> list:

@@ -13,13 +13,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
-from .poly import Poly, VariableLayout, glex_key, is_scalar_multiple, multidegrees
+from .poly import Poly, VariableLayout, _int_mul, glex_key, is_scalar_multiple, multidegrees
 
 Q = Fraction
 
@@ -334,20 +335,50 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
 
 
 def certificate_combination(gens: GeneratorSet, certificate) -> Poly:
-    """Expand a membership certificate back into a polynomial, in plain `Poly`
-    arithmetic (independent of the elimination and of `_mul`), building each
-    power g_i^e it uses once."""
-    powers: Dict[tuple, Poly] = {}
-    total = Poly.zero(gens.layout)
+    """Expand a membership certificate [(exponent tuple, c), ...] into the
+    polynomial sum c * prod_i g_i^{e_i}.
+
+    The check is independent of how the certificate was found: it uses
+    neither the elimination (`_echelon`) nor the packed-key product (`_mul`),
+    only `poly._int_mul` on exponent tuples.  Each generator g_i is scaled
+    once to d_i * g_i with integer coefficients, each power it uses is built
+    once, the products are summed in Python ints over one common
+    denominator, and one Fraction is made per output term.
+    """
+    layout = gens.layout
+    scaled = [_integer_terms(g._terms) for g, _ in gens.generators]
+    powers: Dict[int, Dict[int, tuple]] = {}  # i -> {e: (terms, scale) of (d_i g_i)^e}
+
+    def power(i: int, e: int) -> tuple:
+        kept = powers.setdefault(i, {1: scaled[i]})
+        got = kept.get(e)
+        if got is None:
+            k = max(k for k in kept if k < e)
+            (terms, scale), (base, d) = kept[k], scaled[i]
+            for _ in range(e - k):
+                terms, scale = _int_mul(terms, base), scale * d
+            got = kept[e] = (terms, scale)
+        return got
+
+    parts = []  # (numerator, denominator, integer product) per certificate entry
     for exps, c in certificate:
-        prod = Poly.constant(gens.layout, c)
+        c = Q(c)
+        terms, den = None, c.denominator
         for i, e in enumerate(exps):
             if e:
-                if (i, e) not in powers:
-                    powers[i, e] = gens.generators[i][0] ** e
-                prod = prod * powers[i, e]
-        total = total + prod
-    return total
+                factor, scale = power(i, e)
+                terms = factor if terms is None else _int_mul(terms, factor)
+                den *= scale
+        if terms is None:
+            terms = {(0,) * layout.total: 1}
+        parts.append((c.numerator, den, terms))
+    common = lcm(*[den for _, den, _ in parts])
+    total: Dict[tuple, int] = {}
+    for num, den, terms in parts:
+        k = num * (common // den)
+        for e, x in terms.items():
+            total[e] = total.get(e, 0) + k * x
+    return Poly._trusted(layout, {e: Q(x, common) for e, x in total.items() if x})
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
-from .linalg import frac
+from .linalg import _integer_terms, frac
 
 Q = Fraction
 
@@ -210,22 +211,20 @@ class Poly:
         return (-self) + other
 
     def __mul__(self, other):
+        """Exact product.  Each operand is scaled once to integer coefficients
+        (by the lcm of its denominators), the scaled operands are multiplied
+        in Python ints by `_int_mul`, and each surviving term is divided by
+        the product of the two scales: one Fraction per output term."""
         if not isinstance(other, Poly):
             c = frac(other)
             if c == 0:
                 return Poly.zero(self.layout)
             return Poly._trusted(self.layout, {e: c * v for e, v in self._terms.items()})
         self._check_layout(other)
-        terms: Dict[tuple, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Q(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Poly._trusted(self.layout, terms)
+        a, da = _integer_terms(self._terms)
+        b, db = _integer_terms(other._terms)
+        d = da * db
+        return Poly._trusted(self.layout, {e: Q(c, d) for e, c in _int_mul(a, b).items()})
 
     __rmul__ = __mul__
 
@@ -326,6 +325,20 @@ class Poly:
                     v *= x ** k
             total += v
         return total
+
+
+def _int_mul(a: Dict[tuple, int], b: Dict[tuple, int]) -> Dict[tuple, int]:
+    """Product of two integer polynomials on exponent tuples; zero sums are dropped."""
+    if len(a) < len(b):
+        a, b = b, a
+    out: Dict[tuple, int] = {}
+    get = out.get
+    a_items = a.items()
+    for eb, cb in b.items():
+        for ea, ca in a_items:
+            e = tuple(map(add, ea, eb))
+            out[e] = get(e, 0) + ca * cb
+    return {e: c for e, c in out.items() if c}
 
 
 def is_scalar_multiple(p: Poly, q: Poly) -> bool:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction as Q
 
 import pytest
 
@@ -280,6 +281,50 @@ def test_jacobian_rank_bounded():
     for _ in range(3):
         point = [rng.randint(-9, 9) for _ in range(20)]
         assert jacobian_rank(gens, point) <= 8
+
+
+def _jacobian_rank_reference(polys, point):
+    """Rank of [d p / d x_j (point)] from `derivative().evaluate()` and the
+    Fraction RREF."""
+    rows = [[p.derivative(j).evaluate(point) for j in range(p.layout.total)] for p in polys]
+    return fraction_rref(Matrix.from_rows(rows))[1]
+
+
+def test_jacobian_rank_matches_the_derivative_reference():
+    rng = random.Random(77)
+    L = VariableLayout(2, 2)
+
+    def rand_poly():
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            e = tuple(rng.randint(0, 3) for _ in range(L.total))
+            terms[e] = Q(rng.randint(-6, 6), rng.randint(1, 5))
+        return Poly(L, terms)
+
+    def rand_point():
+        return [rng.choice((0, rng.randint(-4, 4), Q(rng.randint(-9, 9), rng.randint(1, 7))))
+                for _ in range(L.total)]
+
+    ranks = set()
+    for _ in range(60):
+        point = rand_point()
+        polys = [rand_poly() for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.4:  # a product: its gradient lies in the span of the others
+            polys.append(polys[0] * polys[-1])
+        if rng.random() < 0.4:
+            # (x_j - a_j)(x_k - a_k) q vanishes to second order at the point a,
+            # so its gradient there is zero
+            j, k = rng.randrange(L.total), rng.randrange(L.total)
+            shifted = [Poly.variable(L, v) - point[v] for v in (j, k)]
+            polys.append(shifted[0] * shifted[1] * (rand_poly() + 1))
+        want = _jacobian_rank_reference(polys, point)
+        assert jacobian_rank(polys, point) == want, (polys, point)
+        ranks.add(want)
+    assert ranks == {0, 1, 2, 3, 4}
+    gens = so5_pol2_generators()
+    point = [Q(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(20)]
+    assert any(x.denominator > 1 for x in point)
+    assert jacobian_rank(gens, point) == _jacobian_rank_reference(gens, point) == 8
 
 
 def test_orbit_dimension_examples():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as Q
 
@@ -111,10 +112,9 @@ def _echelon_reference(vectors, dim):
     return pivots, relations
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(data=st.data())
-def test_echelon_pivot_choice_changes_no_kept_row_or_relation(data):
-    draw = data.draw
+def _draw_system(draw):
+    """Integer rows (lists of one length) and positive scales: some rows
+    depend on two earlier ones, some columns repeat an earlier one."""
     n_rows, dim = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     entry = st.one_of(st.just(0), st.just(0), st.just(0), st.sampled_from([1, -1]),
                       st.integers(-7, 7), st.integers(-2 ** 70, 2 ** 70))
@@ -134,6 +134,13 @@ def test_echelon_pivot_choice_changes_no_kept_row_or_relation(data):
             for row in rows:
                 row[c] = f * row[src]
     scales = [draw(st.integers(1, 6)) for _ in rows]
+    return rows, scales, dim
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_echelon_pivot_choice_changes_no_kept_row_or_relation(data):
+    rows, scales, dim = _draw_system(data.draw)
     vectors = [[Q(x, s) for x in row] for row, s in zip(rows, scales)]
     expected = _echelon_reference(vectors, dim)
 
@@ -144,8 +151,31 @@ def test_echelon_pivot_choice_changes_no_kept_row_or_relation(data):
     identity = list(range(dim))
     assert eliminate(identity, True) == expected
     assert eliminate(identity, False) == (expected[0], None)
-    shuffled = draw(st.permutations(identity))
+    shuffled = data.draw(st.permutations(identity))
     assert eliminate(shuffled, True) == expected
+
+
+def _tracked_and_untracked(rows, scales):
+    """Both eliminations of the same sparse rows, each on its own copies:
+    ((kept, relations, reduced rows) tracked, (kept, reduced rows) untracked)."""
+    tracked, untracked = [dict(r) for r in rows], [dict(r) for r in rows]
+    kept, relations = _echelon(zip(tracked, scales), track=True)
+    kept_u, none = _echelon(zip(untracked, scales))
+    assert none is None
+    return (kept, relations, tracked), (kept_u, untracked)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_tracking_changes_no_row_of_the_elimination(data):
+    # the combination carries its own denominator, so a tracked row is
+    # divided and pivoted exactly as the untracked row: the kept indices
+    # and every reduced row dict are the same
+    rows, scales, _ = _draw_system(data.draw)
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    (kept, _, tracked), (kept_u, untracked) = _tracked_and_untracked(sparse, scales)
+    assert kept == kept_u
+    assert tracked == untracked
 
 
 def test_echelon_pins_the_dm_square_certificate_system():
@@ -157,8 +187,15 @@ def test_echelon_pins_the_dm_square_certificate_system():
     f_terms, f_scale = _packed(square, _digit_width((6, 6)))
     rows = _rows([terms for _, terms, _ in products] + [f_terms])
     scales = [scale for _, _, scale in products] + [f_scale]
-    kept, relations = _echelon(zip(rows, scales), track=True)
-    assert (len(products), len(kept), len(relations[len(products)])) == (154, 111, 42)
+    (kept, relations, tracked), (kept_u, untracked) = _tracked_and_untracked(rows, scales)
+    relation = relations[len(products)]
+    assert (len(products), len(kept), len(relation)) == (154, 111, 42)
+    # the 42 certificate coefficients, as "index:coefficient" joined by ";"
+    text = ";".join(f"{j}:{c}" for j, c in sorted(relation.items()))
+    assert text.startswith("5:1/120;6:-16/675;7:5/54;")
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d6c1d8f0460f5cd0e953aca371b240da8d8fde0c9de727535dc9cab17b3cb5e3")
+    assert (kept, tracked) == (kept_u, untracked)
 
 
 def test_inverse_roundtrip():

@@ -6,6 +6,7 @@ from math import gcd, lcm
 
 import pytest
 
+from polinv import polarization
 from polinv.groups import DiagonalAction, builtin_family, is_invariant
 from polinv.limits import CapExceededError
 from polinv.linalg import Matrix, rank, solve_in_span
@@ -18,6 +19,7 @@ from polinv.polarization import (GeneratorSet, certificate_combination,
                                  wallach_operator)
 from polinv.polarization import _exponent_tuples, _products_for_target
 
+from fraction_product import fraction_product
 from unpruned_walk import unpruned_exponent_tuples
 
 L1 = VariableLayout(1, 1)
@@ -351,12 +353,21 @@ def _reference_products(gens, target):
                       for b in range(len(target)))
         if total != tuple(target):
             continue
-        prod = Poly.constant(gens.layout, 1)
-        for (g, _), e in zip(gens.generators, exps):
-            if e:
-                prod = prod * g ** e
-        out.append((exps, prod))
+        out.append((exps, _fraction_combination(gens, [(exps, 1)])))
     return out
+
+
+def _fraction_combination(gens, certificate):
+    """sum c * prod_i g_i^{e_i} over the certificate, by `fraction_product`
+    and `Poly` addition."""
+    total = Poly.zero(gens.layout)
+    for exps, c in certificate:
+        term = Poly.constant(gens.layout, c)
+        for (g, _), e in zip(gens.generators, exps):
+            for _ in range(e):
+                term = fraction_product(term, g)
+        total = total + term
+    return total
 
 
 def _dense_vectors(polys):
@@ -431,6 +442,44 @@ def test_integer_products_match_the_fraction_reference():
                     members += 1
                     assert certificate_combination(gens, want) == candidate
     assert members >= 10 and non_members >= 5
+
+
+def test_certificate_combination_matches_the_fraction_reconstruction(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the certificate check must not use the elimination or _mul")
+
+    # the check stays independent of the route that found the certificate
+    for name in ("_echelon", "_mul", "_products_for_target"):
+        monkeypatch.setattr(polarization, name, forbidden)
+    rng = random.Random(17)
+    layout = copies_layout(2, 2)
+    generator_sets = [polarization_generators(classical_generators("B", 2), 2)]
+    generator_sets += [_non_primitive_generators(rng, layout, [(1, 0), (0, 1), (1, 1), (2, 0),
+                                                               (2, 1), (0, 2)])
+                       for _ in range(4)]
+    cancelled = 0
+    for gens in generator_sets:
+        empty = certificate_combination(gens, [])
+        assert empty.is_zero() and empty.layout == gens.layout
+        n = len(gens.generators)
+        for _ in range(10):
+            certificate = []
+            for _ in range(rng.randint(1, 5)):
+                exps = [0] * n
+                for i in rng.sample(range(n), rng.randint(0, 3)):  # 0: the constant product
+                    exps[i] = rng.randint(1, 2)
+                c = rng.choice((Q(0), Q(rng.randint(-9, 9)),
+                                Q(rng.randint(-99, 99), rng.randint(1, 60))))
+                certificate.append((tuple(exps), c))
+            if rng.random() < 0.3:
+                # the first product once more with the opposite coefficient: its
+                # terms cancel to zero
+                certificate.append((certificate[0][0], -certificate[0][1]))
+                cancelled += 1
+            got = certificate_combination(gens, certificate)
+            assert got == _fraction_combination(gens, certificate), certificate
+            assert all(type(v) is Q and v for v in got._terms.values())
+    assert cancelled >= 5
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@ import random
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polinv.poly import (Poly, VariableLayout, compositions, glex_key,
                          homogeneous_bivariate_gcd, is_scalar_multiple, multidegrees,
                          parse_poly, poly_to_string)
+
+from fraction_product import fraction_product
 
 L2 = VariableLayout(1, 2)
 X = Poly.variable(L2, 0)
@@ -48,6 +51,30 @@ def test_ring_axioms_spot_check():
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
+
+
+L22 = VariableLayout(2, 2)
+COEFFS = st.one_of(st.integers(-5, 5).map(Q),
+                   st.builds(Q, st.integers(-9, 9), st.integers(1, 12)),
+                   st.builds(Q, st.integers(-2 ** 70, 2 ** 70), st.integers(1, 2 ** 40)))
+# exponents in a small box, so products of different term pairs collide
+POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * L22.total), COEFFS,
+                        max_size=6).map(lambda terms: Poly(L22, terms))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(p=POLYS, q=POLYS, c=COEFFS)
+def test_product_matches_the_fraction_reference(p, q, c):
+    # p times p with alternating signs cancels cross terms, as (a+b)(a-b) does
+    alternating = Poly(L22, {e: v if k % 2 else -v for k, (e, v) in enumerate(p.terms())})
+    zero, constant = Poly.zero(L22), Poly.constant(L22, c)
+    for a, b in ((p, q), (q, p), (p, alternating), (p, zero), (zero, q),
+                 (constant, q), (p, constant), (constant, constant)):
+        product = a * b
+        assert product == fraction_product(a, b)
+        assert all(type(v) is Q and v for v in product._terms.values())
+    with pytest.raises(ValueError):
+        p * Poly.zero(VariableLayout(1, 4))
 
 
 def test_substitute_shift():
