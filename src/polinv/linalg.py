@@ -4,19 +4,21 @@ Matrix entries are `fractions.Fraction` values, which Python keeps reduced
 to lowest terms with a positive denominator.  The one elimination kernel is
 `_echelon`, fraction-free integer elimination (in the style of Bareiss) on
 `(row, scale)` pairs: a sparse {column: int} row that is `scale` times the
-vector it stands for.  `rank`, `rref` and `solve_in_span` build these pairs
-with `_integer_row` (each vector scaled by the lcm of its denominators);
-`polarization` passes generator products it already expanded over the
-integers.  Rows are combined as b*r - a*k, pivots are sparse +-1 entries
-where they exist, and the gcd content is divided out after every step that
-scaled a row, so entries stay small integers and no Fraction is built
-until the final coefficients.  When relations are asked for, each row
-carries its integer combination of the inputs over one denominator of its
-own, so a tracked row is divided by its content and pivoted exactly as an
-untracked row is.  `mat_mul` is the one matrix product, for
-rational or `Poly` entries; `power_traces` yields tr(A^k) through it for
-the Molien count in `groups` and the nilpotency test in `nullcone`.  There
-is no floating point anywhere in this module; every answer is exact.
+vector it stands for, its columns any int keys.  `rank`, `rref` and
+`solve_in_span` build these pairs with `_integer_row` (each vector scaled by
+the lcm of its denominators, columns its positions); `polarization` passes
+generator products it already expanded over the integers, with their packed
+exponent keys as the columns.  Rows are combined as b*r - a*k, pivots are
+sparse +-1 entries where they exist, and the gcd content is divided out
+after every step that scaled a row, so entries stay small integers and no
+Fraction is built until the final coefficients.  When relations are asked
+for, each row carries its integer combination of the inputs over one
+denominator of its own, so a tracked row is divided by its content and
+pivoted exactly as an untracked row is.  `mat_mul` is the one matrix
+product, for rational or `Poly` entries; `power_traces` yields tr(A^k)
+through it for the Molien count in `groups` and the nilpotency test in
+`nullcone`.  There is no floating point anywhere in this module; every
+answer is exact.
 """
 
 from __future__ import annotations
@@ -138,23 +140,24 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
     """Fraction-free sparse elimination of scaled integer rows, taken in order.
 
     Each entry of `rows` is a pair (row, scale): a sparse {column: int} row
-    equal to `scale` times the vector v_j it stands for (see `_integer_row`).
-    The row dicts are reduced in place.  A row r is reduced against the kept
-    rows in the order they were kept, visiting only those whose pivot column
-    r holds (a heap of kept indices, fed from `meets` as fill-in appears):
-    for a kept row k with pivot column p, a = r[p] and b = k[p] (divided by
-    their gcd), r becomes b*r - a*k.  A kept row is zero at every earlier
-    pivot, so this clears every pivot of r.  A row is kept when a nonzero row
-    remains, so the kept indices are the lex-first independent vectors: the
-    pivot columns of the RREF of the matrix whose columns are the v_j.
+    equal to `scale` times the vector v_j it stands for (see `_integer_row`);
+    the columns may be any int keys.  The row dicts are reduced in place.  A
+    row r is reduced against the kept rows in the order they were kept,
+    visiting only those whose pivot column r holds (a heap of kept indices,
+    fed from `meets` as fill-in appears): for a kept row k with pivot column
+    p, a = r[p] and b = k[p] (divided by their gcd), r becomes b*r - a*k.  A
+    kept row is zero at every earlier pivot, so this clears every pivot of r.
+    A row is kept when a nonzero row remains, so the kept indices are the
+    lex-first independent vectors: the pivot columns of the RREF of the
+    matrix whose columns are the v_j.
 
     Pivots follow Markowitz: a kept row is made primitive, takes a column
     where its entry is +-1 if it has one, the one fewest input rows touch
-    (ties to the lowest index), and is sign-normalized to a positive pivot.
-    A step with b = 1 only subtracts a*k, so the content gcd is divided out
-    only after steps with b != 1.  The pivot columns change no answer: v_j
-    is kept iff it is outside the span of the vectors before it, and a
-    relation writes v_j in the kept vectors before it, which are
+    (ties to the lowest column key), and is sign-normalized to a positive
+    pivot.  A step with b = 1 only subtracts a*k, so the content gcd is
+    divided out only after steps with b != 1.  The pivot columns change no
+    answer: v_j is kept iff it is outside the span of the vectors before it,
+    and a relation writes v_j in the kept vectors before it, which are
     independent, so it is unique.
 
     Returns (kept, relations).  With `track`, every row also carries its

@@ -18,9 +18,10 @@ from math import lcm
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .limits import DEFAULT_SEED
+from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import Matrix, frac, power_traces, strict_positive_functional
 from .poly import Poly, VariableLayout, homogeneous_bivariate_gcd
+from .reports import check, make_report
 
 Q = Fraction
 
@@ -366,8 +367,7 @@ def _random_vector(rng: random.Random, ncoords: int) -> tuple:
     return tuple(out)
 
 
-def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
-                  vectors_per_system: int = 20, subspaces_per_system: int = 3) -> dict:
+def certify_torus(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
     """Torus nullcone certificates on seeded random weight systems.
 
     For every system the decision procedure is compared with the exhaustive
@@ -375,10 +375,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps=None, systems: int = 50,
     support; and random planes whose probes all stay in the nullcone must
     admit one common positive cocharacter (and conversely).
     """
-    from .limits import DEFAULT_CAPS
-    from .reports import check, make_report
-
-    caps = caps or DEFAULT_CAPS
+    systems, vectors_per_system, subspaces_per_system = 50, 20, 3
     box_bound = 20
     rng = random.Random(seed)
     vector_queries = 0

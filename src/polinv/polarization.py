@@ -21,6 +21,7 @@ from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
 from .poly import Poly, VariableLayout, _int_mul, glex_key, is_scalar_multiple, multidegrees
+from .reports import check, make_report
 
 Q = Fraction
 
@@ -78,13 +79,16 @@ class GeneratorSet:
 
 @dataclass(frozen=True)
 class GradedSpan:
-    """One graded piece of the polarization algebra: its dimension, and as a
-    basis the lex-first independent generator products (in the exponent-tuple
-    order of `_exponent_tuples`), each expanded as a Poly."""
+    """One graded piece of the polarization algebra.  Its basis is the
+    exponent tuples of the lex-first independent generator products (in the
+    order of `_exponent_tuples`), so its dimension is their number."""
 
     multidegree: tuple
-    basis: Tuple[Poly, ...]
-    dimension: int
+    basis: Tuple[tuple, ...]
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 def polarization_generators(invariant_gens: Sequence[Poly], n: int,
@@ -202,11 +206,6 @@ def _pack(exps: Sequence[int], width: int) -> int:
     return key
 
 
-def _unpack(key: int, width: int, nvars: int) -> tuple:
-    mask = (1 << width) - 1
-    return tuple((key >> (width * (nvars - 1 - v))) & mask for v in range(nvars))
-
-
 def _packed(p: Poly, width: int) -> Tuple[Dict[int, int], int]:
     """(terms, d): d*p on packed keys with int coefficients, d the lcm of its denominators."""
     return _integer_terms({_pack(e, width): c for e, c in p._terms.items()})
@@ -241,6 +240,8 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
     packed support of a polynomial to be tested against the span) and the
     supports of the finished products, and is checked as each product
     finishes; partial products, which can still cancel, are not counted.
+    Every `terms` is a fresh dict that no cached power shares, so the callers
+    hand them to `_echelon`, which reduces them in place.
     """
     degrees = [deg for _, deg in gens.generators]
     tuples = _exponent_tuples(degrees, tuple(target), cap)
@@ -280,31 +281,15 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
     return products
 
 
-def _rows(term_maps: Sequence[Dict[int, int]]) -> List[Dict[int, int]]:
-    """Re-key packed integer polynomials by column, the union of their supports
-    in graded-lex descending order."""
-    support = set()
-    for terms in term_maps:
-        support.update(terms)
-    index = {key: i for i, key in enumerate(sorted(support, reverse=True))}
-    return [{index[key]: c for key, c in terms.items()} for terms in term_maps]
-
-
 def graded_span_basis(gens: GeneratorSet, target: Sequence[int],
                       cap: int = DEFAULT_CAPS.span_products,
                       monomial_cap: int = DEFAULT_CAPS.monomials) -> GradedSpan:
-    """Dimension of the graded piece spanned by generator products, with a basis."""
+    """The graded piece spanned by generator products, as the exponent tuples
+    of its lex-first independent products."""
     target = tuple(target)
     products = _products_for_target(gens, target, cap, monomial_cap)
-    rows = _rows([terms for _, terms, _ in products])
-    kept, _ = _echelon(zip(rows, (scale for _, _, scale in products)))
-    width, nvars = _digit_width(target), gens.layout.total
-    basis = []
-    for j in kept:
-        _, terms, scale = products[j]
-        basis.append(Poly._trusted(gens.layout, {_unpack(key, width, nvars): Q(c, scale)
-                                                 for key, c in terms.items()}))
-    return GradedSpan(target, tuple(basis), len(kept))
+    kept, _ = _echelon((terms, scale) for _, terms, scale in products)
+    return GradedSpan(target, tuple(products[j][0] for j in kept))
 
 
 def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_products,
@@ -326,9 +311,8 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
         raise ValueError("membership needs a multihomogeneous polynomial")
     f_terms, f_scale = _packed(f, _digit_width(deg))
     products = _products_for_target(gens, deg, cap, monomial_cap, f_terms)
-    rows = _rows([terms for _, terms, _ in products] + [f_terms])
-    scales = [scale for _, _, scale in products] + [f_scale]
-    relation = _echelon(zip(rows, scales), track=True)[1].get(len(products))
+    rows = [(terms, scale) for _, terms, scale in products] + [(f_terms, f_scale)]
+    relation = _echelon(rows, track=True)[1].get(len(products))
     if relation is None:
         return None
     return [(products[j][0], c) for j, c in sorted(relation.items())]
@@ -451,8 +435,6 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
     square (which is B_4-invariant) is, certifying integrality without
     equality.
     """
-    from .reports import check, make_report
-
     group = builtin_family("D", 4)
     layout = copies_layout(4, 2)
     action = DiagonalAction(group, layout)

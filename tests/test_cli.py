@@ -368,6 +368,37 @@ def test_compare_reports_the_d4_gap(tmp_path, capsys):
         "0cba87553ccecf48273a76b5bf0736c92d1dc8997cfba0c13a50b21939905da6")
 
 
+def _gaps(report):
+    """[(multidegree, dim_invariants - dim_pol_span), ...] where the two differ."""
+    return [(tuple(r["multidegree"]), r["dim_invariants"] - r["dim_pol_span"])
+            for r in report["table"] if r["dim_invariants"] != r["dim_pol_span"]]
+
+
+def test_compare_reports_the_d5_gaps_at_odd_total_degree(tmp_path, capsys):
+    d5 = write(tmp_path, "d5.json", {"builtin": {"family": "D", "m": 5}})
+    code, out = run(capsys, ["--format", "structured", "compare", d5,
+                             "--copies", "2", "--max-degree", "9"])
+    assert code == 1
+    # codimension 1 at each (a, b) with a, b >= 3 and a + b odd
+    assert _gaps(json.loads(out)) == [((3, 4), 1), ((4, 3), 1), ((3, 6), 1), ((4, 5), 1),
+                                      ((5, 4), 1), ((6, 3), 1)]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "76578f19bf53f077f4e3a24a0a288cbd3e283b651c1bac45bc05d59017648d03")
+
+
+def test_compare_reports_the_d4_gaps_on_three_copies(tmp_path, capsys):
+    d4 = write(tmp_path, "d4.json", {"builtin": {"family": "D", "m": 4}})
+    code, out = run(capsys, ["--format", "structured", "compare", d4,
+                             "--copies", "3", "--max-degree", "6"])
+    assert code == 1
+    # codimension 1 at the 10 multidegrees of total degree 6 with entries <= 3
+    assert _gaps(json.loads(out)) == [
+        ((0, 3, 3), 1), ((1, 2, 3), 1), ((1, 3, 2), 1), ((2, 1, 3), 1), ((2, 2, 2), 1),
+        ((2, 3, 1), 1), ((3, 0, 3), 1), ((3, 1, 2), 1), ((3, 2, 1), 1), ((3, 3, 0), 1)]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "50b307193cff92570b16ae70342f073b18d5baec20989aefbc1b7dd16cef1203")
+
+
 def test_structured_reports_are_deterministic(files, capsys):
     _, first = run(capsys, ["--format", "structured", "certify", "sl3"])
     _, second = run(capsys, ["--format", "structured", "certify", "sl3"])

@@ -9,7 +9,7 @@ from polinv.groups import builtin_family
 from polinv.linalg import (Matrix, _echelon, inverse, mat_mul, power_traces, rank, rref,
                            solve_in_span, strict_positive_functional)
 from polinv.nullcone import brute_box_functional
-from polinv.polarization import (_digit_width, _packed, _products_for_target, _rows,
+from polinv.polarization import (_digit_width, _packed, _products_for_target,
                                  classical_generators, embed_in_copies,
                                  polarization_generators, wallach_operator)
 from polinv.poly import Poly, VariableLayout
@@ -185,7 +185,7 @@ def test_echelon_pins_the_dm_square_certificate_system():
     square = wallach_operator(3, embed_in_copies(invs[3], 2)) ** 2
     products = _products_for_target(gens, (6, 6), 10 ** 6, 10 ** 6)
     f_terms, f_scale = _packed(square, _digit_width((6, 6)))
-    rows = _rows([terms for _, terms, _ in products] + [f_terms])
+    rows = [terms for _, terms, _ in products] + [f_terms]
     scales = [scale for _, _, scale in products] + [f_scale]
     (kept, relations, tracked), (kept_u, untracked) = _tracked_and_untracked(rows, scales)
     relation = relations[len(products)]

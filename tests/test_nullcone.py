@@ -259,8 +259,7 @@ def test_span_probe_sl3_planes():
 
 
 def test_certify_torus_small_run():
-    report = certify_torus(seed=5, systems=8, vectors_per_system=6,
-                           subspaces_per_system=2)
+    report = certify_torus(seed=5)
     assert report["result"] == "PASS"
 
 
