@@ -22,8 +22,7 @@ from .groups import DiagonalAction, builtin_family, invariant_dimension
 from .poly import count_monomials, multidegrees, poly_to_string
 from .polarization import (certificate_combination, certify_dm, classical_generators,
                            compare_graded_dims, membership, polarize)
-from .nullcone import (binary_form_nullcone_member, binary_nullcone_witness,
-                       certify_torus, torus_nullcone_member, v_gamma)
+from .nullcone import binary_nullcone_witness, certify_torus, torus_nullcone_member, v_gamma
 from .specs import (binary_form_from_spec, builtin_from_spec, capped_layout,
                     generators_from_spec, group_from_spec, load_spec, poly_from_spec,
                     weight_system_from_spec)
@@ -207,12 +206,12 @@ def cmd_nullcone(args, caps: Caps) -> dict:
             payload["positive_part"] = list(v_gamma(ws, gamma))
         return make_report("nullcone-torus", args.seed, caps, checks, **payload)
     form = binary_form_from_spec(load_spec(args.form_file))
-    member = binary_form_nullcone_member(form)
+    witness = None if form.is_zero() else binary_nullcone_witness(form)
+    member = form.is_zero() or witness is not None
     checks = [check("in_nullcone", member)]
     payload = {"degree": form.degree, "coeffs": [str(c) for c in form.coeffs],
                "member": member}
-    if member and not form.is_zero():
-        witness = binary_nullcone_witness(form)
+    if witness is not None:
         m = form.degree // 2 + 1
         quotient = form
         divides = True

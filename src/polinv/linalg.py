@@ -396,6 +396,17 @@ def _fm_solve(rows, nvars: int) -> Optional[tuple]:
     return [n * (d // den) for n in nums] + [val.numerator * (d // val.denominator)], d
 
 
+def _integer_point(p: Sequence) -> tuple:
+    """p as a tuple of ints, scaled by the lcm of its denominators: the same
+    constraint <gamma, p> > 0.  A point of ints is returned unscaled."""
+    p = tuple(p)
+    if all(type(x) is int for x in p):
+        return p
+    q = [frac(x) for x in p]
+    m = lcm(*[x.denominator for x in q])
+    return tuple(x.numerator * (m // x.denominator) for x in q)
+
+
 def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = None):
     """Find an integer vector gamma with <gamma, p> > 0 for every point p.
 
@@ -404,15 +415,7 @@ def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = 
     list is vacuously feasible and returns (1, ..., 1); pass `dim` to fix its
     length.
     """
-    rows = []
-    for p in points:
-        p = tuple(p)
-        if not all(type(x) is int for x in p):
-            # scaled by the lcm of its denominators: the same constraint
-            q = [frac(x) for x in p]
-            m = lcm(*[x.denominator for x in q])
-            p = tuple(x.numerator * (m // x.denominator) for x in q)
-        rows.append(p)
+    rows = [_integer_point(p) for p in points]
     if not rows:
         return tuple([1] * (dim if dim is not None else 0))
     d = len(rows[0])

@@ -19,7 +19,8 @@ from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED
-from .linalg import Matrix, frac, power_traces, strict_positive_functional
+from .linalg import (Matrix, _integer_point, frac, power_traces,
+                     strict_positive_functional)
 from .poly import Poly, VariableLayout, homogeneous_bivariate_gcd
 from .reports import check, make_report
 
@@ -100,15 +101,17 @@ def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec) -> Optional[tup
 
 # --- independent brute-force oracle (used by agreement certificates) --------
 
-def brute_box_functional(points: Sequence[Sequence[int]], dim: int,
+def brute_box_functional(points: Sequence[Sequence], dim: int,
                          bound: int = 20) -> Optional[tuple]:
     """First integer gamma in the box [-bound, bound]^dim with all <gamma, p> > 0.
 
-    Exhaustive search in Python integers, lex-ordered with the first
-    coordinate slowest, independent of the Fourier-Motzkin path.  For each
-    prefix of the first dim - 1 coordinates the points cut the last coordinate
-    down to one integer interval, whose least member is the first feasible
-    point with that prefix.  Empty input follows the (1, ..., 1) convention.
+    Each rational point is scaled to integers by the lcm of its denominators
+    (the same constraint).  Exhaustive search in Python integers, lex-ordered
+    with the first coordinate slowest, independent of the Fourier-Motzkin
+    path.  For each prefix of the first dim - 1 coordinates the points cut
+    the last coordinate down to one integer interval, whose least member is
+    the first feasible point with that prefix.  Empty input follows the
+    (1, ..., 1) convention.
     """
     if bound < 0:
         raise ValueError(f"box bound must be non-negative, got {bound}")
@@ -116,7 +119,7 @@ def brute_box_functional(points: Sequence[Sequence[int]], dim: int,
         return tuple([1] * dim)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    rows = [tuple(int(x) for x in p) for p in points]
+    rows = [_integer_point(p) for p in points]
     if any(len(r) != dim for r in rows):
         raise ValueError("dimension mismatch")
     split = [(r[:-1], r[-1]) for r in rows]
@@ -212,28 +215,20 @@ def _multiplicity_partials(f: BinaryForm) -> List[Poly]:
 
 
 def binary_form_nullcone_member(f: BinaryForm) -> bool:
-    """True when f has a linear factor of multiplicity at least floor(d/2)+1.
-
-    The zero form is in the nullcone by convention.  Decided exactly: the
-    homogeneous gcd of all partials of order floor(d/2) has positive degree
-    if and only if such a factor exists (rational arithmetic is faithful to
-    the algebraic closure here).
-    """
-    if f.is_zero():
-        return True
-    if f.degree < 1:
-        return False
-    partials = [p for p in _multiplicity_partials(f) if not p.is_zero()]
-    g = homogeneous_bivariate_gcd(partials)
-    return g.total_degree() >= 1
+    """True when f has a linear factor of multiplicity at least floor(d/2)+1,
+    that is, when it has a `binary_nullcone_witness`.  The zero form is in
+    the nullcone by convention."""
+    return f.is_zero() or binary_nullcone_witness(f) is not None
 
 
 def binary_nullcone_witness(f: BinaryForm) -> Optional[BinaryForm]:
     """The rational linear form l with l^(floor(d/2)+1) dividing f, if any.
 
-    A multiplicity-exceeding root is unique, hence Galois-stable, hence
-    rational or at infinity; the witness is returned with integer coefficients
-    and verified by exact division.
+    Such an l exists if and only if the homogeneous gcd of all partials of
+    order floor(d/2) has positive degree (rational arithmetic is faithful to
+    the algebraic closure here).  A multiplicity-exceeding root is unique,
+    hence Galois-stable, hence rational or at infinity; the witness is
+    returned with integer coefficients and verified by exact division.
     """
     if f.is_zero():
         raise ValueError("witness of the zero form")

@@ -13,14 +13,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
-from .poly import Poly, VariableLayout, _int_mul, glex_key, is_scalar_multiple, multidegrees
+from .poly import Poly, VariableLayout, glex_key, is_scalar_multiple, multidegrees
 from .reports import check, make_report
 
 Q = Fraction
@@ -322,47 +321,20 @@ def certificate_combination(gens: GeneratorSet, certificate) -> Poly:
     """Expand a membership certificate [(exponent tuple, c), ...] into the
     polynomial sum c * prod_i g_i^{e_i}.
 
-    The check is independent of how the certificate was found: it uses
-    neither the elimination (`_echelon`) nor the packed-key product (`_mul`),
-    only `poly._int_mul` on exponent tuples.  Each generator g_i is scaled
-    once to d_i * g_i with integer coefficients, each power it uses is built
-    once, the products are summed in Python ints over one common
-    denominator, and one Fraction is made per output term.
+    The certificate is a polynomial in one variable t_i per generator
+    (repeated exponent tuples add up), and its expansion is the substitution
+    t_i -> g_i (`Poly.substitute`).  So the check is independent of how the
+    certificate was found: it uses neither the elimination (`_echelon`) nor
+    the packed-key product (`_mul`).
     """
-    layout = gens.layout
-    scaled = [_integer_terms(g._terms) for g, _ in gens.generators]
-    powers: Dict[int, Dict[int, tuple]] = {}  # i -> {e: (terms, scale) of (d_i g_i)^e}
-
-    def power(i: int, e: int) -> tuple:
-        kept = powers.setdefault(i, {1: scaled[i]})
-        got = kept.get(e)
-        if got is None:
-            k = max(k for k in kept if k < e)
-            (terms, scale), (base, d) = kept[k], scaled[i]
-            for _ in range(e - k):
-                terms, scale = _int_mul(terms, base), scale * d
-            got = kept[e] = (terms, scale)
-        return got
-
-    parts = []  # (numerator, denominator, integer product) per certificate entry
+    sums: Dict[tuple, Fraction] = {}
     for exps, c in certificate:
-        c = Q(c)
-        terms, den = None, c.denominator
-        for i, e in enumerate(exps):
-            if e:
-                factor, scale = power(i, e)
-                terms = factor if terms is None else _int_mul(terms, factor)
-                den *= scale
-        if terms is None:
-            terms = {(0,) * layout.total: 1}
-        parts.append((c.numerator, den, terms))
-    common = lcm(*[den for _, den, _ in parts])
-    total: Dict[tuple, int] = {}
-    for num, den, terms in parts:
-        k = num * (common // den)
-        for e, x in terms.items():
-            total[e] = total.get(e, 0) + k * x
-    return Poly._trusted(layout, {e: Q(x, common) for e, x in total.items() if x})
+        exps = tuple(exps)
+        sums[exps] = sums.get(exps, 0) + Q(c)
+    if not gens.generators:
+        return Poly.constant(gens.layout, sum(sums.values()))
+    cert = Poly(VariableLayout(1, len(gens.generators)), sums)
+    return cert.substitute({i: g for i, (g, _) in enumerate(gens.generators)})
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from numbers import Rational
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -48,6 +49,9 @@ class VariableLayout:
     def block_degrees(self, exponents: Sequence[int]) -> tuple:
         m = self.vars_per_block
         return tuple(sum(exponents[a * m : (a + 1) * m]) for a in range(self.blocks))
+
+
+_UNIVARIATE = VariableLayout(1, 1)  # t, for p ** e = t^e with t -> p
 
 
 def glex_key(exponents: Sequence[int]):
@@ -231,23 +235,26 @@ class Poly:
     def __pow__(self, e: int):
         if not isinstance(e, int) or e < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.constant(self.layout, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
+        return Poly._trusted(_UNIVARIATE, {(e,): Q(1)}).substitute({0: self})
+
+    def _as_constant(self) -> Optional[Fraction]:
+        """The constant self equals (0 for the zero polynomial), or None."""
+        if len(self._terms) > 1:
+            return None
+        return self._terms.get((0,) * self.layout.total) if self._terms else Q(0)
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            if self._terms and len(self._terms) > 1:
-                return False
-            return self == Poly.constant(self.layout, other)
-        return self.layout == other.layout and self._terms == other._terms
+        if isinstance(other, Poly):
+            return self.layout == other.layout and self._terms == other._terms
+        if isinstance(other, Rational):
+            return self._as_constant() == other
+        return NotImplemented
 
     def __hash__(self):
+        # a constant hashes as its value, so equal objects hash alike
+        c = self._as_constant()
+        if c is not None:
+            return hash(c)
         return hash((self.layout, frozenset(self._terms.items())))
 
     def __repr__(self):
@@ -268,43 +275,61 @@ class Poly:
         return Poly(self.layout, terms)
 
     def substitute(self, images: Dict[int, "Poly"]) -> "Poly":
-        """Substitute polynomials for variables.
+        """Substitute polynomials for variables: the one expansion of
+        sum c * prod_j q_j^{e_j} in this package.
 
         All image polynomials must share one layout (the target).  Variables
         without an image map to the variable with the same canonical index in
-        the target layout, so the identity substitution is the default.
+        the target layout, so the identity substitution is the default.  Each
+        image q_j is scaled once to d_j * q_j with integer coefficients, each
+        power a term uses is built once from the largest lower power already
+        built (`_int_mul`), the terms are summed in Python ints over one
+        common denominator, and one Fraction is made per output term.
         """
         if not images:
             return self
-        target = None
-        for p in images.values():
-            if target is None:
-                target = p.layout
-            elif p.layout != target:
-                raise ValueError("substitution images live in different layouts")
-        pow_cache: Dict[tuple, Poly] = {}
+        layouts = {p.layout for p in images.values()}
+        if len(layouts) > 1:
+            raise ValueError("substitution images live in different layouts")
+        target, = layouts
+        powers: Dict[int, Dict[int, tuple]] = {}  # j -> {e: (terms, scale) of (d_j q_j)^e}
 
-        def image_power(j: int, e: int) -> Poly:
-            key = (j, e)
-            got = pow_cache.get(key)
-            if got is None:
-                base = images.get(j)
-                if base is None:
+        def power(j: int, e: int) -> tuple:
+            kept = powers.get(j)
+            if kept is None:
+                image = images.get(j)
+                if image is None:
                     if j >= target.total:
                         raise ValueError("unmapped variable has no counterpart in target layout")
-                    base = Poly.variable(target, j)
-                got = base ** e
-                pow_cache[key] = got
+                    image = Poly.variable(target, j)
+                kept = powers[j] = {1: _integer_terms(image._terms)}
+            got = kept.get(e)
+            if got is None:
+                k = max(k for k in kept if k < e)
+                (terms, scale), (base, d) = kept[k], kept[1]
+                for _ in range(e - k):
+                    terms, scale = _int_mul(terms, base), scale * d
+                got = kept[e] = (terms, scale)
             return got
 
-        result = Poly.zero(target)
+        parts = []  # (numerator, denominator, integer product) per term of self
         for exps, c in self._terms.items():
-            term = Poly.constant(target, c)
+            terms, den = None, c.denominator
             for j, e in enumerate(exps):
                 if e:
-                    term = term * image_power(j, e)
-            result = result + term
-        return result
+                    factor, scale = power(j, e)
+                    terms = factor if terms is None else _int_mul(terms, factor)
+                    den *= scale
+            if terms is None:
+                terms = {(0,) * target.total: 1}
+            parts.append((c.numerator, den, terms))
+        common = lcm(*[den for _, den, _ in parts])
+        total: Dict[tuple, int] = {}
+        for num, den, terms in parts:
+            k = num * (common // den)
+            for e, x in terms.items():
+                total[e] = total.get(e, 0) + k * x
+        return Poly._trusted(target, {e: Q(x, common) for e, x in total.items() if x})
 
     def multidegree_components(self) -> Dict[tuple, "Poly"]:
         """Split into multihomogeneous parts; the values sum back to self."""

@@ -21,3 +21,23 @@ def fraction_product(p: Poly, q: Poly) -> Poly:
             else:
                 terms[e] = s
     return Poly._trusted(p.layout, terms)
+
+
+def fraction_substitution(p: Poly, images: dict, target) -> Poly:
+    """sum c * prod_j q_j^{e_j} over the terms of p, each power a chain of
+    `fraction_product`s and each sum taken in `Fraction`s; a variable with no
+    image maps to the target variable of the same index."""
+    terms = {}
+    for exps, c in p._terms.items():
+        term = Poly.constant(target, c)
+        for j, k in enumerate(exps):
+            q = images[j] if j in images else Poly.variable(target, j)
+            for _ in range(k):
+                term = fraction_product(term, q)
+        for e, v in term._terms.items():
+            s = terms.get(e, Fraction(0)) + v
+            if s == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return Poly._trusted(target, terms)

@@ -130,6 +130,18 @@ def test_nullcone_binary_exit_codes(files, capsys):
     assert code == 1
 
 
+def test_nullcone_binary_computes_the_partials_gcd_once(files, capsys, monkeypatch):
+    from polinv import nullcone
+    calls = []
+    gcd = nullcone.homogeneous_bivariate_gcd
+    monkeypatch.setattr(nullcone, "homogeneous_bivariate_gcd",
+                        lambda polys: calls.append(1) or gcd(polys))
+    for name, code in (("form_member", 0), ("form_nonmember", 1)):
+        calls.clear()
+        assert run(capsys, ["nullcone", "binary", files[name]])[0] == code
+        assert len(calls) == 1
+
+
 def test_certify_sl3_and_sl2r1(files, capsys):
     assert run(capsys, ["certify", "sl3"])[0] == 0
     assert run(capsys, ["certify", "sl2-r1"])[0] == 0
@@ -397,6 +409,25 @@ def test_compare_reports_the_d4_gaps_on_three_copies(tmp_path, capsys):
         ((2, 3, 1), 1), ((3, 0, 3), 1), ((3, 1, 2), 1), ((3, 2, 1), 1), ((3, 3, 0), 1)]
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "50b307193cff92570b16ae70342f073b18d5baec20989aefbc1b7dd16cef1203")
+
+
+def test_polarize_report_is_pinned(tmp_path, capsys):
+    f = write(tmp_path, "f.json",
+              {"vars": 3, "poly": "3/2*x1^2*x2 - x3^3 + 2/5*x1*x2*x3"})
+    code, out = run(capsys, ["--format", "structured", "polarize", f, "--copies", "3"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "740a1c8a490879d61f2ff27f622cb7c3e790f645081225b4c90f0fddf84e3fa0")
+
+
+def test_membership_of_a_constant_without_generators_is_pinned(tmp_path, capsys):
+    f = write(tmp_path, "f.json", {"vars": 2, "poly": "3"})
+    gens = write(tmp_path, "gens.json", {"vars": 2, "generators": []})
+    code, out = run(capsys, ["--format", "structured", "membership", f, gens])
+    assert code == 0
+    assert json.loads(out)["certificate"] == [{"coefficient": "3", "exponents": []}]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3a3586a90a1bac132b46536ef1dd79d309415bd313e37e37e0b2be918d4b0863")
 
 
 def test_structured_reports_are_deterministic(files, capsys):

@@ -6,7 +6,7 @@ from fractions import Fraction as Q
 import pytest
 
 from polinv import nullcone
-from polinv.linalg import Matrix
+from polinv.linalg import Matrix, strict_positive_functional
 from polinv.poly import Poly, VariableLayout
 from polinv.nullcone import (BinaryForm, SubspaceSpec, WeightSystem,
                              binary_form_nullcone_member, binary_nullcone_witness,
@@ -84,6 +84,29 @@ def test_brute_box_deterministic_and_exact():
         brute_box_functional([(1, 0)], 2, bound=-1)
     with pytest.raises(ValueError, match="dimension mismatch"):
         brute_box_functional([(1, 0), (1,)], 2)
+
+
+def test_brute_box_reads_rational_points_exactly():
+    # int(1/2) would read the point as 0 and find no functional
+    assert brute_box_functional([(Q(1, 2),)], 1) == (1,)
+    assert strict_positive_functional([(Q(1, 2),)]) == (1,)
+    points = [(Q(1, 2), Q(-1, 3)), (Q(-1, 3), Q(1, 2))]
+    assert strict_positive_functional(points) == (12, 13)
+    assert brute_box_functional(points, 2) == (1, 1)
+    rng = random.Random(1919)
+    for case in range(200):
+        dim = rng.randint(1, 3)
+        points = [tuple(Q(rng.randint(-4, 4), rng.randint(1, 6)) for _ in range(dim))
+                  for _ in range(rng.randint(1, 4))]
+        # each point times the product of its denominators: a positive multiple
+        scaled = []
+        for p in points:
+            m = 1
+            for x in p:
+                m *= x.denominator
+            scaled.append(tuple(int(x * m) for x in p))
+        assert (brute_box_functional(points, dim, 3)
+                == brute_box_functional(scaled, dim, 3)), points
 
 
 def _reference_box_functional(points, dim, bound):

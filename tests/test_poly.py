@@ -8,7 +8,7 @@ from polinv.poly import (Poly, VariableLayout, compositions, glex_key,
                          homogeneous_bivariate_gcd, is_scalar_multiple, multidegrees,
                          parse_poly, poly_to_string)
 
-from fraction_product import fraction_product
+from fraction_product import fraction_product, fraction_substitution
 
 L2 = VariableLayout(1, 2)
 X = Poly.variable(L2, 0)
@@ -110,6 +110,64 @@ def test_substitute_is_ring_homomorphism():
         p, q = rand_poly(), rand_poly()
         assert (p * q).substitute(images) == p.substitute(images) * q.substitute(images)
         assert (p + q).substitute(images) == p.substitute(images) + q.substitute(images)
+
+
+L5 = VariableLayout(1, 5)
+TARGET_POLYS = st.dictionaries(st.tuples(*[st.integers(0, 2)] * L5.total), COEFFS,
+                               max_size=4).map(lambda terms: Poly(L5, terms))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(p=POLYS, images=st.dictionaries(st.integers(0, L22.total - 1), TARGET_POLYS),
+       q=TARGET_POLYS, c=COEFFS, k=st.integers(0, 3))
+def test_substitute_and_pow_match_the_fraction_reference(p, images, q, c, k):
+    # variables 0 and 1 swapped in p: with equal images, p - swapped cancels to zero
+    swapped = Poly(L22, {(e[1], e[0]) + e[2:]: v for e, v in p._terms.items()})
+    same = {**images, 0: q, 1: q}
+    cases = [(p, images), (p, {0: Poly.zero(L5)}), (p, {2: Poly.constant(L5, c)}),
+             (p, {j: Poly.constant(L5, c) for j in range(L22.total)}),
+             (p - swapped, same), (Poly.constant(L22, c), images)]
+    for f, imgs in cases:
+        if not imgs:
+            continue
+        got = f.substitute(imgs)
+        assert got == fraction_substitution(f, imgs, L5)
+        assert got.layout == L5
+        assert all(type(v) is Q and v for v in got._terms.values())
+    assert (p - swapped).substitute(same).is_zero()
+    # p ** k is t^k with t -> p
+    power = Poly.constant(L22, 1)
+    for _ in range(k):
+        power = fraction_product(power, p)
+    assert p ** k == power
+    assert all(type(v) is Q and v for v in (p ** k)._terms.values())
+
+
+def test_substitute_keeps_its_contract():
+    p = X ** 2 + Y
+    assert p.substitute({}) is p
+    assert X ** 0 == Poly.zero(L2) ** 0 == 1
+    with pytest.raises(ValueError, match="different layouts"):
+        p.substitute({0: Poly.variable(L2, 0), 1: Poly.variable(VariableLayout(1, 3), 0)})
+    # y keeps its index 1, which a one-variable target does not have
+    with pytest.raises(ValueError, match="no counterpart in target layout"):
+        p.substitute({0: Poly.variable(VariableLayout(1, 1), 0)})
+    for bad in (-1, 1.5):
+        with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
+            X ** bad
+
+
+def test_equality_and_hash_with_non_polynomials():
+    three, one, zero = Poly.constant(L2, 3), Poly.constant(L2, 1), Poly.zero(L2)
+    assert (X == None) is False and (X != None) is True  # noqa: E711
+    assert (X == "x") is False
+    assert (three == "3") is False
+    assert three == 3 and three == Q(3) and three != 4 and X != 1 and X + 1 != 1
+    assert zero == 0 and zero != 1
+    assert one == 1 and hash(one) == hash(1)
+    assert hash(three) == hash(Q(3)) and hash(zero) == 0
+    assert {Poly.constant(L2, 1): "a"}[1] == "a"
+    assert {X + 1: "b"}[1 + X] == "b"
 
 
 def test_derivative_examples():

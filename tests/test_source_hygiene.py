@@ -1,0 +1,89 @@
+"""Source hygiene of `src/polinv`, read with `ast` alone: every imported name
+is used in its module, and every module-level private name is referenced
+somewhere in the package besides its own definition."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "polinv"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _annotation_names(node):
+    """Names inside the string annotations under `node` ("Poly" and the like)."""
+    out = set()
+    for sub in ast.walk(node):
+        annotations = []
+        if isinstance(sub, ast.arg):
+            annotations = [sub.annotation]
+        elif isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [sub.returns]
+        elif isinstance(sub, ast.AnnAssign):
+            annotations = [sub.annotation]
+        for ann in annotations:
+            for c in ast.walk(ann) if ann is not None else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    out.update(n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                               if isinstance(n, ast.Name))
+    return out
+
+
+def _references(node):
+    """Names that `node` reads: loaded names, attribute names and names in
+    string annotations."""
+    out = _annotation_names(node)
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+    return out
+
+
+def _defined(stmt):
+    """Module-level names that the top-level statement `stmt` binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    targets = []
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
+        targets = [stmt.target]
+    return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    tree = _tree(path)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    assert sorted(imported - used - _annotation_names(tree)) == []
+
+
+def test_every_private_module_name_is_referenced():
+    trees = {path: _tree(path) for path in sorted(SRC.glob("*.py"))}
+    referenced = set()
+    private = []
+    for path, tree in trees.items():
+        for stmt in tree.body:
+            own = _defined(stmt)
+            # a definition's own body (a recursive call) does not count
+            referenced |= _references(stmt) - own
+            private += [(path.name, name) for name in sorted(own) if _private(name)]
+    assert [p for p in private if p[1] not in referenced] == []
