@@ -16,13 +16,14 @@ import random
 import sys
 from fractions import Fraction
 
-from .limits import CapExceededError, Caps, DEFAULT_SEED
+from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import frac
 from .groups import DiagonalAction, builtin_family, invariant_dimension
 from .poly import count_monomials, multidegrees, poly_to_string
 from .polarization import (certificate_combination, certify_dm, classical_generators,
                            compare_graded_dims, membership, polarize)
-from .nullcone import binary_nullcone_witness, certify_torus, torus_nullcone_member, v_gamma
+from .nullcone import (BinaryForm, binary_nullcone_witness, certify_torus, torus_nullcone_member,
+                       v_gamma)
 from .specs import (binary_form_from_spec, builtin_from_spec, capped_layout,
                     generators_from_spec, group_from_spec, load_spec, poly_from_spec,
                     weight_system_from_spec)
@@ -48,11 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
                         default=_env_int("POLINV_SEED", DEFAULT_SEED))
     parser.add_argument("--format", choices=("text", "structured"), default="text")
     parser.add_argument("--cap-group-order", type=int,
-                        default=_env_int("POLINV_CAP_GROUP_ORDER", Caps().group_order))
+                        default=_env_int("POLINV_CAP_GROUP_ORDER", DEFAULT_CAPS.group_order))
     parser.add_argument("--cap-span-products", type=int,
-                        default=_env_int("POLINV_CAP_SPAN_PRODUCTS", Caps().span_products))
+                        default=_env_int("POLINV_CAP_SPAN_PRODUCTS", DEFAULT_CAPS.span_products))
     parser.add_argument("--cap-monomials", type=int,
-                        default=_env_int("POLINV_CAP_MONOMIALS", Caps().monomials))
+                        default=_env_int("POLINV_CAP_MONOMIALS", DEFAULT_CAPS.monomials))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("polarize", help="polarize a polynomial onto n copies")
@@ -212,14 +213,15 @@ def cmd_nullcone(args, caps: Caps) -> dict:
     payload = {"degree": form.degree, "coeffs": [str(c) for c in form.coeffs],
                "member": member}
     if witness is not None:
+        # a certificate checked by another route: the quotient q = f / l^m is
+        # multiplied back, and l^m * q must be f exactly
         m = form.degree // 2 + 1
-        quotient = form
-        divides = True
+        power, quotient = BinaryForm(0, (1,)), form
         for _ in range(m):
-            quotient = quotient.divide_linear(witness.coeffs[0], witness.coeffs[1])
-            if quotient is None:
-                divides = False
-                break
+            power = power.multiply(witness)
+            if quotient is not None:
+                quotient = quotient.divide_linear(*witness.coeffs)
+        divides = quotient is not None and power.multiply(quotient) == form
         checks.append(check("witness_power_divides_form", divides,
                             required_multiplicity=m))
         payload["witness"] = [str(c) for c in witness.coeffs]

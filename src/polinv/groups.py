@@ -15,13 +15,12 @@ cycles for a (perm, signs) pair and off its power traces for a `Matrix`.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations, product
 from typing import Sequence, Tuple, Union
 
-from .limits import CapExceededError, DEFAULT_CAPS
+from .limits import CapExceededError, DEFAULT_CAPS, frozen
 from .linalg import Matrix, frac, inverse, power_traces, rank
 from .poly import Poly, VariableLayout, count_monomials
 
@@ -49,7 +48,7 @@ def _signed_perm(g: Matrix):
     return tuple(perm), tuple(signs)
 
 
-@dataclass(frozen=True)
+@frozen
 class MatrixGroup:
     """A finite group of invertible rational matrices, fully enumerated.
 
@@ -166,7 +165,7 @@ def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> Ma
     return MatrixGroup(m, tuple(gens), tuple((p, s) for p in permutations(ident) for s in signs))
 
 
-@dataclass(frozen=True)
+@frozen
 class DiagonalAction:
     """A group acting identically on each block of a layout (the action on V^n).
 

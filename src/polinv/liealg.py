@@ -9,12 +9,11 @@ their order-2 polarizations, and the packaged certificates built from them.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
 
-from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
+from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import Matrix, _echelon, _integer_terms, frac, mat_mul, rank, rref
 from .nullcone import SubspaceSpec, matrix_nilpotent, span_probe_nullcone
 from .poly import Poly, VariableLayout, count_monomials, monomials
@@ -37,7 +36,7 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
-@dataclass(frozen=True)
+@frozen
 class LieAlgebraBasis:
     """A matrix Lie algebra given by a basis, checked to be bracket-closed:
     the brackets [b_i, b_j], i < j, must not raise the rank of the basis
@@ -78,7 +77,7 @@ def so5() -> LieAlgebraBasis:
     return LieAlgebraBasis("so5", 5, tuple(basis))
 
 
-@dataclass(frozen=True)
+@frozen
 class LieSubspace:
     """A subspace of a matrix Lie algebra spanned by rational matrices."""
 

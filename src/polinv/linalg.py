@@ -24,11 +24,12 @@ answer is exact.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop
 from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
+
+from .limits import frozen
 
 Q = Fraction
 
@@ -47,7 +48,7 @@ def frac(x) -> Fraction:
         raise ValueError(f"zero denominator in {x!r}") from None
 
 
-@dataclass(frozen=True)
+@frozen
 class Matrix:
     """Immutable dense rational matrix, entries stored row-major."""
 

@@ -11,14 +11,13 @@ vanishing, also for polynomial entries.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED
+from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import (Matrix, _integer_point, frac, power_traces,
                      strict_positive_functional)
 from .poly import Poly, VariableLayout, homogeneous_bivariate_gcd
@@ -31,7 +30,7 @@ Q = Fraction
 # Torus modules
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class WeightSystem:
     """A diagonalized torus module: one integer weight vector per coordinate."""
 
@@ -74,7 +73,7 @@ def v_gamma(ws: WeightSystem, gamma: Sequence[int]) -> tuple:
                  if sum(g * x for g, x in zip(gamma, w)) > 0)
 
 
-@dataclass(frozen=True)
+@frozen
 class SubspaceSpec:
     """A linear subspace given by spanning vectors in a fixed ambient space."""
 
@@ -148,7 +147,7 @@ def brute_box_functional(points: Sequence[Sequence], dim: int,
 _BINARY_LAYOUT = VariableLayout(1, 2)
 
 
-@dataclass(frozen=True)
+@frozen
 class BinaryForm:
     """Homogeneous form of degree d in x, y; coeffs[i] multiplies x^(d-i) y^i."""
 
@@ -304,7 +303,7 @@ def matrix_nilpotent(mat) -> bool:
 # One-sided span probing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@frozen
 class ProbeVerdict:
     """Outcome of random probing of a span against a membership test.
 

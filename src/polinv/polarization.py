@@ -11,11 +11,10 @@ extra normalization.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED
+from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
@@ -59,7 +58,7 @@ def polarize(f: Poly, n: int) -> Dict[tuple, Poly]:
     return f.substitute(images).multidegree_components()
 
 
-@dataclass(frozen=True)
+@frozen
 class GeneratorSet:
     """Multihomogeneous generators with their multidegrees, on one layout."""
 
@@ -76,7 +75,7 @@ class GeneratorSet:
                 raise ValueError("generator is not multihomogeneous of its recorded multidegree")
 
 
-@dataclass(frozen=True)
+@frozen
 class GradedSpan:
     """One graded piece of the polarization algebra.  Its basis is the
     exponent tuples of the lex-first independent generator products (in the
@@ -461,7 +460,7 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class SeparationReport:
     seed: int
     trials: int

@@ -10,19 +10,19 @@ Term order everywhere is graded lexicographic on exponent vectors
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
 from numbers import Rational
 from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from .limits import frozen
 from .linalg import _integer_terms, frac
 
 Q = Fraction
 
 
-@dataclass(frozen=True)
+@frozen
 class VariableLayout:
     """n blocks of m variables; block a, slot j has canonical index a*m + j."""
 

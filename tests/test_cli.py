@@ -142,6 +142,37 @@ def test_nullcone_binary_computes_the_partials_gcd_once(files, capsys, monkeypat
         assert len(calls) == 1
 
 
+def _binary_checks(out):
+    return {c["name"]: c["pass"] for c in json.loads(out)["checks"]}
+
+
+def test_nullcone_binary_check_refuses_a_wrong_witness(files, capsys, monkeypatch):
+    from polinv import cli
+    from polinv.nullcone import BinaryForm
+    # x^3 y: its witness is x (coefficients (1, 0)); x + y does not divide it
+    monkeypatch.setattr(cli, "binary_nullcone_witness", lambda form: BinaryForm(1, (1, 1)))
+    code, out = run(capsys, ["--format", "structured", "nullcone", "binary",
+                             files["form_member"]])
+    assert code == 1
+    assert _binary_checks(out) == {"in_nullcone": True, "witness_power_divides_form": False}
+
+
+def test_nullcone_binary_check_multiplies_the_quotient_back(files, capsys, monkeypatch):
+    from polinv import cli
+    from polinv.nullcone import BinaryForm
+    code, out = run(capsys, ["--format", "structured", "nullcone", "binary",
+                             files["form_member"]])
+    assert code == 0 and _binary_checks(out)["witness_power_divides_form"]
+    # a division that claims success with a wrong quotient is caught by l^m * q != f
+    witness = BinaryForm(1, (1, 0))
+    monkeypatch.setattr(cli, "binary_nullcone_witness", lambda form: witness)
+    monkeypatch.setattr(BinaryForm, "divide_linear",
+                        lambda self, a, b: BinaryForm(self.degree - 1, (1,) * self.degree))
+    code, out = run(capsys, ["--format", "structured", "nullcone", "binary",
+                             files["form_member"]])
+    assert code == 1 and not _binary_checks(out)["witness_power_divides_form"]
+
+
 def test_certify_sl3_and_sl2r1(files, capsys):
     assert run(capsys, ["certify", "sl3"])[0] == 0
     assert run(capsys, ["certify", "sl2-r1"])[0] == 0
@@ -284,6 +315,26 @@ def test_numpy_never_loads(tmp_path):
                          text=True, check=True).stdout
     assert out.splitlines() == ["False", "dm 0 False", "so5 0 False", "sl3 0 False",
                                 "sl2-r1 0 False", "torus 0 False", "1,1 0 False"]
+
+
+def test_dataclasses_and_inspect_never_load(tmp_path):
+    module = write(tmp_path, "torus.json", {"torus_rank": 2, "weights": [[1, 0], [-1, 1]]})
+    script = textwrap.dedent(f"""
+        import contextlib, io, sys
+        from polinv.cli import main
+        for argv in (["certify", "dm"], ["certify", "so5"], ["certify", "sl3"],
+                     ["certify", "sl2-r1"], ["certify", "torus"],
+                     ["nullcone", "torus", {module!r}, "1,1"]):
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            print(argv[-1], code, "dataclasses" in sys.modules, "inspect" in sys.modules)
+    """)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines() == [f"{name} 0 False False" for name in
+                                ("dm", "so5", "sl3", "sl2-r1", "torus", "1,1")]
 
 
 @pytest.mark.parametrize("argv", [
