@@ -30,13 +30,12 @@ def frozen(cls):
     The methods are closures over the field names: nothing is generated and
     exec'd per class, and `dataclasses` (with `inspect`) is never imported.
     """
-    names = tuple(cls.__dict__.get("__annotations__", {}))
-    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    names = tuple(cls.__annotations__)
     count = len(names)
-    if count > 1:
-        fields = attrgetter(*names)
-    else:  # attrgetter of one name returns the value, not a 1-tuple
-        fields = lambda obj: tuple(getattr(obj, name) for name in names)
+    if count < 2:  # attrgetter of one name returns the value, not a 1-tuple
+        raise TypeError(f"frozen needs at least two annotated fields, {cls.__qualname__} has {count}")
+    defaults = {name: cls.__dict__[name] for name in names if name in cls.__dict__}
+    fields = attrgetter(*names)
     post_init = getattr(cls, "__post_init__", None)
     qualname = cls.__qualname__
 
@@ -59,9 +58,7 @@ def frozen(cls):
         return [values[name] for name in names]
 
     def __init__(self, *args, **kwargs):
-        if kwargs or len(args) != count:
-            args = bind(args, kwargs)
-        self.__dict__.update(zip(names, args))
+        self.__dict__.update(zip(names, bind(args, kwargs)))
         if post_init is not None:
             post_init(self)
 

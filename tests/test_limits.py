@@ -84,6 +84,35 @@ def test_frozen_refuses_assignment_and_deletion(cls):
     assert _fields(x) == ("a", (), 1)
 
 
+class _LazyAnnotations(type):
+    """Serves `__annotations__` on access, leaving it out of the class dict,
+    as classes do under lazily evaluated annotations (Python 3.14)."""
+
+    @property
+    def __annotations__(cls):
+        return {"name": str, "weight": int}
+
+
+def test_frozen_reads_annotations_not_kept_in_the_class_dict():
+    class Lazy(metaclass=_LazyAnnotations):
+        weight = 1
+
+    assert "__annotations__" not in Lazy.__dict__
+    Lazy = frozen(Lazy)
+    x = Lazy("a")
+    assert (x.name, x.weight) == ("a", 1)
+    assert hash(x) == hash(("a", 1))
+    assert x == Lazy("a", 1) and x != Lazy("b")
+    with pytest.raises(TypeError):
+        Lazy("a", 1, 2)
+
+
+@pytest.mark.parametrize("annotations", [{}, {"name": str}], ids=["none", "one"])
+def test_frozen_refuses_a_class_with_fewer_than_two_fields(annotations):
+    with pytest.raises(TypeError):
+        frozen(type("Small", (), {"__annotations__": annotations}))
+
+
 def _instances():
     layout = VariableLayout(2, 2)
     group = builtin_family("S", 2)
