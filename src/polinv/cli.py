@@ -101,7 +101,7 @@ def cmd_polarize(args, caps: Caps) -> dict:
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
     capped_layout(args.copies, layout.vars_per_block, caps.monomials)
-    comps = polarize(f, args.copies)
+    comps = polarize(f, args.copies, caps.monomials)
     rng = random.Random(args.seed)
     m = layout.vars_per_block
     trials_ok = True

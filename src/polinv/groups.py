@@ -167,11 +167,7 @@ def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> Ma
 
 @frozen
 class DiagonalAction:
-    """A group acting identically on each block of a layout (the action on V^n).
-
-    The substitution that a `Matrix` element acts by is built once per
-    element and kept on the action, so repeated `act` calls share it.
-    """
+    """A group acting identically on each block of a layout (the action on V^n)."""
 
     group: MatrixGroup
     layout: VariableLayout
@@ -179,19 +175,6 @@ class DiagonalAction:
     def __post_init__(self):
         if self.layout.vars_per_block != self.group.dimension:
             raise ValueError("layout block size must equal the group dimension")
-
-    @cached_property
-    def _images(self) -> dict:
-        """`Matrix` element -> its `_substitution_images` on this layout."""
-        return {}
-
-    def _images_of(self, g: Matrix) -> dict:
-        """`_substitution_images(g, layout)`, built (one `inverse`) on the
-        first call for g and kept on this action."""
-        images = self._images.get(g)
-        if images is None:
-            images = self._images[g] = _substitution_images(g, self.layout)
-        return images
 
 
 def _substitution_images(g: Matrix, layout: VariableLayout):
@@ -217,7 +200,7 @@ def act(g: Element, p: Poly, action: DiagonalAction) -> Poly:
     if p.layout != action.layout:
         raise ValueError("polynomial layout does not match the action")
     if isinstance(g, Matrix):
-        return p.substitute(action._images_of(g))
+        return p.substitute(_substitution_images(g, action.layout))
     src, odd = _layout_map(g, action.layout)
     terms = {}
     for e, c in p._terms.items():
@@ -245,27 +228,10 @@ def _layout_map(sp, layout: VariableLayout):
 
 def reynolds(p: Poly, action: DiagonalAction) -> Poly:
     """Average over the group: (1/|G|) sum_g g.p.  Projects onto invariants."""
-    if p.layout != action.layout:
-        raise ValueError("polynomial layout does not match the action")
-    signed, images = [], []
-    for g in action.group.elements:
-        if isinstance(g, Matrix):
-            images.append(action._images_of(g))
-        else:
-            signed.append(_layout_map(g, action.layout))
     sums: dict = {}  # zero sums are dropped by the Poly constructor
-    for g_images in images:
-        for e, c in p.substitute(g_images)._terms.items():
+    for g in action.group.elements:
+        for e, c in act(g, p, action)._terms.items():
             sums[e] = sums.get(e, 0) + c
-    for e, c in p._terms.items():
-        # signed images of one term as integer counts: one Fraction product
-        # per distinct image instead of one Fraction sum per element
-        counts: dict = {}
-        for src, odd in signed:
-            ne = tuple(map(e.__getitem__, src))
-            counts[ne] = counts.get(ne, 0) + (-1 if sum(map(e.__getitem__, odd)) & 1 else 1)
-        for ne, k in counts.items():
-            sums[ne] = sums.get(ne, 0) + c * k
     scale = Fraction(1, action.group.order)
     return Poly(p.layout, {e: c * scale for e, c in sums.items()})
 

@@ -193,7 +193,7 @@ def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
 # so5 trace invariants and their order-2 polarizations
 # ---------------------------------------------------------------------------
 
-_SKEW_POSITIONS = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+_SKEW_POSITIONS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
 
 
 def _skew_symbolic(layout: VariableLayout, block: int):

@@ -18,7 +18,8 @@ from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
-from .poly import Poly, VariableLayout, glex_key, is_scalar_multiple, multidegrees
+from .poly import (Poly, VariableLayout, count_monomials, glex_key, is_scalar_multiple,
+                   multidegrees)
 from .reports import check, make_report
 
 Q = Fraction
@@ -37,17 +38,27 @@ def embed_in_copies(f: Poly, n: int) -> Poly:
     return f.substitute({0: Poly.variable(target, 0)})
 
 
-def polarize(f: Poly, n: int) -> Dict[tuple, Poly]:
+def polarize(f: Poly, n: int, monomial_cap: int = DEFAULT_CAPS.monomials) -> Dict[tuple, Poly]:
     """All nonzero polarization components of f on n copies of V.
 
     Keys are multidegrees I; the defining identity
     f(sum_a alpha_a v_a) = sum_I alpha^I f_I(v_1, ..., v_n) holds exactly.
+    The expansion has exactly sum over the terms x^e of f of
+    prod_j C(e_j + n - 1, n - 1) monomials: distinct terms polarize onto
+    disjoint monomials and every multinomial coefficient is positive, so
+    nothing cancels.  An expansion over `monomial_cap` is refused before it
+    is built.
     """
     if f.layout.blocks != 1:
         raise ValueError("polarize expects a polynomial on a single copy of V")
     if n < 1:
         raise ValueError("need at least one copy")
     m = f.layout.vars_per_block
+    size = 0
+    for e in f._terms:
+        size += count_monomials((n,) * m, e)
+        if size > monomial_cap:
+            raise CapExceededError("polarization too large", "monomials", monomial_cap)
     target = copies_layout(m, n)
     images = {}
     for j in range(m):
@@ -90,10 +101,12 @@ class GradedSpan:
 
 
 def polarization_generators(invariant_gens: Sequence[Poly], n: int,
-                            group: Optional[MatrixGroup] = None) -> GeneratorSet:
+                            group: Optional[MatrixGroup] = None,
+                            monomial_cap: int = DEFAULT_CAPS.monomials) -> GeneratorSet:
     """Polarize every generator and collect the components, de-duplicated
     up to exact scalar multiples.  Constant components are dropped; when a
-    group is supplied, every input is checked to be invariant first.
+    group is supplied, every input is checked to be invariant first.  Each
+    polarization is refused over `monomial_cap` monomials (`polarize`).
     """
     if not invariant_gens:
         raise ValueError("no generators given")
@@ -108,7 +121,8 @@ def polarization_generators(invariant_gens: Sequence[Poly], n: int,
     for f in invariant_gens:
         if f.layout != invariant_gens[0].layout:
             raise ValueError("generators live on different layouts")
-        for deg, comp in sorted(polarize(f, n).items(), key=lambda kv: glex_key(kv[0])):
+        for deg, comp in sorted(polarize(f, n, monomial_cap).items(),
+                                key=lambda kv: glex_key(kv[0])):
             if all(d == 0 for d in deg):
                 continue
             if any(deg == kdeg and is_scalar_multiple(comp, kp) for kp, kdeg in kept):
@@ -349,10 +363,8 @@ def classical_generators(family: str, m: int) -> List[Poly]:
     layout = VariableLayout(1, m)
 
     def power_sum(k: int) -> Poly:
-        out = Poly.zero(layout)
-        for i in range(m):
-            out = out + Poly.variable(layout, i) ** k
-        return out
+        return Poly._trusted(layout, {(0,) * i + (k,) + (0,) * (m - 1 - i): Q(1)
+                                      for i in range(m)})
 
     if family == "S":
         return [power_sum(s) for s in range(1, m + 1)]
@@ -361,11 +373,8 @@ def classical_generators(family: str, m: int) -> List[Poly]:
     if family == "D":
         if m < 2:
             raise ValueError("family D needs m >= 2")
-        gens = [power_sum(2 * s) for s in range(1, m)]
-        prod = Poly.constant(layout, 1)
-        for i in range(m):
-            prod = prod * Poly.variable(layout, i)
-        return gens + [prod]
+        return ([power_sum(2 * s) for s in range(1, m)]
+                + [Poly._trusted(layout, {(1,) * m: Q(1)})])
     raise ValueError(f"unsupported family {family!r}")
 
 
@@ -382,7 +391,7 @@ def compare_graded_dims(group: MatrixGroup, invariant_gens: Sequence[Poly], n: i
     m = group.dimension
     layout = copies_layout(m, n)
     action = DiagonalAction(group, layout)
-    gens = polarization_generators(invariant_gens, n, group=group)
+    gens = polarization_generators(invariant_gens, n, group, monomial_cap)
     rows = []
     for deg in multidegrees(max_total_degree, n):
         dim_inv = invariant_dimension(action, deg, monomial_cap)
@@ -410,7 +419,7 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
     layout = copies_layout(4, 2)
     action = DiagonalAction(group, layout)
     invs = classical_generators("D", 4)
-    gens = polarization_generators(invs, 2, group=group)
+    gens = polarization_generators(invs, 2, group, caps.monomials)
 
     dims = {}
     for deg in ((2, 2), (3, 3)):
@@ -420,7 +429,7 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
 
     sigma4 = embed_in_copies(invs[3], 2)
     h = wallach_operator(1, wallach_operator(1, sigma4)) * Q(1, 2)
-    h_component = polarize(invs[3], 2)[(2, 2)]
+    h_component = polarize(invs[3], 2, caps.monomials)[(2, 2)]
     w = wallach_operator(3, sigma4)
     w_cert = membership(w, gens, caps.span_products, caps.monomials)
     square = w * w

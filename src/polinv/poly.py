@@ -411,7 +411,7 @@ def parse_poly(text: str, layout: VariableLayout) -> Poly:
     chunks = re.findall(r"[+-]?[^+-]+", s)
     if "".join(chunks) != s:
         raise ValueError(f"cannot parse polynomial text: {text!r}")
-    result = Poly.zero(layout)
+    terms: Dict[tuple, Fraction] = {}  # merged as `Poly.__add__` does
     for chunk in chunks:
         sign = Q(1)
         body = chunk
@@ -438,8 +438,13 @@ def parse_poly(text: str, layout: VariableLayout) -> Poly:
             saw_var = True
         if not saw_var and not _COEFF_RE.match(factors[0]):
             raise ValueError(f"bad term {chunk!r} in {text!r}")
-        result = result + Poly.monomial(layout, exps, coeff)
-    return result
+        exps = tuple(exps)
+        total = terms.get(exps, Q(0)) + coeff
+        if total == 0:
+            terms.pop(exps, None)
+        else:
+            terms[exps] = total
+    return Poly._trusted(layout, terms)
 
 
 def poly_to_string(p: Poly) -> str:

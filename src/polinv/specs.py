@@ -179,12 +179,13 @@ def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> GeneratorSe
         family, m = fields.read("family", _string), fields.read("m", _integer)
         copies = fields.read("copies", _integer)
         capped_layout(copies, m, cap)
-        return polarization_generators(classical_generators(family, m), copies)
+        return polarization_generators(classical_generators(family, m), copies,
+                                       monomial_cap=cap)
     if "invariants" in fields:
         m, copies = fields.read("vars", _integer), fields.read("copies", _integer)
         capped_layout(copies, m, cap)
         invs = fields.read("invariants", _list(_poly(VariableLayout(1, m))))
-        return polarization_generators(invs, copies)
+        return polarization_generators(invs, copies, monomial_cap=cap)
     if "generators" in fields:
         layout = _layout_from_spec(fields, cap)
         gens = []

@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from polinv.cli import main
 from polinv.limits import DEFAULT_CAPS
+from polinv.poly import Poly
 
 
 def write(tmp_path, name, payload):
@@ -364,6 +365,29 @@ def test_huge_layout_exits_3(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: too many variables (cap monomials={DEFAULT_CAPS.monomials})\n"
+
+
+@pytest.mark.parametrize("argv", [
+    # 861^3, about 6.4e8, monomials on three copies
+    pytest.param(["polarize", {"vars": 3, "poly": "x1^40*x2^40*x3^40"}, "--copies", "3"],
+                 id="polarize"),
+    pytest.param(["membership", {"blocks": 3, "vars_per_block": 3, "poly": "x1_1"},
+                  {"vars": 3, "copies": 3, "invariants": ["x1^40*x2^40*x3^40"]}],
+                 id="gens-invariants"),
+    # the first B_3 generator, x1^2 + x2^2 + x3^2, on 200 copies: 3 * C(201, 2) monomials
+    pytest.param(["membership", {"blocks": 200, "vars_per_block": 3, "poly": "x1_1"},
+                  {"family": "B", "m": 3, "copies": 200}], id="gens-family"),
+])
+def test_polarization_over_the_monomial_cap_exits_3_before_expanding(tmp_path, capsys,
+                                                                     monkeypatch, argv):
+    def expanded(*args, **kwargs):
+        raise AssertionError("the polarization was expanded")
+
+    monkeypatch.setattr(Poly, "substitute", expanded)
+    assert main(materialize(tmp_path, argv)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: polarization too large (cap monomials={DEFAULT_CAPS.monomials})\n"
 
 
 def test_seed_env_and_flag_precedence(files, capsys, monkeypatch):

@@ -2,7 +2,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction as Q
-from math import gcd, lcm
+from math import comb, gcd, lcm, prod
 
 import pytest
 
@@ -102,6 +102,53 @@ def test_generator_counts():
     assert len(b2.generators) == 8
     d4_prod = polarization_generators([classical_generators("D", 4)[3]], 2)
     assert len(d4_prod.generators) == 5
+
+
+def test_polarize_refuses_exactly_above_its_expansion_size():
+    # sum over the terms x^e of prod_j C(e_j + n - 1, n - 1) is the number of
+    # monomials the expansion makes: built at that cap, refused one below
+    rng = random.Random(23)
+    for _ in range(30):
+        m, n = rng.randint(1, 3), rng.randint(1, 4)
+        layout = VariableLayout(1, m)
+        f = Poly(layout, {tuple(rng.randint(0, 4) for _ in range(m)): Q(rng.randint(1, 5))
+                          for _ in range(rng.randint(1, 5))})
+        size = sum(prod(comb(k + n - 1, n - 1) for k in e) for e in f._terms)
+        comps = polarize(f, n, size)
+        assert sum(len(c._terms) for c in comps.values()) == size
+        with pytest.raises(CapExceededError):
+            polarize(f, n, size - 1)
+        with pytest.raises(CapExceededError):
+            polarization_generators([f], n, monomial_cap=size - 1)
+
+
+@pytest.mark.parametrize("family", ["S", "B", "D"])
+def test_classical_generators_match_sums_of_powers(family):
+    for m in range(2, 7):
+        layout = VariableLayout(1, m)
+        xs = [Poly.variable(layout, i) for i in range(m)]
+        ks = {"S": range(1, m + 1), "B": range(2, 2 * m + 1, 2), "D": range(2, 2 * m, 2)}[family]
+        reference = [sum((x ** k for x in xs), Poly.zero(layout)) for k in ks]
+        if family == "D":
+            reference.append(prod(xs))
+        got = classical_generators(family, m)
+        assert got == reference
+        assert [list(p._terms.items()) for p in got] == [list(p._terms.items()) for p in reference]
+
+
+def test_classical_generators_make_no_substitution(monkeypatch):
+    calls = []
+    substitute = Poly.substitute
+
+    def counted(self, images):
+        calls.append(images)
+        return substitute(self, images)
+
+    monkeypatch.setattr(Poly, "substitute", counted)
+    gens = classical_generators("S", 30)
+    assert calls == []
+    assert [p.total_degree() for p in gens] == list(range(1, 31))
+    assert all(len(p._terms) == 30 for p in gens)
 
 
 def test_generator_invariance_checked_when_group_given():

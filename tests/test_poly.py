@@ -258,6 +258,24 @@ def test_roundtrip_random():
         assert parse_poly(poly_to_string(p), L) == p
 
 
+def test_parse_merges_terms_as_repeated_addition_does():
+    # repeated and cancelling terms, a zero coefficient and a constant: the
+    # parsed terms and their order are those of adding the monomials one by one
+    rng = random.Random(15)
+    L = VariableLayout(2, 2)
+    pool = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(5)] + [(0, 0, 0, 0)]
+    for _ in range(50):
+        text, reference = "", Poly.zero(L)
+        for _ in range(rng.randint(1, 12)):
+            e, c = rng.choice(pool), Q(rng.randint(-3, 3), rng.randint(1, 2))
+            factors = [str(abs(c))] + [f"{L.var_name(j)}^{k}" for j, k in enumerate(e) if k]
+            text += ("-" if c < 0 else "+") + "*".join(factors)
+            reference = reference + Poly.monomial(L, e, c)
+        p = parse_poly(text, L)
+        assert p == reference
+        assert list(p._terms.items()) == list(reference._terms.items())
+
+
 def test_zero_serializes_as_zero():
     assert poly_to_string(Poly.zero(L2)) == "0"
     assert parse_poly("0", L2).is_zero()

@@ -1,6 +1,7 @@
 """Source hygiene of `src/polinv`, read with `ast` alone: every imported name
-is used in its module, and every module-level private name is referenced
-somewhere in the package besides its own definition."""
+is used in its module, every module-level private name is referenced
+somewhere in the package besides its own definition, and nothing evaluated at
+import builds a list, dict or set."""
 
 import ast
 from pathlib import Path
@@ -87,3 +88,29 @@ def test_every_private_module_name_is_referenced():
             referenced |= _references(stmt) - own
             private += [(path.name, name) for name in sorted(own) if _private(name)]
     assert [p for p in private if p[1] not in referenced] == []
+
+
+MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _evaluated_on_import(node):
+    """The nodes under `node` that run when the module is imported: all but
+    the bodies of functions and lambdas, whose decorators and default values
+    do run."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = child.args
+            for sub in [*getattr(child, "decorator_list", ()), *args.defaults,
+                        *filter(None, args.kw_defaults)]:
+                yield from ast.walk(sub)
+        else:
+            yield child
+            yield from _evaluated_on_import(child)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_mutable_display(path):
+    # module-level state is immutable: a table is a tuple, not a list or dict
+    found = [(node.lineno, type(node).__name__) for node in _evaluated_on_import(_tree(path))
+             if isinstance(node, MUTABLE_DISPLAYS)]
+    assert found == []
