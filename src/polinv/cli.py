@@ -158,7 +158,7 @@ def cmd_compare(args, caps: Caps) -> dict:
     for deg in multidegrees(args.max_degree, args.copies):
         if count_monomials((m,) * args.copies, deg) > caps.monomials:
             raise CapExceededError("degree too large", "monomials", caps.monomials)
-    invs = classical_generators(family, m)
+    invs = classical_generators(family, m, caps.monomials)
     rows = compare_graded_dims(group, invs, args.copies, args.max_degree,
                                caps.span_products, caps.monomials)
     checks = [check("pol_dims_bounded_by_invariant_dims",

@@ -1,14 +1,15 @@
 """Matrix Lie algebras and the nilpotency / polarization-index certificates.
 
 Covers sl_n and so5 (realized as skew-symmetric 5x5 matrices), bracket
-closures of subspaces, invariant dimensions of SL2 on binary-form modules via
-the joint kernel of the e, f, h derivations, the so5 trace invariants with
-their order-2 polarizations, and the packaged certificates built from them.
+closures of subspaces, invariant dimensions of SL2 on binary-form modules by
+counting the weights of monomials, the so5 trace invariants with their
+order-2 polarizations, and the packaged certificates built from them.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from typing import List, Sequence, Tuple
@@ -16,7 +17,7 @@ from typing import List, Sequence, Tuple
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import Matrix, _echelon, _integer_terms, frac, mat_mul, rank, rref
 from .nullcone import SubspaceSpec, matrix_nilpotent, span_probe_nullcone
-from .poly import Poly, VariableLayout, count_monomials, monomials
+from .poly import Poly, VariableLayout, compositions, count_monomials
 from .polarization import polarize
 from .reports import check, make_report
 
@@ -117,76 +118,35 @@ def subalgebra_closure(sub: LieSubspace) -> List[Matrix]:
 
 
 # ---------------------------------------------------------------------------
-# SL2 invariants on binary-form modules, via the e, f, h derivations
+# SL2 invariants on binary-form modules, by counting weights
 # ---------------------------------------------------------------------------
-#
-# On R_d with monomial basis m_i = x^(d-i) y^i the standard operators act as
-# e.m_i = i m_{i-1}, f.m_i = (d-i) m_{i+1}, h.m_i = (d-2i) m_i.  The induced
-# derivations on the coefficient variables carry a global minus sign so that
-# [e, f] = h holds at the operator level; either sign gives the same kernel.
-
-def sl2_derivation_rules(module: Sequence[int]):
-    """Rules (target var, source var, coefficient) for the e, f, h derivations
-    on the coefficient variables of R_{d_1} + ... + R_{d_k}."""
-    rules_e, rules_f, rules_h = [], [], []
-    offset = 0
-    for d in module:
-        for i in range(d + 1):
-            if i >= 1:
-                rules_e.append((offset + i - 1, offset + i, -Q(i)))
-            if i <= d - 1:
-                rules_f.append((offset + i + 1, offset + i, -Q(d - i)))
-            if d - 2 * i != 0:
-                rules_h.append((offset + i, offset + i, -Q(d - 2 * i)))
-        offset += d + 1
-    return rules_e, rules_f, rules_h
-
-
-def apply_derivation(rules, layout: VariableLayout, exps: tuple) -> Poly:
-    """Apply a derivation (given by rules) to a single monomial."""
-    terms = {}
-    for j, i, a in rules:
-        k = exps[j]
-        if k:
-            ne = list(exps)
-            ne[j] = k - 1
-            ne[i] += 1
-            key = tuple(ne)
-            c = terms.get(key, Q(0)) + a * k
-            if c == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = c
-    return Poly(layout, terms)
-
 
 def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
                             monomial_cap: int = DEFAULT_CAPS.monomials) -> int:
     """Dimension of the SL2-invariants of multidegree `deg` in the coefficients
-    of R_{d_1} + ... + R_{d_k}, as the joint kernel of the e, f, h derivations."""
+    of R_{d_1} + ... + R_{d_k}, refused over `monomial_cap` monomials.  The
+    piece is an sl2-module; with weight d - 2i on the coefficient of
+    x^(d-i) y^i in R_d (or its opposite: the weights are symmetric), its
+    invariants number N_0 - N_2, N_w the monomials of weight w (the
+    Cayley-Sylvester count; Sturmfels, Algorithms in Invariant Theory)."""
     module = tuple(int(d) for d in module)
     deg = tuple(int(x) for x in deg)
     if len(deg) != len(module):
         raise ValueError("multidegree length does not match the module")
     if any(d < 1 for d in module):
         raise ValueError("summand degrees must be at least 1")
-    sizes = tuple(d + 1 for d in module)
-    if count_monomials(sizes, deg) > monomial_cap:
+    if count_monomials(tuple(d + 1 for d in module), deg) > monomial_cap:
         raise CapExceededError("degree too large", "monomials", monomial_cap)
-    layout = VariableLayout(1, sum(sizes))
-    monos = monomials(sizes, deg)
-    index = {e: i for i, e in enumerate(monos)}
-    rule_sets = sl2_derivation_rules(module)
-    rows = []
-    for e in monos:
-        # the images under e, f, h side by side, as one sparse row
-        row = {}
-        for block, rules in enumerate(rule_sets):
-            offset = block * len(monos)
-            for ee, c in apply_derivation(rules, layout, e)._terms.items():
-                row[offset + index[ee]] = c
-        rows.append(_integer_terms(row))
-    return len(monos) - len(_echelon(rows)[0])
+    counts = Counter({0: 1})  # weight -> monomials over the blocks so far
+    for d, a in zip(module, deg):
+        block = Counter(d * a - 2 * sum(i * k for i, k in enumerate(c))
+                        for c in compositions(a, d + 1))
+        joint = Counter()
+        for w, x in counts.items():
+            for v, y in block.items():
+                joint[w + v] += x * y
+        counts = joint
+    return counts[0] - counts[2]
 
 
 # ---------------------------------------------------------------------------

@@ -2,24 +2,26 @@
 
 The polarizations of f on V are the multihomogeneous components of
 f(x_1 v_1 + ... + x_n v_n) viewed as functions on n copies of V.  They are
-computed here by substituting x_j -> sum_a x_{a,j} into f and splitting the
-result by block multidegree; the component of multidegree I is exactly the
-coefficient of the scalar monomial alpha^I in the formal expansion, with no
-extra normalization.
+computed here as f(sum_a x_{a,1}, ..., sum_a x_{a,m}), expanded from
+multinomial coefficients and split by block multidegree; the component of
+multidegree I is exactly the coefficient of the scalar monomial alpha^I in
+the formal expansion, with no extra normalization.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
-from .poly import (Poly, VariableLayout, count_monomials, glex_key, is_scalar_multiple,
-                   multidegrees)
+from .poly import (Poly, VariableLayout, compositions, count_monomials, glex_key,
+                   is_scalar_multiple, multidegrees)
 from .reports import check, make_report
 
 Q = Fraction
@@ -41,9 +43,11 @@ def embed_in_copies(f: Poly, n: int) -> Poly:
 def polarize(f: Poly, n: int, monomial_cap: int = DEFAULT_CAPS.monomials) -> Dict[tuple, Poly]:
     """All nonzero polarization components of f on n copies of V.
 
-    Keys are multidegrees I; the defining identity
+    Keys are multidegrees I, in graded-lex order; the defining identity
     f(sum_a alpha_a v_a) = sum_I alpha^I f_I(v_1, ..., v_n) holds exactly.
-    The expansion has exactly sum over the terms x^e of f of
+    A term c*x^e expands to c * prod_j (sum_a x_{a,j})^{e_j}, and each power
+    is written down once per exponent from its multinomial coefficients.  The
+    expansion has exactly sum over the terms x^e of f of
     prod_j C(e_j + n - 1, n - 1) monomials: distinct terms polarize onto
     disjoint monomials and every multinomial coefficient is positive, so
     nothing cancels.  An expansion over `monomial_cap` is refused before it
@@ -59,14 +63,20 @@ def polarize(f: Poly, n: int, monomial_cap: int = DEFAULT_CAPS.monomials) -> Dic
         size += count_monomials((n,) * m, e)
         if size > monomial_cap:
             raise CapExceededError("polarization too large", "monomials", monomial_cap)
+    powers: Dict[int, list] = {}  # k -> [(exponents on the n copies, multinomial)]
+    buckets: Dict[tuple, Dict[tuple, Fraction]] = {}
+    for e, c in f._terms.items():
+        for k in e:
+            if k not in powers:
+                powers[k] = [(parts, prod(comb(k - sum(parts[:a]), p) for a, p in enumerate(parts)))
+                             for parts in compositions(k, n)]
+        for choice in product(*(powers[k] for k in e)):
+            copies = tuple(zip(*(parts for parts, _ in choice)))  # copy a: x_{a,1..m}
+            buckets.setdefault(tuple(map(sum, copies)), {})[sum(copies, ())] = \
+                c * prod(w for _, w in choice)
     target = copies_layout(m, n)
-    images = {}
-    for j in range(m):
-        span = Poly.zero(target)
-        for a in range(n):
-            span = span + Poly.variable(target, a * m + j)
-        images[j] = span
-    return f.substitute(images).multidegree_components()
+    return {deg: Poly._trusted(target, terms)
+            for deg, terms in sorted(buckets.items(), key=lambda kv: glex_key(kv[0]))}
 
 
 @frozen
@@ -105,8 +115,9 @@ def polarization_generators(invariant_gens: Sequence[Poly], n: int,
                             monomial_cap: int = DEFAULT_CAPS.monomials) -> GeneratorSet:
     """Polarize every generator and collect the components, de-duplicated
     up to exact scalar multiples.  Constant components are dropped; when a
-    group is supplied, every input is checked to be invariant first.  Each
-    polarization is refused over `monomial_cap` monomials (`polarize`).
+    group is supplied, every input is checked to be invariant first.  The
+    polarizations together are refused over `monomial_cap` monomials: each
+    `polarize` gets what the ones before it left of the cap.
     """
     if not invariant_gens:
         raise ValueError("no generators given")
@@ -118,11 +129,16 @@ def polarization_generators(invariant_gens: Sequence[Poly], n: int,
             if not is_invariant(f, base_action):
                 raise ValueError("generator is not invariant under the supplied group")
     kept: List[Tuple[Poly, tuple]] = []
+    used = 0  # monomials of the polarizations so far
     for f in invariant_gens:
         if f.layout != invariant_gens[0].layout:
             raise ValueError("generators live on different layouts")
-        for deg, comp in sorted(polarize(f, n, monomial_cap).items(),
-                                key=lambda kv: glex_key(kv[0])):
+        try:
+            components = polarize(f, n, monomial_cap - used)
+        except CapExceededError:  # reported against the whole cap
+            raise CapExceededError("polarization too large", "monomials", monomial_cap) from None
+        used += sum(len(comp._terms) for comp in components.values())
+        for deg, comp in components.items():
             if all(d == 0 for d in deg):
                 continue
             if any(deg == kdeg and is_scalar_multiple(comp, kp) for kp, kdeg in kept):
@@ -251,7 +267,9 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
     lower power.  The monomial cap bounds the union of `extra_keys` (the
     packed support of a polynomial to be tested against the span) and the
     supports of the finished products, and is checked as each product
-    finishes; partial products, which can still cancel, are not counted.
+    finishes; partial products, which can still cancel, are not counted.  It
+    also bounds each kept power on its own, checked at every step of its
+    build, so one large power is refused before it is finished.
     Every `terms` is a fresh dict that no cached power shares, so the callers
     hand them to `_echelon`, which reduces them in place.
     """
@@ -270,6 +288,8 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
             (terms, scale), (base, d) = kept[k], kept[1]
             for _ in range(e - k):
                 terms, scale = _mul(terms, base), scale * d
+                if len(terms) > monomial_cap:
+                    raise CapExceededError("too many monomials", "monomials", monomial_cap)
             got = kept[e] = (terms, scale)
         return got
 
@@ -354,13 +374,23 @@ def certificate_combination(gens: GeneratorSet, certificate) -> Poly:
 # Wired-in classical generator lists for the builtin reflection groups
 # ---------------------------------------------------------------------------
 
-def classical_generators(family: str, m: int) -> List[Poly]:
+def classical_generators(family: str, m: int,
+                         monomial_cap: int = DEFAULT_CAPS.monomials) -> List[Poly]:
     """Generators of the invariant ring for the builtin families.
 
     S: power sums p_1..p_m.  B: sum x_i^{2s}, s = 1..m.
     D: sigma_s = sum x_i^{2s} for s < m together with sigma_m = x_1...x_m.
+    They have m*m terms (S, B) or m(m - 1) + 1 (D), and each term polarizes
+    to at least one monomial, so more terms than `monomial_cap` are refused
+    as a polarization too large, before any is built.
     """
     layout = VariableLayout(1, m)
+    if family not in ("S", "B", "D"):
+        raise ValueError(f"unsupported family {family!r}")
+    if family == "D" and m < 2:
+        raise ValueError("family D needs m >= 2")
+    if (m * (m - 1) + 1 if family == "D" else m * m) > monomial_cap:
+        raise CapExceededError("polarization too large", "monomials", monomial_cap)
 
     def power_sum(k: int) -> Poly:
         return Poly._trusted(layout, {(0,) * i + (k,) + (0,) * (m - 1 - i): Q(1)
@@ -370,12 +400,8 @@ def classical_generators(family: str, m: int) -> List[Poly]:
         return [power_sum(s) for s in range(1, m + 1)]
     if family == "B":
         return [power_sum(2 * s) for s in range(1, m + 1)]
-    if family == "D":
-        if m < 2:
-            raise ValueError("family D needs m >= 2")
-        return ([power_sum(2 * s) for s in range(1, m)]
-                + [Poly._trusted(layout, {(1,) * m: Q(1)})])
-    raise ValueError(f"unsupported family {family!r}")
+    return ([power_sum(2 * s) for s in range(1, m)]
+            + [Poly._trusted(layout, {(1,) * m: Q(1)})])
 
 
 def compare_graded_dims(group: MatrixGroup, invariant_gens: Sequence[Poly], n: int,

@@ -275,8 +275,9 @@ class Poly:
         return Poly(self.layout, terms)
 
     def substitute(self, images: Dict[int, "Poly"]) -> "Poly":
-        """Substitute polynomials for variables: the one expansion of
-        sum c * prod_j q_j^{e_j} in this package.
+        """Substitute polynomials for variables: the general expansion of
+        sum c * prod_j q_j^{e_j} in this package (`polarize` writes its
+        powers of sums of variables from multinomial coefficients instead).
 
         All image polynomials must share one layout (the target).  Variables
         without an image map to the variable with the same canonical index in

@@ -179,7 +179,7 @@ def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> GeneratorSe
         family, m = fields.read("family", _string), fields.read("m", _integer)
         copies = fields.read("copies", _integer)
         capped_layout(copies, m, cap)
-        return polarization_generators(classical_generators(family, m), copies,
+        return polarization_generators(classical_generators(family, m, cap), copies,
                                        monomial_cap=cap)
     if "invariants" in fields:
         m, copies = fields.read("vars", _integer), fields.read("copies", _integer)

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polinv import polarization
 from polinv.cli import main
 from polinv.limits import DEFAULT_CAPS
-from polinv.poly import Poly
 
 
 def write(tmp_path, name, payload):
@@ -377,17 +377,54 @@ def test_huge_layout_exits_3(tmp_path, capsys, argv):
     # the first B_3 generator, x1^2 + x2^2 + x3^2, on 200 copies: 3 * C(201, 2) monomials
     pytest.param(["membership", {"blocks": 200, "vars_per_block": 3, "poly": "x1_1"},
                   {"family": "B", "m": 3, "copies": 200}], id="gens-family"),
+    # the power sums of S_20000 have 4 * 10^8 terms, each polarizing to a monomial
+    pytest.param(["membership", {"vars": 20000, "poly": "x1"},
+                  {"family": "S", "m": 20000, "copies": 1}], id="gens-family-terms"),
 ])
 def test_polarization_over_the_monomial_cap_exits_3_before_expanding(tmp_path, capsys,
                                                                      monkeypatch, argv):
     def expanded(*args, **kwargs):
         raise AssertionError("the polarization was expanded")
 
-    monkeypatch.setattr(Poly, "substitute", expanded)
+    # every power in an expansion is listed by `compositions` first
+    monkeypatch.setattr(polarization, "compositions", expanded)
     assert main(materialize(tmp_path, argv)) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: polarization too large (cap monomials={DEFAULT_CAPS.monomials})\n"
+
+
+def test_generator_polarizations_over_the_monomial_cap_together_exit_3(tmp_path, capsys):
+    # each power sum p_k of S_100 polarizes to 100 (k + 1) monomials on two
+    # copies, under the cap alone; p_1, ..., p_19 together pass it
+    argv = ["membership", {"blocks": 2, "vars_per_block": 100, "poly": "x1_1"},
+            {"family": "S", "m": 100, "copies": 2}]
+    assert main(materialize(tmp_path, argv)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: polarization too large (cap monomials={DEFAULT_CAPS.monomials})\n"
+
+
+def test_membership_refuses_a_large_generator_power_as_it_is_built(tmp_path, capsys,
+                                                                   monkeypatch):
+    # (x1 + ... + x6)^k has C(k + 5, 5) terms, 126 > 100 at k = 4: the power
+    # of x1^24 is refused at its third step, not after all 23 of them
+    calls = []
+    mul = polarization._mul
+
+    def counted(a, b):
+        calls.append(len(a) * len(b))
+        return mul(a, b)
+
+    monkeypatch.setattr(polarization, "_mul", counted)
+    argv = ["--cap-monomials", "100", "membership",
+            {"blocks": 1, "vars_per_block": 6, "poly": "x1_1^24"},
+            {"vars": 6, "copies": 1, "invariants": ["x1 + x2 + x3 + x4 + x5 + x6"]}]
+    assert main(materialize(tmp_path, argv)) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: too many monomials (cap monomials=100)\n"
+    assert len(calls) <= 4
 
 
 def test_seed_env_and_flag_precedence(files, capsys, monkeypatch):
@@ -516,10 +553,10 @@ def test_structured_reports_are_deterministic(files, capsys):
 # ---------------------------------------------------------------------------
 
 # Values of every JSON type.  Numbers and sizes stay small: the Fourier-Motzkin
-# and span computations grow fast with them, and a generator-file `m` or
-# `copies` under the monomial cap can still run long (ROADMAP item 5).  Only a
-# builtin `m` and a polynomial file's `vars` may be huge: the closed-form
-# group order and the variable count meet their caps first.
+# and span computations grow fast with them.  Only a builtin `m`, a
+# polynomial file's `vars` and a `family` generator file's `m` and `copies`
+# may be huge: the closed-form group order, the variable count and the term
+# count of the generators meet their caps first.
 JUNK = st.one_of(st.none(), st.booleans(), st.integers(-3, 3), st.floats(-3, 3),
                  st.sampled_from([float("inf"), float("nan"), "1/0", "", "x1"]),
                  st.lists(st.integers(-2, 2), max_size=2),
@@ -582,8 +619,12 @@ def two_block_poly(dirty):
 
 def family_gens(dirty):
     v = partial(_value, dirty)
-    return _object(dirty, {"family": v(FAMILY), "m": v(st.sampled_from([2, 2, 3])),
-                           "copies": v(st.sampled_from([2, 2, 1]))})
+    return _object(dirty, {"family": v(FAMILY),
+                           "m": v(st.one_of(st.sampled_from([2, 2, 3]), st.integers(4, 600),
+                                            st.integers(501, 10 ** 40))),
+                           "copies": v(st.one_of(st.sampled_from([2, 2, 1]),
+                                                 st.integers(4, 600),
+                                                 st.integers(501, 10 ** 40)))})
 
 
 def invariant_gens(dirty):

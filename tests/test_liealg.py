@@ -1,22 +1,24 @@
 import random
+import sys
 from fractions import Fraction as Q
 
 import pytest
 
-from polinv import liealg
+from polinv import linalg, liealg
+from polinv.groups import DiagonalAction, builtin_family, invariant_dimension
 from polinv.limits import CapExceededError
 from polinv.linalg import Matrix
-from polinv.poly import Poly, VariableLayout, monomials
+from polinv.poly import Poly, VariableLayout, count_monomials, monomials
 from polinv.polarization import polarize
-from polinv.liealg import (LieAlgebraBasis, LieSubspace, apply_derivation,
-                           bracket, certify_sl2_r1, certify_sl3, certify_so5,
-                           generic_orbit_dimension, jacobian_rank,
-                           random_algebra_element, sl, sl2_derivation_rules,
+from polinv.liealg import (LieAlgebraBasis, LieSubspace, bracket, certify_sl2_r1,
+                           certify_sl3, certify_so5, generic_orbit_dimension,
+                           jacobian_rank, random_algebra_element, sl,
                            sl2_invariant_dimension, so5, so5_pol2_generators,
                            so5_trace_invariants, subalgebra_closure, unit_matrix,
                            SO5_POL2_BIDEGREES)
 
 from fraction_rref import fraction_rref
+from sl2_kernel import apply_derivation, kernel_sl2_invariant_dimension, sl2_derivation_rules
 
 
 def test_bracket_examples():
@@ -166,7 +168,7 @@ def test_sl2_derivations_satisfy_bracket_relations():
 def _dense_sl2_invariant_dimension(module, deg):
     """The joint kernel of e, f, h from a dense N x 3N Fraction matrix of the
     derivation images, reduced by the Fraction reference: the construction
-    that `sl2_invariant_dimension` replaced by sparse integer rows."""
+    that the sparse integer rows of `kernel_sl2_invariant_dimension` replaced."""
     sizes = tuple(d + 1 for d in module)
     layout = VariableLayout(1, sum(sizes))
     monos = monomials(sizes, deg)
@@ -183,16 +185,52 @@ def _dense_sl2_invariant_dimension(module, deg):
     return len(monos) - fraction_rref(Matrix.from_rows(rows))[1]
 
 
-@pytest.mark.parametrize("module,deg,dim", [
+CLASSICAL_SL2_COUNTS = [
     ((3,), (4,), 1),            # the discriminant of the binary cubic
     ((4,), (6,), 2),            # I^3, J^2 of the binary quartic
     ((4,), (8,), 2),            # I^4, I J^2
     ((6,), (6,), 3),            # the three sextic invariants of degree 6
     ((2, 2), (2, 2), 2),        # disc(f) disc(g) and the square of the joint invariant
     ((1, 1, 1, 1), (1, 1, 1, 1), 2),  # three pairings, one Pluecker relation
-])
+]
+
+
+@pytest.mark.parametrize("module,deg,dim", CLASSICAL_SL2_COUNTS)
 def test_sl2_classical_invariant_counts(module, deg, dim):
     assert sl2_invariant_dimension(module, deg) == dim
+
+
+def test_sl2_weight_count_matches_the_kernel_reference():
+    cases = [((d,), (k,)) for d in range(1, 7) for k in range(9)]
+    cases += [(module, (a, b)) for module in ((1, 1), (2, 1), (2, 2), (3, 1))
+              for a in range(5) for b in range(5)]
+    cases += [(module, (a, b, c)) for module in ((1, 1, 1), (2, 2, 2))
+              for a in range(4) for b in range(a, 4) for c in range(b, 4)]
+    # the largest, R_6 in degree 8, has C(14, 6) = 3003 monomials
+    assert max(count_monomials(tuple(d + 1 for d in module), deg)
+               for module, deg in cases) == 3003
+    for module, deg in cases:
+        assert sl2_invariant_dimension(module, deg) == \
+            kernel_sl2_invariant_dimension(module, deg), (module, deg)
+
+
+def test_no_dimension_count_runs_an_elimination(monkeypatch):
+    d4 = DiagonalAction(builtin_family("D", 4), VariableLayout(2, 4))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dimension count ran an elimination")
+
+    echelon = linalg._echelon
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polinv") and getattr(module, "_echelon", None) is echelon:
+            monkeypatch.setattr(module, "_echelon", refuse)
+    assert liealg._echelon is refuse
+    assert [sl2_invariant_dimension((1,), (k,)) for k in range(1, 5)] == [0, 0, 0, 0]
+    assert sl2_invariant_dimension((1, 1), (1, 1)) == 1
+    assert sl2_invariant_dimension((2,), (2,)) == 1
+    for module, deg, dim in CLASSICAL_SL2_COUNTS:
+        assert sl2_invariant_dimension(module, deg) == dim
+    assert invariant_dimension(d4, (3, 3)) == 10
 
 
 def test_sl2_dimension_matches_the_dense_reference():

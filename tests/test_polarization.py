@@ -122,6 +122,48 @@ def test_polarize_refuses_exactly_above_its_expansion_size():
             polarization_generators([f], n, monomial_cap=size - 1)
 
 
+def _substituted_polarization(f, n):
+    """The construction `polarize` replaced: substitute x_j -> sum_a x_{a,j}
+    and split the result by block multidegree."""
+    m = f.layout.vars_per_block
+    target = copies_layout(m, n)
+    images = {j: sum((Poly.variable(target, a * m + j) for a in range(n)), Poly.zero(target))
+              for j in range(m)}
+    return f.substitute(images).multidegree_components()
+
+
+def test_polarize_matches_the_substitution_reference():
+    rng = random.Random(29)
+    for _ in range(60):
+        m, n = rng.randint(1, 3), rng.randint(1, 3)
+        layout = VariableLayout(1, m)
+        f = Poly(layout, {tuple(rng.randint(0, 5) for _ in range(m)):
+                          Q(rng.randint(-6, 6), rng.randint(1, 4))
+                          for _ in range(rng.randint(0, 5))})
+        got, want = polarize(f, n), _substituted_polarization(f, n)
+        assert got == want, (f, n)
+        assert list(got) == list(want)
+
+
+def test_polarization_generators_cap_the_polarizations_together():
+    # x1^2 and x1*x2 on two copies expand to 3 and 4 monomials: either alone
+    # passes a cap of 6, both together pass 7 and no less
+    layout = VariableLayout(1, 2)
+    fs = [parse_poly("x1^2", layout), parse_poly("x1*x2", layout)]
+    for f in fs:
+        polarization_generators([f], 2, monomial_cap=6)
+    assert len(polarization_generators(fs, 2, monomial_cap=7).generators) == 6
+    with pytest.raises(CapExceededError, match="polarization too large"):
+        polarization_generators(fs, 2, monomial_cap=6)
+
+
+@pytest.mark.parametrize("family,terms", [("S", 36), ("B", 36), ("D", 31)])
+def test_classical_generators_refuse_more_terms_than_the_cap(family, terms):
+    assert sum(len(p._terms) for p in classical_generators(family, 6, terms)) == terms
+    with pytest.raises(CapExceededError, match="polarization too large"):
+        classical_generators(family, 6, terms - 1)
+
+
 @pytest.mark.parametrize("family", ["S", "B", "D"])
 def test_classical_generators_match_sums_of_powers(family):
     for m in range(2, 7):
