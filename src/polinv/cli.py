@@ -14,12 +14,11 @@ import argparse
 import os
 import random
 import sys
-from fractions import Fraction
 
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
 from .linalg import frac
 from .groups import DiagonalAction, builtin_family, invariant_dimension
-from .poly import count_monomials, multidegrees, poly_to_string
+from .poly import Poly, count_monomials, multidegrees, poly_to_string
 from .polarization import (certificate_combination, certify_dm, classical_generators,
                            compare_graded_dims, membership, polarize)
 from .nullcone import (BinaryForm, binary_nullcone_witness, certify_torus, torus_nullcone_member,
@@ -29,6 +28,11 @@ from .specs import (binary_form_from_spec, builtin_from_spec, capped_layout,
                     weight_system_from_spec)
 from .liealg import certify_sl2_r1, certify_sl3, certify_so5
 from .reports import check, make_report, render_structured, render_text
+
+
+# the packaged `certify` scenarios, in the order `--help` lists them
+_SCENARIOS = (("dm", certify_dm), ("so5", certify_so5), ("sl3", certify_sl3),
+              ("torus", certify_torus), ("sl2-r1", certify_sl2_r1))
 
 
 def _env_int(name: str, default: int) -> int:
@@ -83,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("form_file")
 
     p = sub.add_parser("certify", help="run a packaged certificate scenario")
-    p.add_argument("scenario", choices=("dm", "so5", "sl3", "torus", "sl2-r1"))
+    p.add_argument("scenario", choices=tuple(name for name, _ in _SCENARIOS))
     return parser
 
 
@@ -100,8 +104,12 @@ def cmd_polarize(args, caps: Caps) -> dict:
     layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
-    capped_layout(args.copies, layout.vars_per_block, caps.monomials)
+    target = capped_layout(args.copies, layout.vars_per_block, caps.monomials)
     comps = polarize(f, args.copies, caps.monomials)
+    # f_I is multihomogeneous of multidegree I, so alpha^I f_I(v_1, ..., v_n) =
+    # f_I(alpha_1 v_1, ..., alpha_n v_n): the right side of the identity is
+    # the sum of the components (their terms are disjoint) at the scaled point
+    merged = Poly(target, {e: c for comp in comps.values() for e, c in comp.terms()})
     rng = random.Random(args.seed)
     m = layout.vars_per_block
     trials_ok = True
@@ -110,13 +118,7 @@ def cmd_polarize(args, caps: Caps) -> dict:
         alphas = [rng.randint(-4, 4) for _ in range(args.copies)]
         combined = [sum(a * p[j] for a, p in zip(alphas, points)) for j in range(m)]
         lhs = f.evaluate(combined)
-        flat = [x for p in points for x in p]
-        rhs = Fraction(0)
-        for deg, comp in comps.items():
-            coeff = Fraction(1)
-            for a, d in zip(alphas, deg):
-                coeff *= Fraction(a) ** d
-            rhs += coeff * comp.evaluate(flat)
+        rhs = merged.evaluate([a * x for a, p in zip(alphas, points) for x in p])
         trials_ok = trials_ok and lhs == rhs
     checks = [check("expansion_identity_spot_check", trials_ok, trials=5)]
     components = [{"multidegree": list(deg), "polynomial": poly_to_string(p)}
@@ -229,16 +231,7 @@ def cmd_nullcone(args, caps: Caps) -> dict:
 
 
 def cmd_certify(args, caps: Caps) -> dict:
-    scenario = args.scenario
-    if scenario == "dm":
-        return certify_dm(args.seed, caps)
-    if scenario == "so5":
-        return certify_so5(args.seed, caps)
-    if scenario == "sl3":
-        return certify_sl3(args.seed, caps)
-    if scenario == "torus":
-        return certify_torus(args.seed, caps)
-    return certify_sl2_r1(args.seed, caps)
+    return dict(_SCENARIOS)[args.scenario](args.seed, caps)
 
 
 def main(argv=None) -> int:

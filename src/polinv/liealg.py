@@ -15,7 +15,7 @@ from math import lcm
 from typing import List, Sequence, Tuple
 
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
-from .linalg import Matrix, _echelon, _integer_terms, frac, mat_mul, rank, rref
+from .linalg import Matrix, _echelon, _integer_row, _integer_terms, frac, mat_mul
 from .nullcone import SubspaceSpec, matrix_nilpotent, span_probe_nullcone
 from .poly import Poly, VariableLayout, compositions, count_monomials
 from .polarization import polarize
@@ -37,11 +37,20 @@ def bracket(a: Matrix, b: Matrix) -> Matrix:
     return a @ b - b @ a
 
 
+def _bracket_step(mats: Sequence[Matrix]):
+    """The matrices followed by their brackets [m_i, m_j], i < j, and the
+    indices of the lex-first independent ones among these candidates, read
+    off one `_echelon`.  ([m_j, m_i] = -[m_i, m_j] and [m_i, m_i] = 0 add
+    nothing to the span.)"""
+    candidates = list(mats)
+    candidates += [bracket(x, y) for i, x in enumerate(mats) for y in mats[i + 1:]]
+    return candidates, _echelon(_integer_row(m.entries) for m in candidates)[0]
+
+
 @frozen
 class LieAlgebraBasis:
     """A matrix Lie algebra given by a basis, checked to be bracket-closed:
-    the brackets [b_i, b_j], i < j, must not raise the rank of the basis
-    ([b_j, b_i] = -[b_i, b_j] and [b_i, b_i] = 0 give the others)."""
+    one `_bracket_step` must keep the basis and nothing more."""
 
     name: str
     matrix_size: int
@@ -51,12 +60,10 @@ class LieAlgebraBasis:
         n = self.matrix_size
         if any((b.rows, b.cols) != (n, n) for b in self.basis):
             raise ValueError("basis matrices must be matrix_size x matrix_size")
-        flat = [b.entries for b in self.basis]
-        if rank(Matrix.from_rows(flat)) != len(self.basis):
+        kept = _bracket_step(self.basis)[1]
+        if kept[:len(self.basis)] != list(range(len(self.basis))):
             raise ValueError("basis matrices are linearly dependent")
-        brackets = [bracket(x, y).entries
-                    for i, x in enumerate(self.basis) for y in self.basis[i + 1:]]
-        if rank(Matrix.from_rows(flat + brackets)) != len(self.basis):
+        if len(kept) > len(self.basis):
             raise ValueError("basis is not closed under the bracket")
 
     @property
@@ -86,35 +93,28 @@ class LieSubspace:
     spanning: Tuple[Matrix, ...]
 
     def __post_init__(self):
-        flat = [m.entries for m in (*self.algebra.basis, *self.spanning)]
-        if rank(Matrix.from_rows(flat)) != self.algebra.dimension:
+        vectors = (*self.algebra.basis, *self.spanning)
+        if len(_echelon(_integer_row(m.entries) for m in vectors)[0]) != self.algebra.dimension:
             raise ValueError("spanning matrix lies outside the algebra")
 
 
 def subalgebra_closure(sub: LieSubspace) -> List[Matrix]:
     """Smallest bracket-closed subspace containing the span, as a deterministic
-    basis (reduced row echelon rows of flattened matrices).
+    basis of matrices: the spanning matrices and brackets that the last round
+    of `_bracket_step` kept.
 
-    Every candidate lies in the algebra (`LieSubspace` checks the spanning
-    matrices, `LieAlgebraBasis` the brackets), and every round but the last
-    adds a dimension, so the loop ends within `sub.algebra.dimension` rounds."""
-    n = sub.algebra.matrix_size
-
-    def reduce(rows):
-        red, rk, _ = rref(Matrix.from_rows(rows))
-        return [list(red.row(i)) for i in range(rk)]
-
-    rows = reduce([list(m.entries) for m in sub.spanning])
+    Each round keeps the lex-first independent candidates and stops when they
+    are exactly its basis.  Only the first round can drop a dependent spanning
+    matrix; every later round but the last adds a dimension, and every
+    candidate lies in the algebra, so the loop ends within
+    `sub.algebra.dimension + 1` rounds.  The algebra check of
+    `LieAlgebraBasis` is one such round."""
+    basis = list(sub.spanning)
     while True:
-        mats = [Matrix(n, n, tuple(r)) for r in rows]
-        candidates = list(rows)
-        for i, x in enumerate(mats):
-            for y in mats[i + 1:]:
-                candidates.append(list(bracket(x, y).entries))
-        new_rows = reduce(candidates)
-        if len(new_rows) == len(rows):
-            return [Matrix(n, n, tuple(r)) for r in new_rows]
-        rows = new_rows
+        candidates, kept = _bracket_step(basis)
+        if kept == list(range(len(basis))):
+            return basis
+        basis = [candidates[i] for i in kept]
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +265,8 @@ def generic_orbit_dimension(alg: LieAlgebraBasis, point: Sequence[Matrix]) -> in
     This is the orbit dimension of the diagonal adjoint action at the point;
     at any rational point it lower-bounds the generic orbit dimension.
     """
-    rows = []
-    for b in alg.basis:
-        row = []
-        for a in point:
-            row.extend(bracket(b, a).entries)
-        rows.append(row)
-    return rank(Matrix.from_rows(rows))
+    rows = ([x for a in point for x in bracket(b, a).entries] for b in alg.basis)
+    return len(_echelon(map(_integer_row, rows))[0])
 
 
 def random_algebra_element(alg: LieAlgebraBasis, rng: random.Random) -> Matrix:

@@ -4,21 +4,21 @@ Matrix entries are `fractions.Fraction` values, which Python keeps reduced
 to lowest terms with a positive denominator.  The one elimination kernel is
 `_echelon`, fraction-free integer elimination (in the style of Bareiss) on
 `(row, scale)` pairs: a sparse {column: int} row that is `scale` times the
-vector it stands for, its columns any int keys.  `rank`, `rref` and
-`solve_in_span` build these pairs with `_integer_row` (each vector scaled by
-the lcm of its denominators, columns its positions); `polarization` passes
-generator products it already expanded over the integers, with their packed
-exponent keys as the columns.  Rows are combined as b*r - a*k, pivots are
-sparse +-1 entries where they exist, and the gcd content is divided out
-after every step that scaled a row, so entries stay small integers and no
-Fraction is built until the final coefficients.  When relations are asked
-for, each row carries its integer combination of the inputs over one
-denominator of its own, so a tracked row is divided by its content and
-pivoted exactly as an untracked row is.  `mat_mul` is the one matrix
-product, for rational or `Poly` entries; `power_traces` yields tr(A^k)
-through it for the Molien count in `groups` and the nilpotency test in
-`nullcone`.  There is no floating point anywhere in this module; every
-answer is exact.
+vector it stands for, its columns any int keys.  `rank`, `rref`, `inverse`
+and `solve_in_span` build these pairs with `_integer_row` (each vector scaled
+by the lcm of its denominators, columns its positions), and so do the span
+questions of `liealg`; `polarization` passes generator products it already
+expanded over the integers, with their packed exponent keys as the columns.
+Rows are combined as b*r - a*k, pivots are sparse +-1 entries where they
+exist, and the gcd content is divided out after every step that scaled a
+row, so entries stay small integers and no Fraction is built until the final
+coefficients.  When relations are asked for, each row carries its integer
+combination of the inputs over one denominator of its own, so a tracked row
+is divided by its content and pivoted exactly as an untracked row is.
+`mat_mul` is the one matrix product, for rational or `Poly` entries;
+`power_traces` yields tr(A^k) through it for the Molien count in `groups`
+and the nilpotency test in `nullcone`.  There is no floating point anywhere
+in this module; every answer is exact.
 """
 
 from __future__ import annotations
@@ -299,7 +299,9 @@ def rank(m: Matrix) -> int:
 def rref(m: Matrix):
     """Reduced row echelon form, as (reduced, rank, pivot_columns).
 
-    One `_echelon` over the columns of m.  The kept columns are the pivot
+    An entry point for library callers and the tests: no module of polinv
+    calls it, as every span question reads `_echelon` itself.  One
+    `_echelon` over the columns of m.  The kept columns are the pivot
     columns, and row i of the RREF holds, in every other column c, the
     coefficient of pivot column i in the relation of c to the pivot
     columns before it.
@@ -317,16 +319,23 @@ def rref(m: Matrix):
 
 
 def inverse(m: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError if singular."""
+    """Exact inverse of a square matrix; raises ValueError if singular.
+
+    One `_echelon` over the columns of m and then the n identity columns: m
+    is invertible exactly when its own columns are the ones kept, and then
+    the relation of identity column j writes it in the columns of m, so its
+    coefficient of column i is entry (i, j) of the inverse.
+    """
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     n = m.rows
-    aug = Matrix.from_rows([list(m.row(i)) + [Q(1) if j == i else Q(0) for j in range(n)]
-                            for i in range(n)])
-    red, rk, _ = rref(aug)
-    if rk < n or any(red.at(i, i) != 1 for i in range(n)):
+    columns = [m.entries[c::n] for c in range(n)]
+    columns += [[int(i == j) for i in range(n)] for j in range(n)]
+    kept, relations = _echelon(map(_integer_row, columns), track=True)
+    if kept != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(red.at(i, n + j) for i in range(n) for j in range(n)))
+    return Matrix(n, n, tuple(relations[n + j].get(i, Q(0))
+                              for i in range(n) for j in range(n)))
 
 
 def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]:

@@ -13,15 +13,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, prod
+from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
 from .groups import (DiagonalAction, MatrixGroup, builtin_family,
                      invariant_dimension, is_invariant, point_image, same_orbit)
-from .poly import (Poly, VariableLayout, compositions, count_monomials, glex_key,
-                   is_scalar_multiple, multidegrees)
+from .poly import (Poly, VariableLayout, count_monomials, glex_key, is_scalar_multiple,
+                   multidegrees)
 from .reports import check, make_report
 
 Q = Fraction
@@ -46,7 +46,7 @@ def polarize(f: Poly, n: int, monomial_cap: int = DEFAULT_CAPS.monomials) -> Dic
     Keys are multidegrees I, in graded-lex order; the defining identity
     f(sum_a alpha_a v_a) = sum_I alpha^I f_I(v_1, ..., v_n) holds exactly.
     A term c*x^e expands to c * prod_j (sum_a x_{a,j})^{e_j}, and each power
-    is written down once per exponent from its multinomial coefficients.  The
+    is written down from its multinomial coefficients (`_multinomials`).  The
     expansion has exactly sum over the terms x^e of f of
     prod_j C(e_j + n - 1, n - 1) monomials: distinct terms polarize onto
     disjoint monomials and every multinomial coefficient is positive, so
@@ -63,20 +63,37 @@ def polarize(f: Poly, n: int, monomial_cap: int = DEFAULT_CAPS.monomials) -> Dic
         size += count_monomials((n,) * m, e)
         if size > monomial_cap:
             raise CapExceededError("polarization too large", "monomials", monomial_cap)
-    powers: Dict[int, list] = {}  # k -> [(exponents on the n copies, multinomial)]
+    lists: Dict[tuple, list] = {}  # the lists of `_multinomials` built in this call
     buckets: Dict[tuple, Dict[tuple, Fraction]] = {}
     for e, c in f._terms.items():
-        for k in e:
-            if k not in powers:
-                powers[k] = [(parts, prod(comb(k - sum(parts[:a]), p) for a, p in enumerate(parts)))
-                             for parts in compositions(k, n)]
-        for choice in product(*(powers[k] for k in e)):
+        for choice in product(*(_multinomials(k, n, lists) for k in e)):
             copies = tuple(zip(*(parts for parts, _ in choice)))  # copy a: x_{a,1..m}
             buckets.setdefault(tuple(map(sum, copies)), {})[sum(copies, ())] = \
                 c * prod(w for _, w in choice)
     target = copies_layout(m, n)
     return {deg: Poly._trusted(target, terms)
             for deg, terms in sorted(buckets.items(), key=lambda kv: glex_key(kv[0]))}
+
+
+def _multinomials(k: int, n: int, lists: Dict[tuple, list]) -> list:
+    """[(parts, k! / (parts_1! ... parts_n!))] for parts in `compositions(k, n)`,
+    in that order, kept in `lists` under (k, n) with the lists it is built from.
+
+    The multinomial of (p, rest) is C(k, p) times that of rest, a composition
+    of k - p into n - 1 parts; as p runs from k down to 0, C(k, p - 1) is
+    C(k, p) * p // (k - p + 1), one exact multiply and divide.
+    """
+    if (k, n) not in lists:
+        if n == 1:
+            lists[k, n] = [((k,), 1)]
+        else:
+            out = []
+            binomial = 1  # C(k, p)
+            for p in range(k, -1, -1):
+                out += [((p, *rest), binomial * w) for rest, w in _multinomials(k - p, n - 1, lists)]
+                binomial = binomial * p // (k - p + 1)
+            lists[k, n] = out
+    return lists[k, n]
 
 
 @frozen

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from polinv import polarization
 from polinv.cli import main
 from polinv.limits import DEFAULT_CAPS
+from polinv.poly import Poly
 
 
 def write(tmp_path, name, payload):
@@ -70,6 +71,24 @@ def test_polarize_command(files, capsys):
     assert code == 0
     assert "component_count: 3" in out
     assert "result: PASS" in out
+
+
+def test_polarize_spot_check_evaluates_one_polynomial_per_side(files, capsys, monkeypatch):
+    # each of the five trials evaluates f at the combined point and the
+    # merged components at the scaled point, whatever the component count
+    calls = []
+    evaluate = Poly.evaluate
+
+    def counting_evaluate(self, point):
+        calls.append(len(point))
+        return evaluate(self, point)
+
+    monkeypatch.setattr(Poly, "evaluate", counting_evaluate)
+    code, out = run(capsys, ["polarize", files["x4"], "--copies", "3"])
+    assert code == 0
+    assert "component_count: 15" in out
+    assert "result: PASS" in out
+    assert calls == [1, 3] * 5
 
 
 def test_invariant_dims_command(files, capsys):
@@ -386,8 +405,8 @@ def test_polarization_over_the_monomial_cap_exits_3_before_expanding(tmp_path, c
     def expanded(*args, **kwargs):
         raise AssertionError("the polarization was expanded")
 
-    # every power in an expansion is listed by `compositions` first
-    monkeypatch.setattr(polarization, "compositions", expanded)
+    # every power in an expansion is listed by `_multinomials` first
+    monkeypatch.setattr(polarization, "_multinomials", expanded)
     assert main(materialize(tmp_path, argv)) == 3
     out, err = capsys.readouterr()
     assert out == ""

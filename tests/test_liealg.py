@@ -5,10 +5,11 @@ from fractions import Fraction as Q
 import pytest
 
 from polinv import linalg, liealg
-from polinv.groups import DiagonalAction, builtin_family, invariant_dimension
+from polinv.groups import (DiagonalAction, builtin_family, enumerate_group,
+                           invariant_dimension, reynolds)
 from polinv.limits import CapExceededError
 from polinv.linalg import Matrix
-from polinv.poly import Poly, VariableLayout, count_monomials, monomials
+from polinv.poly import Poly, VariableLayout, count_monomials, monomials, parse_poly
 from polinv.polarization import polarize
 from polinv.liealg import (LieAlgebraBasis, LieSubspace, bracket, certify_sl2_r1,
                            certify_sl3, certify_so5, generic_orbit_dimension,
@@ -90,6 +91,84 @@ def test_closure_examples():
     assert len(heis) == 3
     plane = LieSubspace(alg, (e12 + e23, unit_matrix(3, 1, 0) - unit_matrix(3, 2, 1)))
     assert len(subalgebra_closure(plane)) == 8
+
+
+def _rref_closure(sub):
+    """The bracket closure by Fraction RREF rounds, an independent reference:
+    each round reduces the current rows with their brackets, and the rounds
+    stop when the rank stops growing."""
+    n = sub.algebra.matrix_size
+
+    def reduce(rows):
+        red, rk, _ = fraction_rref(Matrix.from_rows(rows))
+        return [list(red.row(i)) for i in range(rk)]
+
+    rows = reduce([list(m.entries) for m in sub.spanning])
+    while True:
+        mats = [Matrix(n, n, tuple(r)) for r in rows]
+        new_rows = reduce(rows + [list(bracket(x, y).entries)
+                                  for i, x in enumerate(mats) for y in mats[i + 1:]])
+        if len(new_rows) == len(rows):
+            return new_rows
+        rows = new_rows
+
+
+def _span_rank(mats):
+    return fraction_rref(Matrix.from_rows([m.entries for m in mats]))[1]
+
+
+def test_closure_matches_the_rref_reference():
+    rng = random.Random(47)
+    dims = set()
+    for alg in (sl(3), so5()):
+        for _ in range(15):
+            spanning = []
+            for _ in range(rng.randint(1, 3)):
+                # sparse, so that the closures take many dimensions, not only all
+                coefficients = [rng.choice((0,) * 9 + (1, -1, 2)) for _ in alg.basis]
+                spanning.append(sum((b.scale(c) for b, c in zip(alg.basis, coefficients)),
+                                    alg.basis[0].scale(0)))
+            if rng.random() < 0.3:
+                spanning.append(spanning[0].scale(-2))  # a dependent spanning matrix
+            closure = subalgebra_closure(LieSubspace(alg, tuple(spanning)))
+            k = len(closure)
+            assert k == len(_rref_closure(LieSubspace(alg, tuple(spanning))))
+            assert _span_rank(closure) == k
+            assert _span_rank(closure + [bracket(x, y) for i, x in enumerate(closure)
+                                         for y in closure[i + 1:]]) == k
+            assert _span_rank(closure + spanning) == k
+            dims.add((alg.name, k))
+    assert len(dims) >= 6, dims
+
+
+def test_no_span_question_builds_an_rref(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a span question built an RREF")
+
+    rref = linalg.rref
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polinv") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", refuse)
+    assert linalg.rref is refuse
+    assert certify_sl3()["result"] == "PASS"
+    assert certify_so5()["result"] == "PASS"
+    rng = random.Random(31)
+    for n in range(1, 6):
+        checked = 0
+        while checked < 4:
+            m = Matrix(n, n, tuple(Q(rng.randint(-5, 5), rng.randint(1, 3))
+                                   for _ in range(n * n)))
+            if fraction_rref(m)[1] < n:
+                continue
+            assert m @ linalg.inverse(m) == linalg.inverse(m) @ m == Matrix.identity(n)
+            checked += 1
+    # an order-3 rotation, not a signed permutation: `act` inverts it
+    group = enumerate_group([Matrix.from_rows([[0, -1], [1, -1]])])
+    assert group.order == 3
+    action = DiagonalAction(group, VariableLayout(1, 2))
+    p = parse_poly("x1^2 - x1*x2 + x2^2", action.layout)
+    assert reynolds(p, action) == p
+    assert reynolds(Poly.variable(action.layout, 0), action).is_zero()
 
 
 def test_sl2_dimension_examples():

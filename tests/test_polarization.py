@@ -143,6 +143,14 @@ def test_polarize_matches_the_substitution_reference():
         got, want = polarize(f, n), _substituted_polarization(f, n)
         assert got == want, (f, n)
         assert list(got) == list(want)
+    # high powers, whose multinomials are stepped along many compositions
+    layout = VariableLayout(1, 1)
+    for k in (40, 60):
+        for n in (2, 3):
+            f = Poly.variable(layout, 0) ** k
+            got, want = polarize(f, n), _substituted_polarization(f, n)
+            assert got == want, (k, n)
+            assert list(got) == list(want)
 
 
 def test_polarization_generators_cap_the_polarizations_together():

@@ -114,3 +114,25 @@ def test_no_module_level_mutable_display(path):
     found = [(node.lineno, type(node).__name__) for node in _evaluated_on_import(_tree(path))
              if isinstance(node, MUTABLE_DISPLAYS)]
     assert found == []
+
+
+def _names(tree):
+    """Every name that `tree` defines, imports, loads or reads as an attribute."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.alias):
+            out.update({node.name, node.asname} - {None})
+    return out
+
+
+def test_rref_is_named_only_where_it_is_defined_and_exported():
+    # every span question in the package reads `_echelon`; `rref` is an entry
+    # point for library callers, defined in `linalg` and exported by `__init__`
+    naming = [path.name for path in sorted(SRC.glob("*.py")) if "rref" in _names(_tree(path))]
+    assert naming == ["__init__.py", "linalg.py"]
