@@ -6,6 +6,8 @@ commands the query itself is the check, grep-style), 2 on malformed input,
 3 when a size cap is exceeded.  Seed and caps can be set by environment
 variables (POLINV_SEED, POLINV_CAP_GROUP_ORDER, POLINV_CAP_SPAN_PRODUCTS,
 POLINV_CAP_MONOMIALS); command line flags win over the environment.
+Each command imports the polinv modules it runs when it runs, so a call
+executes no module that it does not use (the package loads them lazily).
 """
 
 from __future__ import annotations
@@ -14,25 +16,16 @@ import argparse
 import os
 import random
 import sys
+from importlib import import_module
 
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
-from .linalg import frac
-from .groups import DiagonalAction, builtin_family, invariant_dimension
-from .poly import Poly, count_monomials, multidegrees, poly_to_string
-from .polarization import (certificate_combination, certify_dm, classical_generators,
-                           compare_graded_dims, membership, polarize)
-from .nullcone import (BinaryForm, binary_nullcone_witness, certify_torus, torus_nullcone_member,
-                       v_gamma)
-from .specs import (binary_form_from_spec, builtin_from_spec, capped_layout,
-                    generators_from_spec, group_from_spec, load_spec, poly_from_spec,
-                    weight_system_from_spec)
-from .liealg import certify_sl2_r1, certify_sl3, certify_so5
-from .reports import check, make_report, render_structured, render_text
 
 
-# the packaged `certify` scenarios, in the order `--help` lists them
-_SCENARIOS = (("dm", certify_dm), ("so5", certify_so5), ("sl3", certify_sl3),
-              ("torus", certify_torus), ("sl2-r1", certify_sl2_r1))
+# the packaged `certify` scenarios as (name, module, function), in the order
+# `--help` lists them; a scenario's module is imported when it runs
+_SCENARIOS = (("dm", "polarization", "certify_dm"), ("so5", "liealg", "certify_so5"),
+              ("sl3", "liealg", "certify_sl3"), ("torus", "nullcone", "certify_torus"),
+              ("sl2-r1", "liealg", "certify_sl2_r1"))
 
 
 def _env_int(name: str, default: int) -> int:
@@ -87,11 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("form_file")
 
     p = sub.add_parser("certify", help="run a packaged certificate scenario")
-    p.add_argument("scenario", choices=tuple(name for name, _ in _SCENARIOS))
+    p.add_argument("scenario", choices=tuple(name for name, *_ in _SCENARIOS))
     return parser
 
 
 def _parse_vector(text: str):
+    from .linalg import frac
     return tuple(frac(part) for part in text.split(","))
 
 
@@ -101,6 +95,10 @@ def _check_max_degree(max_degree: int) -> None:
 
 
 def cmd_polarize(args, caps: Caps) -> dict:
+    from .polarization import polarize
+    from .poly import Poly, poly_to_string
+    from .reports import check, make_report
+    from .specs import capped_layout, load_spec, poly_from_spec
     layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
@@ -129,6 +127,10 @@ def cmd_polarize(args, caps: Caps) -> dict:
 
 
 def cmd_invariant_dims(args, caps: Caps) -> dict:
+    from .groups import DiagonalAction, invariant_dimension
+    from .poly import count_monomials, multidegrees
+    from .reports import check, make_report
+    from .specs import capped_layout, group_from_spec, load_spec
     _check_max_degree(args.max_degree)
     group = group_from_spec(load_spec(args.group_file), caps.group_order)
     action = DiagonalAction(group, capped_layout(args.copies, group.dimension, caps.monomials))
@@ -147,6 +149,11 @@ def cmd_invariant_dims(args, caps: Caps) -> dict:
 
 
 def cmd_compare(args, caps: Caps) -> dict:
+    from .groups import builtin_family
+    from .polarization import classical_generators, compare_graded_dims
+    from .poly import count_monomials, multidegrees
+    from .reports import check, make_report
+    from .specs import builtin_from_spec, capped_layout, load_spec
     _check_max_degree(args.max_degree)
     builtin = builtin_from_spec(load_spec(args.group_file))
     if builtin is None:
@@ -176,6 +183,10 @@ def cmd_compare(args, caps: Caps) -> dict:
 
 
 def cmd_membership(args, caps: Caps) -> dict:
+    from .polarization import certificate_combination, membership
+    from .poly import poly_to_string
+    from .reports import check, make_report
+    from .specs import generators_from_spec, load_spec, poly_from_spec
     layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
     gens = generators_from_spec(load_spec(args.gens_file), caps.monomials)
     if gens.layout != layout:
@@ -195,6 +206,9 @@ def cmd_membership(args, caps: Caps) -> dict:
 
 
 def cmd_nullcone(args, caps: Caps) -> dict:
+    from .nullcone import BinaryForm, binary_nullcone_witness, torus_nullcone_member, v_gamma
+    from .reports import check, make_report
+    from .specs import binary_form_from_spec, load_spec, weight_system_from_spec
     if args.nullcone_kind == "torus":
         ws = weight_system_from_spec(load_spec(args.module_file))
         v = _parse_vector(args.vector)
@@ -231,7 +245,8 @@ def cmd_nullcone(args, caps: Caps) -> dict:
 
 
 def cmd_certify(args, caps: Caps) -> dict:
-    return dict(_SCENARIOS)[args.scenario](args.seed, caps)
+    module, function = {name: rest for name, *rest in _SCENARIOS}[args.scenario]
+    return getattr(import_module(f".{module}", __package__), function)(args.seed, caps)
 
 
 def main(argv=None) -> int:
@@ -259,6 +274,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    from .reports import render_structured, render_text
     text = render_structured(report) if args.format == "structured" else render_text(report)
     sys.stdout.write(text)
     return 0 if report["result"] == "PASS" else 1

@@ -15,10 +15,12 @@ row, so entries stay small integers and no Fraction is built until the final
 coefficients.  When relations are asked for, each row carries its integer
 combination of the inputs over one denominator of its own, so a tracked row
 is divided by its content and pivoted exactly as an untracked row is.
-`mat_mul` is the one matrix product, for rational or `Poly` entries;
-`power_traces` yields tr(A^k) through it for the Molien count in `groups`
-and the nilpotency test in `nullcone`.  There is no floating point anywhere
-in this module; every answer is exact.
+`Matrix @` multiplies in Python ints, each operand scaled once by the lcm
+of its denominators.  `mat_mul` multiplies matrices given as row and column
+lists, with rational or `Poly` entries; `power_traces` yields tr(A^k)
+through it for the Molien count in `groups` and the nilpotency test in
+`nullcone`.  There is no floating point anywhere in this module; every
+answer is exact.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from collections import Counter, defaultdict
 from fractions import Fraction
 from heapq import heapify, heappop
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .limits import frozen
@@ -89,11 +92,18 @@ class Matrix:
                       tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
+        """Exact product.  Each operand is scaled once to integer entries (by
+        the lcm of its denominators), rows are multiplied by columns in Python
+        ints, and each entry is divided once by the product of the scales."""
         if self.cols != other.rows:
             raise ValueError("matrix size mismatch")
-        columns = [other.entries[j::other.cols] for j in range(other.cols)]
-        product = mat_mul(self.to_rows(), columns, Q(0))
-        return Matrix(self.rows, other.cols, tuple(x for row in product for x in row))
+        a, da = _integer_terms(dict(enumerate(self.entries)))
+        b, db = _integer_terms(dict(enumerate(other.entries)))
+        a, b, n = list(a.values()), list(b.values()), self.cols
+        rows = [a[i * n:(i + 1) * n] for i in range(self.rows)]
+        columns = [b[j::other.cols] for j in range(other.cols)]
+        return Matrix(self.rows, other.cols,
+                      tuple(Q(sum(map(mul, r, c)), da * db) for r in rows for c in columns))
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -126,7 +136,7 @@ class Matrix:
 def _integer_terms(terms: Mapping) -> tuple:
     """(row, d): d*terms as a {key: int} map, d the lcm of the denominators.
 
-    `terms` maps keys to nonzero Fractions.
+    `terms` maps keys to Fractions.
     """
     d = lcm(*[q.denominator for q in terms.values()])
     return {k: q.numerator * (d // q.denominator) for k, q in terms.items()}, d

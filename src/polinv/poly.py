@@ -340,17 +340,41 @@ class Poly:
         return {deg: Poly(self.layout, terms) for deg, terms in sorted(buckets.items(), key=lambda kv: glex_key(kv[0]))}
 
     def evaluate(self, point: Sequence) -> Fraction:
+        """The exact value at `point`, in integers.  With coordinate i equal
+        to n_i/d_i and K_i its top exponent, a term c x^k times prod_i d_i^K_i
+        is c * prod_i n_i^k_i d_i^(K_i - k_i), each factor read from a table of
+        powers built once per variable; the sum is divided once, at the end."""
         if len(point) != self.layout.total:
             raise ValueError("point length does not match layout")
         point = [frac(x) for x in point]
-        total = Q(0)
-        for e, c in self._terms.items():
-            v = c
-            for x, k in zip(point, e):
-                if k:
-                    v *= x ** k
-            total += v
-        return total
+        coeffs, scale = _integer_terms(self._terms)
+        tables = []
+        for i, x in enumerate(point):
+            used = sorted({e[i] for e in coeffs})
+            if not used or used[-1] == 0:
+                continue
+            top = used[-1]
+            table = _powers(x.numerator, used)
+            if x.denominator != 1:
+                scale *= x.denominator ** top
+                den = _powers(x.denominator, [top - k for k in reversed(used)])
+                table = {k: v * den[top - k] for k, v in table.items()}
+            tables.append((i, table))
+        total = 0
+        for e, c in coeffs.items():
+            for i, table in tables:
+                c *= table[e[i]]
+            total += c
+        return Q(total, scale)
+
+
+def _powers(x: int, exponents: Sequence[int]) -> dict:
+    """{k: x**k} for the ascending `exponents`, each power from the one before."""
+    out, power, last = {}, 1, 0
+    for k in exponents:
+        power *= x ** (k - last)
+        out[k], last = power, k
+    return out
 
 
 def _int_mul(a: Dict[tuple, int], b: Dict[tuple, int]) -> Dict[tuple, int]:

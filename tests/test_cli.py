@@ -167,10 +167,10 @@ def _binary_checks(out):
 
 
 def test_nullcone_binary_check_refuses_a_wrong_witness(files, capsys, monkeypatch):
-    from polinv import cli
+    from polinv import nullcone
     from polinv.nullcone import BinaryForm
     # x^3 y: its witness is x (coefficients (1, 0)); x + y does not divide it
-    monkeypatch.setattr(cli, "binary_nullcone_witness", lambda form: BinaryForm(1, (1, 1)))
+    monkeypatch.setattr(nullcone, "binary_nullcone_witness", lambda form: BinaryForm(1, (1, 1)))
     code, out = run(capsys, ["--format", "structured", "nullcone", "binary",
                              files["form_member"]])
     assert code == 1
@@ -178,14 +178,14 @@ def test_nullcone_binary_check_refuses_a_wrong_witness(files, capsys, monkeypatc
 
 
 def test_nullcone_binary_check_multiplies_the_quotient_back(files, capsys, monkeypatch):
-    from polinv import cli
+    from polinv import nullcone
     from polinv.nullcone import BinaryForm
     code, out = run(capsys, ["--format", "structured", "nullcone", "binary",
                              files["form_member"]])
     assert code == 0 and _binary_checks(out)["witness_power_divides_form"]
     # a division that claims success with a wrong quotient is caught by l^m * q != f
     witness = BinaryForm(1, (1, 0))
-    monkeypatch.setattr(cli, "binary_nullcone_witness", lambda form: witness)
+    monkeypatch.setattr(nullcone, "binary_nullcone_witness", lambda form: witness)
     monkeypatch.setattr(BinaryForm, "divide_linear",
                         lambda self, a, b: BinaryForm(self.degree - 1, (1,) * self.degree))
     code, out = run(capsys, ["--format", "structured", "nullcone", "binary",
@@ -482,7 +482,7 @@ def test_compare_refuses_a_capped_degree_before_any_row(tmp_path, capsys, monkey
     def no_rows(*args, **kwargs):
         raise AssertionError("compare computed rows before refusing")
 
-    monkeypatch.setattr("polinv.cli.compare_graded_dims", no_rows)
+    monkeypatch.setattr(polarization, "compare_graded_dims", no_rows)
     d4 = write(tmp_path, "d4.json", {"builtin": {"family": "D", "m": 4}})
     code = main(["compare", d4, "--copies", "2", "--max-degree", "1000000"])
     out, err = capsys.readouterr()

@@ -32,6 +32,22 @@ def test_bracket_examples():
     assert bracket(A, B) == Matrix.from_rows([[1, 0, 0], [0, -2, 0], [0, 0, 1]])
 
 
+def test_bracket_multiplies_in_integers_without_mat_mul(monkeypatch):
+    # `Matrix @` multiplies scaled integer entries itself; `mat_mul` is left
+    # to Poly entries
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bracket went through mat_mul")
+
+    monkeypatch.setattr(linalg, "mat_mul", refuse)
+    rng = random.Random(43)
+    for n in range(1, 6):
+        a, b = (Matrix(n, n, tuple(Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n * n)))
+                for _ in range(2))
+        expected = [[sum((a.at(i, k) * b.at(k, j) - b.at(i, k) * a.at(k, j) for k in range(n)),
+                         Q(0)) for j in range(n)] for i in range(n)]
+        assert bracket(a, b).to_rows() == expected
+
+
 def test_algebra_constructions():
     assert sl(2).dimension == 3
     assert sl(3).dimension == 8

@@ -259,6 +259,10 @@ def test_mat_mul_matches_a_triple_loop_on_rationals():
         b = [[entry() for _ in range(c)] for _ in range(k)]
         if r:
             a[rng.randrange(r)] = [Q(0)] * k  # a zero row
+        if c:
+            j = rng.randrange(c)
+            for row in b:
+                row[j] = Q(0)  # a zero column
         expected = _triple_loop(a, b, c, Q(0))
         columns = [[b[t][j] for t in range(k)] for j in range(c)]
         assert mat_mul(a, columns, Q(0)) == expected

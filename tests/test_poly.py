@@ -209,6 +209,31 @@ def test_evaluate():
         X.evaluate((1,))
 
 
+def _fraction_evaluate(p, point):
+    """sum c * prod x_i^k_i over the terms of p, in `Fraction`s: the reference
+    for the integer `evaluate`."""
+    total = Q(0)
+    for e, c in p.terms():
+        for x, k in zip(point, e):
+            c *= Q(x) ** k
+        total += c
+    return total
+
+
+def test_evaluate_matches_the_fraction_reference():
+    rng = random.Random(51)
+    for _ in range(300):
+        layout = VariableLayout(rng.randint(1, 2), rng.randint(1, 3))
+        terms = {tuple(rng.randint(0, 6) for _ in range(layout.total)):
+                 Q(rng.randint(-9, 9), rng.randint(1, 8)) for _ in range(rng.randint(0, 8))}
+        p = Poly(layout, terms)
+        point = [rng.choice((0, rng.randint(-5, 5), Q(rng.randint(-7, 7), rng.randint(1, 6))))
+                 for _ in range(layout.total)]
+        value = p.evaluate(point)
+        assert value == _fraction_evaluate(p, point)
+        assert type(value) is Q
+
+
 def test_multidegree():
     L = VariableLayout(2, 2)
     p = parse_poly("x1*y2 + x2*y1", L)

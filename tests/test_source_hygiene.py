@@ -117,10 +117,13 @@ def test_no_module_level_mutable_display(path):
 
 
 def _names(tree):
-    """Every name that `tree` defines, imports, loads or reads as an attribute."""
+    """Every name that `tree` defines, imports, loads or reads as an attribute,
+    and every string constant (a name in a table such as `__init__`'s exports)."""
     out = set()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+        elif isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -136,3 +139,15 @@ def test_rref_is_named_only_where_it_is_defined_and_exported():
     # point for library callers, defined in `linalg` and exported by `__init__`
     naming = [path.name for path in sorted(SRC.glob("*.py")) if "rref" in _names(_tree(path))]
     assert naming == ["__init__.py", "linalg.py"]
+
+
+def test_cli_imports_only_limits_from_the_package_at_module_level():
+    # each command imports the modules it runs; one module-level import of
+    # another polinv module would make every command execute it at start-up
+    imported = []
+    for node in _tree(SRC / "cli.py").body:
+        if isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert [m for m in imported if m.startswith((".", "polinv"))] == [".limits"]
