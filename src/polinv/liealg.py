@@ -12,13 +12,14 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
+from . import nullcone, polarization
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
-from .linalg import Matrix, _echelon, _integer_row, _integer_terms, frac, mat_mul
-from .nullcone import SubspaceSpec, matrix_nilpotent, span_probe_nullcone
+from .linalg import (Matrix, _echelon, _integer_entries, _integer_row, _integer_terms, frac,
+                     mat_mul)
 from .poly import Poly, VariableLayout, compositions, count_monomials
-from .polarization import polarize
 from .reports import check, make_report
 
 Q = Fraction
@@ -30,11 +31,31 @@ def unit_matrix(n: int, i: int, j: int) -> Matrix:
                               for r in range(n) for c in range(n)))
 
 
-def bracket(a: Matrix, b: Matrix) -> Matrix:
-    """Commutator ab - ba, exactly."""
-    if a.rows != a.cols or a.rows != b.rows or b.rows != b.cols:
+def _check_square(n: int, mats: Sequence[Matrix]) -> None:
+    if any((m.rows, m.cols) != (n, n) for m in mats):
         raise ValueError("bracket needs square matrices of equal size")
-    return a @ b - b @ a
+
+
+def _commutator(x: list, y: list, n: int) -> list:
+    """xy - yx in Python ints, for n x n int matrices given as row-major lists."""
+    x_rows = [x[i * n:(i + 1) * n] for i in range(n)]
+    y_rows = [y[i * n:(i + 1) * n] for i in range(n)]
+    x_cols = [x[j::n] for j in range(n)]
+    y_cols = [y[j::n] for j in range(n)]
+    return [sum(map(mul, xr, yc)) - sum(map(mul, yr, xc))
+            for xr, yr in zip(x_rows, y_rows) for xc, yc in zip(x_cols, y_cols)]
+
+
+def bracket(a: Matrix, b: Matrix) -> Matrix:
+    """Commutator ab - ba, exactly.  a and b are scaled to int entries once,
+    by the lcms d_a and d_b of their denominators; then ab and ba both carry
+    the scale d_a*d_b, their difference is summed in Python ints, and each
+    entry is one Fraction over that scale."""
+    _check_square(a.rows, (a, b))
+    x, dx = _integer_entries(a)
+    y, dy = _integer_entries(b)
+    d = dx * dy
+    return Matrix(a.rows, a.cols, tuple(Q(v, d) for v in _commutator(x, y, a.rows)))
 
 
 def _bracket_step(mats: Sequence[Matrix]):
@@ -265,18 +286,30 @@ def generic_orbit_dimension(alg: LieAlgebraBasis, point: Sequence[Matrix]) -> in
     This is the orbit dimension of the diagonal adjoint action at the point;
     at any rational point it lower-bounds the generic orbit dimension.
     """
-    rows = ([x for a in point for x in bracket(b, a).entries] for b in alg.basis)
-    return len(_echelon(map(_integer_row, rows))[0])
+    n = alg.matrix_size
+    _check_square(n, point)
+    # b and each a_k scaled to int entries: a nonzero scale on a row (b) or
+    # on a block of columns (a_k) keeps the rank
+    scaled = [_integer_entries(a)[0] for a in point]
+    rows = []
+    for b in alg.basis:
+        x = _integer_entries(b)[0]
+        row = [v for y in scaled for v in _commutator(x, y, n)]
+        rows.append(({j: v for j, v in enumerate(row) if v}, 1))
+    return len(_echelon(rows)[0])
 
 
 def random_algebra_element(alg: LieAlgebraBasis, rng: random.Random) -> Matrix:
-    """Integer combination of the basis with coefficients in -9..9."""
-    out = None
+    """Integer combination of the basis with coefficients in -9..9, drawn in
+    basis order and summed in Python ints over the basis's common
+    denominator d."""
+    n = alg.matrix_size
+    d = lcm(*[x.denominator for b in alg.basis for x in b.entries])
+    total = [0] * (n * n)
     for b in alg.basis:
         c = rng.randint(-9, 9)
-        term = b.scale(c)
-        out = term if out is None else out + term
-    return out
+        total = [t + c * x.numerator * (d // x.denominator) for t, x in zip(total, b.entries)]
+    return Matrix(n, n, tuple(Q(t, d) for t in total))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +332,7 @@ def certify_sl3(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
     b = Poly.variable(layout, 1)
     z = Poly.zero(layout)
     symbolic_plane = [[z, a, z], [b, z, a], [z, -b, z]]
-    nilpotent = matrix_nilpotent(symbolic_plane)
+    nilpotent = nullcone.matrix_nilpotent(symbolic_plane)
 
     witness = bracket(A, B)
     expected_witness = Matrix.from_rows([[1, 0, 0], [0, -2, 0], [0, 0, 1]])
@@ -307,16 +340,16 @@ def certify_sl3(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
 
     def member(vec):
         rows = [list(vec[0:3]), list(vec[3:6]), list(vec[6:9])]
-        return matrix_nilpotent(rows)
+        return nullcone.matrix_nilpotent(rows)
 
-    probe = span_probe_nullcone(member, SubspaceSpec(9, (A.entries, B.entries)),
-                                trials=64, seed=seed)
+    plane = nullcone.SubspaceSpec(9, (A.entries, B.entries))
+    probe = nullcone.span_probe_nullcone(member, plane, trials=64, seed=seed)
 
     checks = [
         check("plane_nilpotent_symbolic", nilpotent),
         check("bracket_is_diag_1_m2_1", witness == expected_witness),
         check("closure_is_all_of_sl3", len(closure) == 8, closure_dimension=len(closure)),
-        check("witness_not_nilpotent", not matrix_nilpotent(witness)),
+        check("witness_not_nilpotent", not nullcone.matrix_nilpotent(witness)),
         check("probes_stay_nilpotent", not probe.escaped, trials=probe.trials),
     ]
     return make_report(
@@ -341,8 +374,8 @@ def certify_so5(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
 
     # the polarization components of tr(A^2), tr(A^4) match the generator
     # list up to the multinomial coefficients of the formal expansion
-    pol2 = polarize(tr2, 2)
-    pol4 = polarize(tr4, 2)
+    pol2 = polarization.polarize(tr2, 2)
+    pol4 = polarization.polarize(tr4, 2)
     expansion_ok = (
         pol2.get((2, 0)) == gens[0]
         and pol2.get((1, 1)) == 2 * gens[1]

@@ -97,9 +97,9 @@ class Matrix:
         ints, and each entry is divided once by the product of the scales."""
         if self.cols != other.rows:
             raise ValueError("matrix size mismatch")
-        a, da = _integer_terms(dict(enumerate(self.entries)))
-        b, db = _integer_terms(dict(enumerate(other.entries)))
-        a, b, n = list(a.values()), list(b.values()), self.cols
+        a, da = _integer_entries(self)
+        b, db = _integer_entries(other)
+        n = self.cols
         rows = [a[i * n:(i + 1) * n] for i in range(self.rows)]
         columns = [b[j::other.cols] for j in range(other.cols)]
         return Matrix(self.rows, other.cols,
@@ -131,6 +131,13 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.entries)
+
+
+def _integer_entries(m: Matrix) -> tuple:
+    """(entries, d): d times the entries of m as a row-major list of ints, d
+    the lcm of their denominators."""
+    d = lcm(*[x.denominator for x in m.entries])
+    return [x.numerator * (d // x.denominator) for x in m.entries], d
 
 
 def _integer_terms(terms: Mapping) -> tuple:

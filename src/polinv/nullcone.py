@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
 from math import lcm
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -62,7 +61,7 @@ def torus_nullcone_member(ws: WeightSystem, v: Sequence) -> Optional[tuple]:
 
 def _support_weights(ws: WeightSystem, vectors) -> list:
     """The distinct weights of the coordinates where some vector is nonzero, first seen first."""
-    return list(dict.fromkeys(w for v in vectors for x, w in zip(v, ws.weights) if x != 0))
+    return list(dict.fromkeys([w for v in vectors for x, w in zip(v, ws.weights) if x != 0]))
 
 
 def v_gamma(ws: WeightSystem, gamma: Sequence[int]) -> tuple:
@@ -107,10 +106,15 @@ def brute_box_functional(points: Sequence[Sequence], dim: int,
     Each rational point is scaled to integers by the lcm of its denominators
     (the same constraint).  Exhaustive search in Python integers, lex-ordered
     with the first coordinate slowest, independent of the Fourier-Motzkin
-    path.  For each prefix of the first dim - 1 coordinates the points cut
-    the last coordinate down to one integer interval, whose least member is
-    the first feasible point with that prefix.  Empty input follows the
-    (1, ..., 1) convention.
+    path.  gamma is fixed one coordinate at a time, in that order.
+    With s = <gamma, p> over the coordinates fixed so far, the coordinates
+    after g_i can add at most t = bound * (|p_(i+1)| + ... + |p_(dim-1)|)
+    (indices from 0), so g_i runs only over the integer interval where
+    s + g_i*p_i + t > 0 for every point.  A prefix this skips has no
+    feasible completion, so the first complete gamma is the lex-first
+    feasible one.  At the last coordinate t = 0 and the interval is exact:
+    its least member is the first feasible point with that prefix.  Empty
+    input follows the (1, ..., 1) convention.
     """
     if bound < 0:
         raise ValueError(f"box bound must be non-negative, got {bound}")
@@ -121,23 +125,37 @@ def brute_box_functional(points: Sequence[Sequence], dim: int,
     rows = [_integer_point(p) for p in points]
     if any(len(r) != dim for r in rows):
         raise ValueError("dimension mismatch")
-    split = [(r[:-1], r[-1]) for r in rows]
-    for prefix in product(range(-bound, bound + 1), repeat=dim - 1):
+    columns = list(zip(*rows))  # columns[i][k]: coordinate i of point k
+
+    def descend(i: int, room: list) -> Optional[tuple]:
+        # room[k] = s + t for point k: its partial sum plus what the
+        # coordinates after g_i can add, so g_i needs room[k] + g_i*c > 0
+        column = columns[i]
         lo, hi = -bound, bound
-        for head, c in split:
-            # <gamma, p> = s + c * g > 0 for the last coordinate g
-            s = sum(map(mul, prefix, head))
+        for r, c in zip(room, column):
             if c > 0:
-                lo = max(lo, -s // c + 1)
+                x = -r // c + 1
+                if x > lo:
+                    lo = x
             elif c < 0:
-                hi = min(hi, (s - 1) // -c)
-            elif s <= 0:
-                break
-            if lo > hi:
-                break
-        else:
-            return prefix + (lo,)
-    return None
+                x = (r - 1) // -c
+                if x < hi:
+                    hi = x
+            elif r <= 0:
+                return None
+        if lo > hi:
+            return None
+        if i == dim - 1:
+            return (lo,)
+        # fixing g_(i+1) next takes its bound * |c| out of the room
+        base = [r - bound * abs(c) for r, c in zip(room, columns[i + 1])]
+        for g in range(lo, hi + 1):
+            rest = descend(i + 1, [b + g * c for b, c in zip(base, column)])
+            if rest is not None:
+                return (g,) + rest
+        return None
+
+    return descend(0, [bound * sum(map(abs, r[1:])) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -322,18 +340,21 @@ def span_probe_nullcone(member: Callable[[tuple], bool], L: SubspaceSpec,
                         trials: int = 64, seed: int = DEFAULT_SEED) -> ProbeVerdict:
     """Probe random rational combinations of the spanning vectors.
 
-    Coefficients are drawn from the integers -9..9; the verdict records the
-    seed for reproducibility.
+    Coefficients are drawn from the integers -9..9, one per spanning vector
+    in order; the verdict records the seed for reproducibility.  Coordinate
+    i of a combination is the coefficients dotted with column i, the i-th
+    coordinates of the spanning vectors (the columns are formed once).
     """
     rng = random.Random(seed)
     k = len(L.spanning_vectors)
     vs = [tuple(v) for v in L.spanning_vectors]
     if not all(type(x) is int for v in vs for x in v):
         vs = [tuple(frac(x) for x in v) for v in vs]
+    columns = list(zip(*vs)) if vs else [()] * L.ambient_dim
+    randint = rng.randint
     for _ in range(trials):
-        coeffs = tuple(rng.randint(-9, 9) for _ in range(k))
-        combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vs))
-                      for i in range(L.ambient_dim))
+        coeffs = tuple([randint(-9, 9) for _ in range(k)])
+        combo = tuple([sum(map(mul, coeffs, column)) for column in columns])
         if not member(combo):
             return ProbeVerdict(True, coeffs, combo, trials, seed)
     return ProbeVerdict(False, None, None, trials, seed)

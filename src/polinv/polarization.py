@@ -16,10 +16,9 @@ from itertools import product
 from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from . import groups
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
-from .groups import (DiagonalAction, MatrixGroup, builtin_family,
-                     invariant_dimension, is_invariant, point_image, same_orbit)
 from .poly import (Poly, VariableLayout, count_monomials, glex_key, is_scalar_multiple,
                    multidegrees)
 from .reports import check, make_report
@@ -128,7 +127,7 @@ class GradedSpan:
 
 
 def polarization_generators(invariant_gens: Sequence[Poly], n: int,
-                            group: Optional[MatrixGroup] = None,
+                            group: Optional[groups.MatrixGroup] = None,
                             monomial_cap: int = DEFAULT_CAPS.monomials) -> GeneratorSet:
     """Polarize every generator and collect the components, de-duplicated
     up to exact scalar multiples.  Constant components are dropped; when a
@@ -141,9 +140,9 @@ def polarization_generators(invariant_gens: Sequence[Poly], n: int,
     m = invariant_gens[0].layout.vars_per_block
     layout = copies_layout(m, n)
     if group is not None:
-        base_action = DiagonalAction(group, VariableLayout(1, m))
+        base_action = groups.DiagonalAction(group, VariableLayout(1, m))
         for f in invariant_gens:
-            if not is_invariant(f, base_action):
+            if not groups.is_invariant(f, base_action):
                 raise ValueError("generator is not invariant under the supplied group")
     kept: List[Tuple[Poly, tuple]] = []
     used = 0  # monomials of the polarizations so far
@@ -421,7 +420,7 @@ def classical_generators(family: str, m: int,
             + [Poly._trusted(layout, {(1,) * m: Q(1)})])
 
 
-def compare_graded_dims(group: MatrixGroup, invariant_gens: Sequence[Poly], n: int,
+def compare_graded_dims(group: groups.MatrixGroup, invariant_gens: Sequence[Poly], n: int,
                         max_total_degree: int,
                         span_cap: int = DEFAULT_CAPS.span_products,
                         monomial_cap: int = DEFAULT_CAPS.monomials):
@@ -433,11 +432,11 @@ def compare_graded_dims(group: MatrixGroup, invariant_gens: Sequence[Poly], n: i
     """
     m = group.dimension
     layout = copies_layout(m, n)
-    action = DiagonalAction(group, layout)
+    action = groups.DiagonalAction(group, layout)
     gens = polarization_generators(invariant_gens, n, group, monomial_cap)
     rows = []
     for deg in multidegrees(max_total_degree, n):
-        dim_inv = invariant_dimension(action, deg, monomial_cap)
+        dim_inv = groups.invariant_dimension(action, deg, monomial_cap)
         dim_pol = graded_span_basis(gens, deg, span_cap, monomial_cap).dimension
         rows.append((deg, dim_inv, dim_pol))
     return rows
@@ -458,15 +457,15 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
     square (which is B_4-invariant) is, certifying integrality without
     equality.
     """
-    group = builtin_family("D", 4)
+    group = groups.builtin_family("D", 4)
     layout = copies_layout(4, 2)
-    action = DiagonalAction(group, layout)
+    action = groups.DiagonalAction(group, layout)
     invs = classical_generators("D", 4)
     gens = polarization_generators(invs, 2, group, caps.monomials)
 
     dims = {}
     for deg in ((2, 2), (3, 3)):
-        dims[deg] = (invariant_dimension(action, deg, caps.monomials),
+        dims[deg] = (groups.invariant_dimension(action, deg, caps.monomials),
                      graded_span_basis(gens, deg, caps.span_products,
                                        caps.monomials).dimension)
 
@@ -486,7 +485,7 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
               dim_invariants=dims[(2, 2)][0], dim_pol_span=dims[(2, 2)][1]),
         check("gap_at_3_3", dims[(3, 3)][1] < dims[(3, 3)][0],
               dim_invariants=dims[(3, 3)][0], dim_pol_span=dims[(3, 3)][1]),
-        check("witness_invariant", is_invariant(w, action)),
+        check("witness_invariant", groups.is_invariant(w, action)),
         check("witness_not_member", w_cert is None),
         check("witness_square_member_at_6_6", square_ok,
               certificate_terms=len(square_cert) if square_cert else 0),
@@ -527,7 +526,7 @@ class SeparationReport:
         return self.separated == self.pairs_tested and not self.failures
 
 
-def separation_test(group: MatrixGroup, gens: GeneratorSet, trials: int = 200,
+def separation_test(group: groups.MatrixGroup, gens: GeneratorSet, trials: int = 200,
                     seed: int = DEFAULT_SEED, controls: int = 20) -> SeparationReport:
     """Check that points in distinct orbits are told apart by some generator.
 
@@ -537,7 +536,7 @@ def separation_test(group: MatrixGroup, gens: GeneratorSet, trials: int = 200,
     """
     rng = random.Random(seed)
     layout = gens.layout
-    action = DiagonalAction(group, layout)
+    action = groups.DiagonalAction(group, layout)
     total = layout.total
     polys = [p for p, _ in gens.generators]
 
@@ -549,7 +548,7 @@ def separation_test(group: MatrixGroup, gens: GeneratorSet, trials: int = 200,
     tested = 0
     while tested < trials:
         v, w = draw_point(), draw_point()
-        if same_orbit(v, w, action):
+        if groups.same_orbit(v, w, action):
             continue
         tested += 1
         if any(p.evaluate(v) != p.evaluate(w) for p in polys):
@@ -560,7 +559,7 @@ def separation_test(group: MatrixGroup, gens: GeneratorSet, trials: int = 200,
     controls_agree = 0
     for _ in range(controls):
         v = draw_point()
-        w = point_image(group.elements[rng.randrange(group.order)], v, layout)
+        w = groups.point_image(group.elements[rng.randrange(group.order)], v, layout)
         if all(p.evaluate(v) == p.evaluate(w) for p in polys):
             controls_agree += 1
     return SeparationReport(seed, trials, tested, separated, controls, controls_agree,

@@ -29,12 +29,10 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional, Tuple
 
-from .groups import MatrixGroup, builtin_family, enumerate_group
+from . import groups, nullcone, polarization
 from .limits import DEFAULT_CAPS, CapExceededError
 from .linalg import Matrix, frac
-from .nullcone import BinaryForm, WeightSystem
 from .poly import Poly, VariableLayout, parse_poly
-from .polarization import GeneratorSet, classical_generators, polarization_generators
 
 GROUP = "group file"
 POLY = "polynomial file"
@@ -134,10 +132,10 @@ def builtin_from_spec(spec) -> Optional[Tuple[str, int]]:
     return builtin.read("family", _string), builtin.read("m", _integer)
 
 
-def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
+def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> groups.MatrixGroup:
     builtin = builtin_from_spec(spec)
     if builtin is not None:
-        return builtin_family(*builtin, cap)
+        return groups.builtin_family(*builtin, cap)
     fields = _Object(GROUP, "", spec)
     if "generators" not in fields:
         raise ValueError(f"{GROUP}: needs a 'builtin' or 'generators' key")
@@ -147,7 +145,7 @@ def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
         if n * n != len(flat):
             raise ValueError(f"{GROUP}: 'generators[{i}]' entry count is not a perfect square")
         gens.append(Matrix(n, n, tuple(flat)))
-    return enumerate_group(gens, cap)
+    return groups.enumerate_group(gens, cap)
 
 
 def capped_layout(blocks: int, vars_per_block: int, cap: int) -> VariableLayout:
@@ -173,19 +171,19 @@ def poly_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> Tuple[VariableLay
     return layout, fields.read("poly", _poly(layout))
 
 
-def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> GeneratorSet:
+def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> polarization.GeneratorSet:
     fields = _Object(GENS, "", spec)
     if "family" in fields:
         family, m = fields.read("family", _string), fields.read("m", _integer)
         copies = fields.read("copies", _integer)
         capped_layout(copies, m, cap)
-        return polarization_generators(classical_generators(family, m, cap), copies,
-                                       monomial_cap=cap)
+        invs = polarization.classical_generators(family, m, cap)
+        return polarization.polarization_generators(invs, copies, monomial_cap=cap)
     if "invariants" in fields:
         m, copies = fields.read("vars", _integer), fields.read("copies", _integer)
         capped_layout(copies, m, cap)
         invs = fields.read("invariants", _list(_poly(VariableLayout(1, m))))
-        return polarization_generators(invs, copies, monomial_cap=cap)
+        return polarization.polarization_generators(invs, copies, monomial_cap=cap)
     if "generators" in fields:
         layout = _layout_from_spec(fields, cap)
         gens = []
@@ -194,18 +192,18 @@ def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> GeneratorSe
             if deg is None:
                 raise ValueError(f"{GENS}: 'generators[{i}]' is not multihomogeneous")
             gens.append((p, deg))
-        return GeneratorSet(layout, tuple(gens))
+        return polarization.GeneratorSet(layout, tuple(gens))
     raise ValueError(f"{GENS}: needs a 'family', 'invariants' or 'generators' key")
 
 
-def weight_system_from_spec(spec) -> WeightSystem:
+def weight_system_from_spec(spec) -> nullcone.WeightSystem:
     fields = _Object(TORUS, "", spec)
     rank = fields.read("torus_rank", _integer)
     weights = fields.read("weights", _list(_list(_integer)))
-    return WeightSystem(rank, tuple(tuple(w) for w in weights))
+    return nullcone.WeightSystem(rank, tuple(tuple(w) for w in weights))
 
 
-def binary_form_from_spec(spec) -> BinaryForm:
+def binary_form_from_spec(spec) -> nullcone.BinaryForm:
     fields = _Object(BINARY, "", spec)
-    return BinaryForm(fields.read("degree", _integer),
-                      tuple(fields.read("coeffs", _list(_rational))))
+    return nullcone.BinaryForm(fields.read("degree", _integer),
+                               tuple(fields.read("coeffs", _list(_rational))))

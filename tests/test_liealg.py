@@ -473,6 +473,74 @@ def test_orbit_dimension_examples():
     assert generic_orbit_dimension(alg5, (a1, a2)) <= 10
 
 
+def _fraction_product(a, b):
+    n = a.rows
+    return [[sum((a.at(i, k) * b.at(k, j) for k in range(n)), Q(0)) for j in range(n)]
+            for i in range(n)]
+
+
+def _fraction_bracket(a, b):
+    # ab - ba by a Fraction triple loop, sharing no code with `Matrix @`
+    return Matrix.from_rows([[x - y for x, y in zip(r, s)]
+                             for r, s in zip(_fraction_product(a, b), _fraction_product(b, a))])
+
+
+def _rational_matrix(rng, n):
+    return Matrix(n, n, tuple(Q(rng.randint(-7, 7), rng.choice((1, 2, 3, 12, 35, 2 ** 40)))
+                              for _ in range(n * n)))
+
+
+def test_bracket_matches_the_fraction_commutator():
+    rng = random.Random(2628)
+    for case in range(80):
+        n = 1 + case % 5
+        a, b = _rational_matrix(rng, n), _rational_matrix(rng, n)
+        if case % 7 == 0:
+            b = Matrix(n, n, (Q(0),) * (n * n))
+        got = bracket(a, b)
+        assert got == _fraction_bracket(a, b)
+        assert all(type(x) is Q for x in got.entries)
+    assert bracket(Matrix(0, 0, ()), Matrix(0, 0, ())) == Matrix(0, 0, ())
+    with pytest.raises(ValueError, match="square matrices of equal size"):
+        bracket(Matrix.identity(2), Matrix.identity(3))
+
+
+def test_orbit_dimension_matches_the_rank_of_its_fraction_rows():
+    rng = random.Random(2629)
+    checked = set()
+    for alg in (sl(2), sl(3), so5()):
+        n = alg.matrix_size
+        for case in range(6):
+            point = [_rational_matrix(rng, n) for _ in range(1 + case % 3)]
+            if case == 0:
+                point = [random_algebra_element(alg, rng), Matrix(n, n, (Q(0),) * (n * n))]
+            rows = [[x for a in point for x in _fraction_bracket(b, a).entries]
+                    for b in alg.basis]
+            want = fraction_rref(Matrix.from_rows(rows))[1]
+            assert generic_orbit_dimension(alg, point) == want
+            checked.add(want)
+    assert len(checked) >= 3
+    with pytest.raises(ValueError, match="square matrices of equal size"):
+        generic_orbit_dimension(sl(2), (Matrix.identity(3),))
+
+
+def test_random_algebra_element_matches_the_fraction_sum():
+    half, third = Q(1, 2), Q(2, 3)
+    e12, e21 = unit_matrix(2, 0, 1).scale(half), unit_matrix(2, 1, 0).scale(third)
+    scaled_sl2 = LieAlgebraBasis("sl_2 scaled", 2, (e12, e21, bracket(e12, e21)))
+    for alg in (sl(3), so5(), scaled_sl2):
+        n = alg.matrix_size
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            want = Matrix(n, n, (Q(0),) * (n * n))
+            for b in alg.basis:
+                want = want + b.scale(ref.randint(-9, 9))
+            got = random_algebra_element(alg, rng)
+            assert got == want
+            assert all(type(x) is Q for x in got.entries)
+            assert rng.random() == ref.random()
+
+
 def test_certify_sl3():
     report = certify_sl3()
     assert report["result"] == "PASS"

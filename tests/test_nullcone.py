@@ -14,6 +14,8 @@ from polinv.nullcone import (BinaryForm, SubspaceSpec, WeightSystem,
                              span_probe_nullcone, subspace_in_common_vgamma,
                              torus_nullcone_member, v_gamma)
 
+from box_reference import prefix_scan_box_functional
+
 WS1 = WeightSystem(1, ((1,), (1,), (-1,)))
 
 
@@ -134,6 +136,48 @@ def test_brute_box_matches_the_full_enumeration():
         rng.shuffle(points)
         assert (brute_box_functional(points, dim, bound)
                 == _reference_box_functional(points, dim, bound)), (points, dim, bound)
+
+
+def test_pruned_box_matches_the_prefix_scan_at_bound_20():
+    rng = random.Random(2626)
+    entries = range(-4, 5)
+    found = 0
+    for case in range(600):
+        dim = rng.randint(1, 3)
+        points = [tuple(rng.choice(entries) for _ in range(dim))
+                  for _ in range(rng.randint(1, 6))]
+        if case % 5 == 0:
+            points.append((0,) * dim)
+        if case % 3 == 0:
+            points.append(rng.choice(points))
+        if case % 4 == 1:
+            points = [tuple(Q(x, rng.randint(1, 6)) for x in p) for p in points]
+        rng.shuffle(points)
+        gamma = brute_box_functional(points, dim, 20)
+        assert gamma == prefix_scan_box_functional(points, dim, 20), (points, dim)
+        found += gamma is not None
+    assert 100 < found < 500
+    for points in ([(2 ** 60, 1), (-2 ** 60, 1)], [(2 ** 59, -1)], [(2 ** 70, 1)],
+                   [(2 ** 70, -1, 3), (-2 ** 60, 2, 1)], [(2 ** 60,), (-1,)]):
+        dim = len(points[0])
+        assert (brute_box_functional(points, dim)
+                == prefix_scan_box_functional(points, dim)), points
+
+
+def test_pruned_box_matches_the_prefix_scan_on_every_certify_torus_query(monkeypatch):
+    queries = []
+    oracle = nullcone.brute_box_functional
+
+    def recorded(points, dim, bound=20):
+        queries.append((points, dim, bound))
+        return oracle(points, dim, bound)
+
+    monkeypatch.setattr(nullcone, "brute_box_functional", recorded)
+    assert certify_torus()["result"] == "PASS"
+    assert len(queries) == 392
+    for points, dim, bound in queries:
+        assert (oracle(points, dim, bound)
+                == prefix_scan_box_functional(points, dim, bound)), points
 
 
 # -- binary forms -------------------------------------------------------------
@@ -266,6 +310,44 @@ def test_matrix_nilpotent_agrees_with_powers():
     n = Matrix.from_rows([[0, 5, -3], [0, 0, 7], [0, 0, 0]])
     conj = g @ n @ inverse(g)
     assert matrix_nilpotent(conj.to_rows())
+
+
+def _randint_span_probe(member, L, trials, seed):
+    # the row-wise probe: one randint per coefficient, then each coordinate
+    # of the combination summed over the spanning vectors
+    rng = random.Random(seed)
+    vs = [tuple(v) for v in L.spanning_vectors]
+    for _ in range(trials):
+        coeffs = tuple(rng.randint(-9, 9) for _ in vs)
+        combo = tuple(sum(c * v[i] for c, v in zip(coeffs, vs))
+                      for i in range(L.ambient_dim))
+        if not member(combo):
+            return nullcone.ProbeVerdict(True, coeffs, combo, trials, seed)
+    return nullcone.ProbeVerdict(False, None, None, trials, seed)
+
+
+def test_span_probe_matches_the_randint_reference():
+    rng = random.Random(2627)
+    escaped = 0
+    for case in range(60):
+        k, n = 1 + case % 3, rng.randint(1, 5)
+        vs = tuple(tuple(Q(rng.randint(-3, 3), rng.randint(1, 4)) if case % 2
+                         else rng.randint(-3, 3) for _ in range(n)) for _ in range(k))
+        L = SubspaceSpec(n, vs)
+        weights = [rng.randint(-2, 2) for _ in range(n)]
+        threshold = rng.randint(-60, 60)
+
+        def member(vec):
+            return sum(w * x for w, x in zip(weights, vec)) < threshold
+
+        for seed in (1, 7, 12345):
+            verdict = span_probe_nullcone(member, L, trials=16, seed=seed)
+            reference = _randint_span_probe(member, L, 16, seed)
+            assert verdict == reference, (vs, seed)
+            assert ([type(x) for x in verdict.witness_vector or ()]
+                    == [type(x) for x in reference.witness_vector or ()])
+            escaped += verdict.escaped
+    assert 0 < escaped < 180
 
 
 def test_span_probe_sl3_planes():

@@ -2,6 +2,7 @@
 submodules, so that each command executes only the modules it runs."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -52,6 +53,11 @@ def test_every_export_is_the_object_its_module_defines():
 
 
 LAZY = ("linalg", "poly", "groups", "polarization", "nullcone", "liealg", "reports", "specs")
+TORUS = {"torus_rank": 1, "weights": [[1], [1], [-1]]}
+FORM = {"degree": 4, "coeffs": ["0", "1", "0", "0", "0"]}
+B2 = {"builtin": {"family": "B", "m": 2}}
+X4 = {"vars": 1, "poly": "x1^4"}
+GENS = {"vars": 1, "copies": 1, "invariants": ["x1^2"]}
 
 
 @pytest.mark.parametrize("argv, unexecuted", [
@@ -60,20 +66,35 @@ LAZY = ("linalg", "poly", "groups", "polarization", "nullcone", "liealg", "repor
     (["certify", "nope"], LAZY),
     (["certify", "torus"], ("groups", "polarization", "liealg", "specs")),
     (["certify", "dm"], ("nullcone", "liealg", "specs")),
-    (["certify", "so5"], ("specs",)),
-    (["certify", "sl3"], ("specs",)),
-    (["certify", "sl2-r1"], ("specs",)),
+    (["certify", "so5"], ("groups", "nullcone", "specs")),
+    (["certify", "sl3"], ("groups", "polarization", "specs")),
+    (["certify", "sl2-r1"], ("groups", "polarization", "nullcone", "specs")),
+    (["nullcone", "torus", TORUS, "1,1,0"], ("groups", "polarization", "liealg")),
+    (["nullcone", "binary", FORM], ("groups", "polarization", "liealg")),
+    (["invariant-dims", B2, "--copies", "2", "--max-degree", "2"],
+     ("polarization", "nullcone", "liealg")),
+    (["compare", B2, "--copies", "2", "--max-degree", "2"], ("nullcone", "liealg")),
+    (["membership", X4, GENS], ("groups", "nullcone", "liealg")),
+    (["polarize", X4, "--copies", "2"], ("groups", "nullcone", "liealg")),
 ])
-def test_a_command_executes_only_the_modules_it_runs(argv, unexecuted):
+def test_a_command_executes_only_the_modules_it_runs(tmp_path, argv, unexecuted):
     # in a fresh interpreter: every submodule is registered at `import
-    # polinv.cli`, and one still of the lazy module type has not executed
+    # polinv.cli`, and one still of the lazy module type has not executed;
+    # each JSON payload in argv is written to a spec file first
+    if argv is not None:
+        argv = list(argv)
+        for i, a in enumerate(argv):
+            if isinstance(a, dict):
+                argv[i] = str(tmp_path / f"spec{i}.json")
+                Path(argv[i]).write_text(json.dumps(a))
     script = textwrap.dedent(f"""
         import contextlib, io, sys, types
         import polinv.cli
         if {argv!r} is not None:
             with contextlib.redirect_stdout(io.StringIO()), \\
                     contextlib.redirect_stderr(io.StringIO()):
-                polinv.cli.main({argv!r})
+                code = polinv.cli.main({argv!r})
+            print(code)
         for name in {LAZY!r}:
             module = sys.modules["polinv." + name]
             if type(module) is not types.ModuleType:
@@ -82,5 +103,8 @@ def test_a_command_executes_only_the_modules_it_runs(argv, unexecuted):
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert tuple(out.split()) == unexecuted
+                         text=True, check=True).stdout.split()
+    if argv is not None:
+        # every command here ends in a passing report but the unknown scenario
+        assert int(out.pop(0)) == (2 if argv == ["certify", "nope"] else 0)
+    assert tuple(out) == unexecuted
