@@ -3,31 +3,31 @@
 Matrix entries are `fractions.Fraction` values, which Python keeps reduced
 to lowest terms with a positive denominator.  The one elimination kernel is
 `_echelon`, fraction-free integer elimination (in the style of Bareiss) on
-`(row, scale)` pairs: a sparse {column: int} row that is `scale` times the
-vector it stands for, its columns any int keys.  `rank`, `rref`, `inverse`
-and `solve_in_span` build these pairs with `_integer_row` (each vector scaled
-by the lcm of its denominators, columns its positions), and so do the span
-questions of `liealg`; `polarization` passes generator products it already
-expanded over the integers, with their packed exponent keys as the columns.
-Rows are combined as b*r - a*k, pivots are sparse +-1 entries where they
-exist, and the gcd content is divided out after every step that scaled a
-row, so entries stay small integers and no Fraction is built until the final
-coefficients.  When relations are asked for, each row carries its integer
-combination of the inputs over one denominator of its own, so a tracked row
-is divided by its content and pivoted exactly as an untracked row is.
-`Matrix @` multiplies in Python ints, each operand scaled once by the lcm
-of its denominators.  `mat_mul` multiplies matrices given as row and column
-lists, with rational or `Poly` entries; `power_traces` yields tr(A^k)
-through it for the Molien count in `groups` and the nilpotency test in
-`nullcone`.  There is no floating point anywhere in this module; every
+`(row, scale)` pairs: a sparse {column: int} row of nonzero entries that is
+`scale` times the vector it stands for, its columns any int keys.  `rank`,
+`rref`, `inverse` and `solve_in_span` build these pairs with `_integer_row`
+(each vector scaled by the lcm of its denominators, columns its positions),
+and so do the span questions of `liealg`; `polarization` passes generator
+products it already expanded over the integers, with their packed exponent
+keys as the columns.  A column that repeats an earlier one up to sign is
+dropped first: no combination of the rows tells them apart.  Each row is
+then combined with the kept rows in the order kept, as b*r - a*k, on sparse
++-1 pivots where they exist, and the gcd content is divided out after every
+step that scaled a row, so entries stay small integers and no Fraction is
+built until the final coefficients.  When relations are asked for, each row
+carries its integer combination of the inputs over one denominator of its
+own, so a tracked row is divided by its content and pivoted exactly as an
+untracked row is.  `Matrix @` multiplies in Python ints, each operand scaled
+once by the lcm of its denominators.  `mat_mul` multiplies matrices given as
+row and column lists, with rational or `Poly` entries; `power_traces` yields
+tr(A^k) through it for the Molien count in `groups` and the nilpotency test
+in `nullcone`.  There is no floating point anywhere in this module; every
 answer is exact.
 """
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from fractions import Fraction
-from heapq import heapify, heappop
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -159,15 +159,23 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
 
     Each entry of `rows` is a pair (row, scale): a sparse {column: int} row
     equal to `scale` times the vector v_j it stands for (see `_integer_row`);
-    the columns may be any int keys.  The row dicts are reduced in place.  A
-    row r is reduced against the kept rows in the order they were kept,
-    visiting only those whose pivot column r holds (a heap of kept indices,
-    fed from `meets` as fill-in appears): for a kept row k with pivot column
-    p, a = r[p] and b = k[p] (divided by their gcd), r becomes b*r - a*k.  A
-    kept row is zero at every earlier pivot, so this clears every pivot of r.
-    A row is kept when a nonzero row remains, so the kept indices are the
-    lex-first independent vectors: the pivot columns of the RREF of the
-    matrix whose columns are the v_j.
+    the columns may be any int keys, and every entry is nonzero, as every
+    caller builds them.  The row dicts are reduced in place.
+
+    A first pass collects each column as (row indices, entries) and deletes
+    from the row dicts each column that equals an earlier column or its
+    negative: a combination of the rows vanishes on it exactly when it
+    vanishes on the earlier one, so no answer changes.  (Columns of products
+    of invariants repeat up to sign along each monomial orbit of a signed
+    permutation group.)  Other multiples stay, which spares a gcd per column.
+
+    Each row r is then reduced against the kept rows in the order they were
+    kept: for a kept row k whose pivot column p r holds, a = r[p] and
+    b = k[p] (divided by their gcd), r becomes b*r - a*k.  A kept row is zero
+    at every earlier pivot, so this clears every pivot of r.  A row is kept
+    when a nonzero row remains, so the kept indices are the lex-first
+    independent vectors: the pivot columns of the RREF of the matrix whose
+    columns are the v_j.
 
     Pivots follow Markowitz: a kept row is made primitive, takes a column
     where its entry is +-1 if it has one, the one fewest input rows touch
@@ -189,24 +197,25 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
     `track`, `relations` is None.
     """
     rows = list(rows)
-    touches = Counter(c for row, _ in rows for c in row)
+    columns = {}  # column -> (indices of the rows holding it, their entries)
+    for j, (row, _) in enumerate(rows):
+        for c, x in row.items():
+            held, entries = columns.setdefault(c, ([], []))
+            held.append(j)
+            entries.append(x)
+    first = {}  # (row indices, entries up to sign) -> the first such column
+    for c, (held, entries) in columns.items():
+        if entries[0] < 0:
+            entries = [-x for x in entries]
+        if first.setdefault((tuple(held), tuple(entries)), c) != c:
+            for j in held:
+                del rows[j][0][c]
     pivots = []  # (pivot column, row, combination, denominator), in the order kept
-    position = {}  # pivot column -> index in pivots
-    meets = []  # meets[i]: the later indices whose pivot column kept row i holds
-    holders = defaultdict(list)  # column -> indices of the kept rows holding it
     kept = []
     relations = {} if track else None
     for j, (row, d) in enumerate(rows):
         combo, q = ({j: 1} if track else None), 1
-        todo = [t for t in map(position.get, row) if t is not None]
-        heapify(todo)
-        last = -1
-        while todo:
-            i = heappop(todo)
-            if i == last:
-                continue
-            last = i
-            p, prow, pcombo, pq = pivots[i]
+        for p, prow, pcombo, pq in pivots:
             a = row.get(p)
             if a is None:
                 continue
@@ -224,22 +233,12 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
                 break
             if b != 1:
                 q = _primitive(row, combo, q, gcd(*row.values()))
-            if meets[i]:
-                todo += meets[i]
-                heapify(todo)
         if row:
             g = gcd(*row.values())
             units = [c for c, x in row.items() if x == g or x == -g]
-            p = min((touches[c], c) for c in units or row)[1]
+            p = min((len(columns[c][0]), c) for c in units or row)[1]
             q = _primitive(row, combo, q, g if row[p] > 0 else -g)
-            t = len(pivots)
-            for i in holders[p]:
-                meets[i].append(t)
-            for c in row:
-                holders[c].append(t)
-            position[p] = t
             pivots.append((p, row, combo, q))
-            meets.append([])
             kept.append(j)
         elif track:
             den = -combo.pop(j) * d

@@ -182,9 +182,12 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     Generators of zero multidegree are held at exponent zero (a constant
     factor never enlarges the span).  The walk enters a prefix only when the
     generators after it can fill its remainder exactly, so every prefix it
-    enters completes, and it makes at most 1 + (tuples listed) x
-    (generators) calls.  Raises when more than `cap` tuples would be
-    produced.
+    enters completes.  A generator that cannot fit the remainder takes
+    exponent zero within the call, and a zero remainder takes the zero tail
+    at once, so each call past the start enters a prefix that ends at or
+    before the last nonzero exponent of a tuple listed: there are at most
+    1 + (such distinct prefixes) calls.  Raises when more than `cap` tuples
+    would be produced.
     """
     n = len(degrees)
     # A remainder r <= target is bit sum_b r_b * strides[b]; radix 2*t_b + 1
@@ -214,8 +217,14 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     out: List[tuple] = []
 
     def rec(i: int, remaining: tuple, pos: int, prefix: tuple):
+        if not pos:  # every later exponent is zero
+            prefix += (0,) * (n - i)
+            i = n
+        while i < n and not most(remaining, degrees[i]):  # it takes exponent zero
+            prefix += (0,)
+            i += 1
         if i == n:
-            if pos:  # an empty degree list: the start is the only prefix not checked
+            if pos:  # the start is the only prefix not checked
                 return
             if len(out) >= cap:
                 raise CapExceededError("span too large", "span_products", cap)

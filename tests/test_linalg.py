@@ -5,12 +5,12 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polinv.groups import builtin_family
+from polinv.groups import DiagonalAction, builtin_family, invariant_dimension
 from polinv.linalg import (Matrix, _echelon, inverse, mat_mul, power_traces, rank, rref,
                            solve_in_span, strict_positive_functional)
 from polinv.nullcone import brute_box_functional
 from polinv.polarization import (_digit_width, _packed, _products_for_target,
-                                 classical_generators, embed_in_copies,
+                                 classical_generators, copies_layout, embed_in_copies,
                                  polarization_generators, wallach_operator)
 from polinv.poly import Poly, VariableLayout
 
@@ -114,7 +114,9 @@ def _echelon_reference(vectors, dim):
 
 def _draw_system(draw):
     """Integer rows (lists of one length) and positive scales: some rows
-    depend on two earlier ones, some columns repeat an earlier one."""
+    depend on two earlier ones, some columns repeat an earlier one times 1,
+    -1 or 2.  `_echelon` drops the first two kinds of repeat and keeps the
+    factor-2 copy, so both paths are exercised."""
     n_rows, dim = draw(st.integers(0, 8)), draw(st.integers(0, 8))
     entry = st.one_of(st.just(0), st.just(0), st.just(0), st.sampled_from([1, -1]),
                       st.integers(-7, 7), st.integers(-2 ** 70, 2 ** 70))
@@ -178,6 +180,43 @@ def test_tracking_changes_no_row_of_the_elimination(data):
     assert tracked == untracked
 
 
+def _sign_classes(rows):
+    """{(row indices, entries up to sign): first column} of sparse rows, the
+    columns met row by row: one entry per column class up to sign."""
+    columns = {}
+    for j, row in enumerate(rows):
+        for c, x in row.items():
+            columns.setdefault(c, []).append((j, x))
+    classes = {}
+    for c, column in columns.items():
+        sign = 1 if column[0][1] > 0 else -1
+        classes.setdefault(tuple((j, sign * x) for j, x in column), c)
+    return classes
+
+
+def test_echelon_drops_only_columns_equal_up_to_one_sign():
+    # column 1 is -column 0 and is dropped; column 2 matches column 0 only
+    # entry by entry up to sign, and column 3 is 2*column 0: both stay
+    rows = [{0: 1, 1: -1, 2: 1, 3: 2}, {0: 2, 1: -2, 2: -2, 3: 4}, {0: 3, 1: -3, 2: 3, 3: 6}]
+    assert _echelon(zip(rows, [1, 1, 1]), track=True) == ([0, 1], {2: {0: Q(3)}})
+    assert rows[0] == {0: 1, 2: 1, 3: 2} and rows[2] == {}
+    assert 1 not in rows[1]
+
+
+def test_polarization_product_columns_repeat_along_orbits():
+    # the generator products are D_4-invariant, so their columns repeat up
+    # to sign along each monomial orbit: one class per orbit sum, and as
+    # many classes as invariants of the degree
+    group = builtin_family("D", 4)
+    gens = polarization_generators(classical_generators("D", 4), 2, group=group)
+    action = DiagonalAction(group, copies_layout(4, 2))
+    for target, n_columns, n_classes in (((3, 3), 100, 10), ((4, 4), 313, 26),
+                                         ((5, 3), 280, 22), ((6, 6), 1776, 111)):
+        rows = [terms for _, terms, _ in _products_for_target(gens, target, 10 ** 6, 10 ** 6)]
+        assert len(set().union(*rows)) == n_columns
+        assert len(_sign_classes(rows)) == n_classes == invariant_dimension(action, target)
+
+
 def test_echelon_pins_the_dm_square_certificate_system():
     # w^2 at bidegree (6,6) against the 154 products of the D_4 polarizations
     invs = classical_generators("D", 4)
@@ -187,7 +226,12 @@ def test_echelon_pins_the_dm_square_certificate_system():
     f_terms, f_scale = _packed(square, _digit_width((6, 6)))
     rows = [terms for _, terms, _ in products] + [f_terms]
     scales = [scale for _, _, scale in products] + [f_scale]
+    first = set(_sign_classes(rows).values())
     (kept, relations, tracked), (kept_u, untracked) = _tracked_and_untracked(rows, scales)
+    # the repeated columns were dropped from the input dicts themselves, so
+    # the reduced rows compared below are those the elimination worked on
+    assert len(first) == 111
+    assert set().union(*tracked) <= first and set().union(*untracked) <= first
     relation = relations[len(products)]
     assert (len(products), len(kept), len(relation)) == (154, 111, 42)
     # the 42 certificate coefficients, as "index:coefficient" joined by ";"

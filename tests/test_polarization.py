@@ -354,6 +354,20 @@ def test_pruned_walk_matches_the_unpruned_walk_on_polarization_degrees(m):
             walk(degrees, (6, 6), len(expected) - 1)
 
 
+def test_walk_calls_end_at_the_last_nonzero_exponent():
+    # a generator that cannot fit takes exponent zero within the call, and a
+    # zero remainder takes the zero tail at once: past the start, one call
+    # per distinct prefix that ends at or before a tuple's last nonzero exponent
+    for copies, target in ((2, (6, 6)), (3, (4, 3, 3))):
+        gens = polarization_generators(classical_generators("D", 4), copies)
+        degrees = [deg for _, deg in gens.generators]
+        tuples, calls = _walk(degrees, target)
+        assert tuples == unpruned_exponent_tuples(degrees, target, 10 ** 6)
+        prefixes = {e[:i + 1] for e in tuples
+                    for i in range(max(i for i, x in enumerate(e) if x) + 1)}
+        assert calls <= 1 + len(prefixes), (target, calls, len(prefixes))
+
+
 def test_pruned_walk_on_large_targets():
     degrees = [(1, 0), (0, 1), (1, 1)]
     assert (_exponent_tuples(degrees, (200, 201), 10 ** 6)
