@@ -13,21 +13,21 @@ keys as the columns.  A column that repeats an earlier one up to sign is
 dropped first: no combination of the rows tells them apart.  Each row is
 then combined with the kept rows in the order kept, as b*r - a*k, on sparse
 +-1 pivots where they exist, and the gcd content is divided out after every
-step that scaled a row, so entries stay small integers and no Fraction is
-built until the final coefficients.  When relations are asked for, each row
-carries its integer combination of the inputs over one denominator of its
-own, so a tracked row is divided by its content and pivoted exactly as an
-untracked row is.  `Matrix @` multiplies in Python ints, each operand scaled
-once by the lcm of its denominators.  `mat_mul` multiplies matrices given as
-row and column lists, with rational or `Poly` entries; `power_traces` yields
-tr(A^k) through it for the Molien count in `groups` and the nilpotency test
-in `nullcone`.  There is no floating point anywhere in this module; every
-answer is exact.
+step that scaled a row, so entries stay small integers.  Each row logs the
+scalars of its steps, and the relation of a row that was not kept is read
+back from the logs by one reverse sweep: no row carries a combination, and
+no Fraction is built until the final coefficients.  `Matrix @` multiplies in
+Python ints, each operand scaled once by the lcm of its denominators.
+`mat_mul` multiplies matrices given as row and column lists, with rational
+or `Poly` entries; `power_traces` yields tr(A^k) through it for the Molien
+count in `groups` and the nilpotency test in `nullcone`.  There is no
+floating point anywhere in this module; every answer is exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
@@ -154,7 +154,7 @@ def _integer_row(v: Sequence) -> tuple:
     return _integer_terms({i: frac(x) for i, x in enumerate(v) if x})
 
 
-def _echelon(rows: Iterable[tuple], track: bool = False):
+def _echelon(rows: Iterable[tuple]):
     """Fraction-free sparse elimination of scaled integer rows, taken in order.
 
     Each entry of `rows` is a pair (row, scale): a sparse {column: int} row
@@ -170,31 +170,28 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
     permutation group.)  Other multiples stay, which spares a gcd per column.
 
     Each row r is then reduced against the kept rows in the order they were
-    kept: for a kept row k whose pivot column p r holds, a = r[p] and
-    b = k[p] (divided by their gcd), r becomes b*r - a*k.  A kept row is zero
-    at every earlier pivot, so this clears every pivot of r.  A row is kept
-    when a nonzero row remains, so the kept indices are the lex-first
+    kept: for the kept row k at position t whose pivot column p r holds,
+    a = r[p] and b = k[p] (divided by their gcd), r becomes (b*r - a*k)/h,
+    h the gcd content of the result when b != 1 and else 1, and the row logs
+    the step as the four ints t, a, b, h (one flat list of ints per row, so
+    no step is an object for the garbage collector to track).  A kept row is
+    zero at every earlier pivot, so this clears every pivot of r.  A row is
+    kept when a nonzero row remains, so the kept indices are the lex-first
     independent vectors: the pivot columns of the RREF of the matrix whose
     columns are the v_j.
 
-    Pivots follow Markowitz: a kept row is made primitive, takes a column
-    where its entry is +-1 if it has one, the one fewest input rows touch
-    (ties to the lowest column key), and is sign-normalized to a positive
-    pivot.  A step with b = 1 only subtracts a*k, so the content gcd is
-    divided out only after steps with b != 1.  The pivot columns change no
-    answer: v_j is kept iff it is outside the span of the vectors before it,
-    and a relation writes v_j in the kept vectors before it, which are
-    independent, so it is unique.
+    Pivots follow Markowitz: a kept row takes a column where its entry is
+    +-g, g its content, if it has one, the one fewest input rows touch (ties
+    to the lowest column key), and is divided by its signed content s so its
+    pivot is positive; it logs that as the step (t, 0, 1, s), t its own
+    position.  The pivot columns change no answer: v_j is kept iff it is
+    outside the span of the vectors before it, and a relation writes v_j in
+    the kept vectors before it, which are independent, so it is unique.
 
-    Returns (kept, relations).  With `track`, every row also carries its
-    integer combination of the input rows and a denominator q > 0 with
-    q * row = sum_i combination_i * (input row i), brought to lowest terms
-    whenever the row is divided.  The row alone is divided by its content
-    (q takes the factor), so the rows, pivots and row arithmetic are those
-    of the untracked elimination.
-    `relations` maps each index j not kept to {i: c_i}, Fractions with
-    v_j = sum_i c_i * v_i over the kept i < j (unscaled vectors).  Without
-    `track`, `relations` is None.
+    Returns (kept, relation): `relation(j)` is None for a kept j and else
+    {i: c_i}, Fractions with v_j = sum_i c_i * v_i over the kept i < j
+    (unscaled vectors), read back from the logs by `_relation` with no row
+    arithmetic.
     """
     rows = list(rows)
     columns = {}  # column -> (indices of the rows holding it, their entries)
@@ -210,12 +207,9 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
         if first.setdefault((tuple(held), tuple(entries)), c) != c:
             for j in held:
                 del rows[j][0][c]
-    pivots = []  # (pivot column, row, combination, denominator), in the order kept
-    kept = []
-    relations = {} if track else None
-    for j, (row, d) in enumerate(rows):
-        combo, q = ({j: 1} if track else None), 1
-        for p, prow, pcombo, pq in pivots:
+    pivots, kept, logs = [], [], [[] for _ in rows]  # pivots: (column, row) as kept
+    for j, ((row, _), log) in enumerate(zip(rows, logs)):
+        for t, (p, prow) in enumerate(pivots):
             a = row.get(p)
             if a is None:
                 continue
@@ -223,27 +217,49 @@ def _echelon(rows: Iterable[tuple], track: bool = False):
             g = gcd(a, b)
             a, b = a // g, b // g
             _sub_scaled(row, b, prow, a)
-            if track:
-                # q*row = combo.inputs and pq*prow = pcombo.inputs, so
-                # l*(b*row - a*prow) = (b*l/q)*combo - (a*l/pq)*pcombo
-                l = lcm(q, pq)
-                _sub_scaled(combo, b * (l // q), pcombo, a * (l // pq))
-                q = l
+            h = gcd(*row.values()) if b != 1 and row else 1
+            _divide(row, h)
+            log += t, a, b, h
             if not row:
                 break
-            if b != 1:
-                q = _primitive(row, combo, q, gcd(*row.values()))
         if row:
             g = gcd(*row.values())
             units = [c for c, x in row.items() if x == g or x == -g]
             p = min((len(columns[c][0]), c) for c in units or row)[1]
-            q = _primitive(row, combo, q, g if row[p] > 0 else -g)
-            pivots.append((p, row, combo, q))
+            s = g if row[p] > 0 else -g
+            _divide(row, s)
+            log += len(pivots), 0, 1, s
+            pivots.append((p, row))
             kept.append(j)
-        elif track:
-            den = -combo.pop(j) * d
-            relations[j] = {i: Fraction(c * rows[i][1], den) for i, c in combo.items()}
-    return kept, relations
+    return kept, partial(_relation, [d for _, d in rows], kept, logs)
+
+
+def _relation(scales: list, kept: list, logs: list, j: int) -> Optional[dict]:
+    """The relation of row j, read back from the step logs of `_echelon`, or
+    None when row j was kept.
+
+    Row j ends at zero.  A weight w on the output of a step (t, a, b, h),
+    row' = (b*row - a*k)/h, passes w*b/h back to its input and -w*a/h to the
+    kept row k at position t.  So one sweep back over the log of row j, then
+    over the logs of the kept rows from the last position down (each step of
+    a kept row refers to earlier positions only), gives weights c_i on the
+    input rows with sum_i c_i * scale_i * v_i = 0, and v_j is the rest
+    divided by -c_j * scale_j.
+    """
+    if j in kept:
+        return None
+    weights = [0] * len(kept) + [Fraction(1)]  # row j after the last kept row
+    for position, i in reversed(list(enumerate(kept + [j]))):
+        w = weights[position]
+        if w:
+            # the log four ints at a time, from the last step back
+            for h, b, a, t in zip(*[reversed(logs[i])] * 4):
+                if a:
+                    weights[t] -= Fraction(w.numerator * a, w.denominator * h)
+                w = Fraction(w.numerator * b, w.denominator * h)
+            weights[position] = w
+    den = -weights.pop() * scales[j]
+    return {i: w * scales[i] / den for i, w in zip(kept, weights) if w}
 
 
 def _sub_scaled(vec: dict, x: int, other: dict, y: int) -> None:
@@ -259,21 +275,11 @@ def _sub_scaled(vec: dict, x: int, other: dict, y: int) -> None:
             del vec[c]
 
 
-def _primitive(row: dict, combo: Optional[dict], q: int, g: int) -> int:
-    """Divide `row` by g, which divides it, and return the denominator that
-    keeps q*row = combo.inputs, with (combo, q) in lowest terms and q > 0.
-    Without a combination (`combo` None) q is returned unchanged."""
+def _divide(row: dict, g: int) -> None:
+    """row <- row / g in place; g divides every entry."""
     if g != 1:
         for c in row:
             row[c] //= g
-    if combo is None:
-        return q
-    q *= abs(g)
-    h = gcd(q, *combo.values()) if g > 0 else -gcd(q, *combo.values())
-    if h != 1:
-        for c in combo:
-            combo[c] //= h
-    return q // abs(h)
 
 
 def mat_mul(rows: Sequence[Sequence], columns: Sequence[Sequence], zero=0) -> list:
@@ -323,13 +329,13 @@ def rref(m: Matrix):
     columns before it.
     """
     columns = (_integer_row(m.entries[c::m.cols]) for c in range(m.cols))
-    pivots, relations = _echelon(columns, track=True)
+    pivots, relation = _echelon(columns)
     entries = [Q(0)] * (m.rows * m.cols)
     for i, p in enumerate(pivots):
         entries[i * m.cols + p] = Q(1)
     position = {p: i for i, p in enumerate(pivots)}
-    for c, relation in relations.items():
-        for p, x in relation.items():
+    for c in range(m.cols):
+        for p, x in (relation(c) or {}).items():
             entries[position[p] * m.cols + c] = x
     return Matrix(m.rows, m.cols, tuple(entries)), len(pivots), pivots
 
@@ -347,11 +353,11 @@ def inverse(m: Matrix) -> Matrix:
     n = m.rows
     columns = [m.entries[c::n] for c in range(n)]
     columns += [[int(i == j) for i in range(n)] for j in range(n)]
-    kept, relations = _echelon(map(_integer_row, columns), track=True)
+    kept, relation = _echelon(map(_integer_row, columns))
     if kept != list(range(n)):
         raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(relations[n + j].get(i, Q(0))
-                              for i in range(n) for j in range(n)))
+    solved = [relation(n + j) for j in range(n)]  # column j of the inverse, by row
+    return Matrix(n, n, tuple(c.get(i, Q(0)) for i in range(n) for c in solved))
 
 
 def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]:
@@ -366,7 +372,7 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]
     n = len(target)
     if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")
-    relation = _echelon(map(_integer_row, vectors), track=True)[1].get(len(basis))
+    relation = _echelon(map(_integer_row, vectors))[1](len(basis))
     if relation is None:
         return None
     return [relation.get(j, Q(0)) for j in range(len(basis))]

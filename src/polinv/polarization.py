@@ -176,7 +176,8 @@ def wallach_operator(r: int, f: Poly) -> Poly:
     return out
 
 
-def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
+def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int,
+                     monomial_cap: int = DEFAULT_CAPS.monomials):
     """All exponent tuples e with sum_i e_i * degrees[i] = target, in lex order.
 
     Generators of zero multidegree are held at exponent zero (a constant
@@ -187,7 +188,10 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     at once, so each call past the start enters a prefix that ends at or
     before the last nonzero exponent of a tuple listed: there are at most
     1 + (such distinct prefixes) calls.  Raises when more than `cap` tuples
-    would be produced.
+    would be produced.  The walk keeps a table of prod_b (2*t_b + 1) bits per
+    generator; a target that needs more than 1024 bits for each monomial the
+    cap admits (a product of that many terms takes about 90 bytes a term) is
+    refused as a degree too large before any table is built.
     """
     n = len(degrees)
     # A remainder r <= target is bit sum_b r_b * strides[b]; radix 2*t_b + 1
@@ -196,6 +200,8 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     strides = [1]
     for t in target:
         strides.append(strides[-1] * (2 * t + 1))
+    if strides[-1] > 1024 * monomial_cap:
+        raise CapExceededError("degree too large", "monomials", monomial_cap)
     box = 1
     for t, s in zip(target, strides):
         box *= ((1 << (t + 1) * s) - 1) // ((1 << s) - 1)
@@ -299,7 +305,7 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
     hand them to `_echelon`, which reduces them in place.
     """
     degrees = [deg for _, deg in gens.generators]
-    tuples = _exponent_tuples(degrees, tuple(target), cap)
+    tuples = _exponent_tuples(degrees, tuple(target), cap, monomial_cap)
     width = _digit_width(target)
     powers: Dict[int, Dict[int, tuple]] = {}  # i -> {e: (terms, scale) of g_i^e}
 
@@ -369,7 +375,7 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
     f_terms, f_scale = _packed(f, _digit_width(deg))
     products = _products_for_target(gens, deg, cap, monomial_cap, f_terms)
     rows = [(terms, scale) for _, terms, scale in products] + [(f_terms, f_scale)]
-    relation = _echelon(rows, track=True)[1].get(len(products))
+    relation = _echelon(rows)[1](len(products))
     if relation is None:
         return None
     return [(products[j][0], c) for j, c in sorted(relation.items())]

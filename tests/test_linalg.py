@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from polinv import linalg
 from polinv.groups import DiagonalAction, builtin_family, invariant_dimension
 from polinv.linalg import (Matrix, _echelon, inverse, mat_mul, power_traces, rank, rref,
                            solve_in_span, strict_positive_functional)
@@ -139,45 +140,55 @@ def _draw_system(draw):
     return rows, scales, dim
 
 
+def _relations(rows, scales, order=None):
+    """(kept, relations) of `_echelon` on sparse copies of integer rows, its
+    columns renamed by `order`: `relation(j)` is asked for every j, and it
+    must be None exactly for the kept j."""
+    order = order or range(len(rows[0]) if rows else 0)
+    kept, relation = _echelon([({order[c]: x for c, x in enumerate(row) if x}, s)
+                               for row, s in zip(rows, scales)])
+    answers = [relation(j) for j in range(len(rows))]
+    assert [j for j, answer in enumerate(answers) if answer is None] == kept
+    return kept, {j: answer for j, answer in enumerate(answers) if answer is not None}
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=200)
 @given(data=st.data())
 def test_echelon_pivot_choice_changes_no_kept_row_or_relation(data):
     rows, scales, dim = _draw_system(data.draw)
     vectors = [[Q(x, s) for x in row] for row, s in zip(rows, scales)]
     expected = _echelon_reference(vectors, dim)
-
-    def eliminate(order, track):
-        return _echelon([({order[c]: x for c, x in enumerate(row) if x}, s)
-                         for row, s in zip(rows, scales)], track=track)
-
-    identity = list(range(dim))
-    assert eliminate(identity, True) == expected
-    assert eliminate(identity, False) == (expected[0], None)
-    shuffled = data.draw(st.permutations(identity))
-    assert eliminate(shuffled, True) == expected
+    assert _relations(rows, scales) == expected
+    assert _relations(rows, scales, data.draw(st.permutations(range(dim)))) == expected
 
 
-def _tracked_and_untracked(rows, scales):
-    """Both eliminations of the same sparse rows, each on its own copies:
-    ((kept, relations, reduced rows) tracked, (kept, reduced rows) untracked)."""
-    tracked, untracked = [dict(r) for r in rows], [dict(r) for r in rows]
-    kept, relations = _echelon(zip(tracked, scales), track=True)
-    kept_u, none = _echelon(zip(untracked, scales))
-    assert none is None
-    return (kept, relations, tracked), (kept_u, untracked)
+def test_relation_of_a_kept_row_is_none():
+    rows = [{0: 2, 1: 4}, {0: 1, 1: 2}, {1: 3}, {}]
+    kept, relation = _echelon(zip(rows, [1, 3, 1, 1]))
+    assert kept == [0, 2]
+    assert relation(0) is None and relation(2) is None
+    # v_1 = (1/3, 2/3) = v_0 / 6, and the zero row is the empty combination
+    assert relation(1) == {0: Q(1, 6)} and relation(3) == {}
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(data=st.data())
-def test_tracking_changes_no_row_of_the_elimination(data):
-    # the combination carries its own denominator, so a tracked row is
-    # divided and pivoted exactly as the untracked row: the kept indices
-    # and every reduced row dict are the same
+def test_relations_do_no_row_arithmetic(data):
+    # every row step is one `_sub_scaled` call and is logged; reading the
+    # relations back from the logs calls it no more
     rows, scales, _ = _draw_system(data.draw)
-    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
-    (kept, _, tracked), (kept_u, untracked) = _tracked_and_untracked(sparse, scales)
-    assert kept == kept_u
-    assert tracked == untracked
+    calls = []
+    sub_scaled = linalg._sub_scaled
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "_sub_scaled", lambda *args: calls.append(1) or sub_scaled(*args))
+        kept, relation = _echelon([({c: x for c, x in enumerate(row) if x}, s)
+                                   for row, s in zip(rows, scales)])
+        # four ints (t, a, b, h) a step, and one content step per kept row
+        steps = sum(len(log) for log in relation.args[2]) // 4 - len(kept)
+        assert len(calls) == steps
+        for j in range(len(rows)):
+            relation(j)
+        assert len(calls) == steps
 
 
 def _sign_classes(rows):
@@ -198,7 +209,8 @@ def test_echelon_drops_only_columns_equal_up_to_one_sign():
     # column 1 is -column 0 and is dropped; column 2 matches column 0 only
     # entry by entry up to sign, and column 3 is 2*column 0: both stay
     rows = [{0: 1, 1: -1, 2: 1, 3: 2}, {0: 2, 1: -2, 2: -2, 3: 4}, {0: 3, 1: -3, 2: 3, 3: 6}]
-    assert _echelon(zip(rows, [1, 1, 1]), track=True) == ([0, 1], {2: {0: Q(3)}})
+    kept, relation = _echelon(zip(rows, [1, 1, 1]))
+    assert (kept, relation(2)) == ([0, 1], {0: Q(3)})
     assert rows[0] == {0: 1, 2: 1, 3: 2} and rows[2] == {}
     assert 1 not in rows[1]
 
@@ -227,19 +239,18 @@ def test_echelon_pins_the_dm_square_certificate_system():
     rows = [terms for _, terms, _ in products] + [f_terms]
     scales = [scale for _, _, scale in products] + [f_scale]
     first = set(_sign_classes(rows).values())
-    (kept, relations, tracked), (kept_u, untracked) = _tracked_and_untracked(rows, scales)
+    kept, relation = _echelon(zip(rows, scales))
     # the repeated columns were dropped from the input dicts themselves, so
-    # the reduced rows compared below are those the elimination worked on
+    # the reduced rows hold only the first column of each sign class
     assert len(first) == 111
-    assert set().union(*tracked) <= first and set().union(*untracked) <= first
-    relation = relations[len(products)]
-    assert (len(products), len(kept), len(relation)) == (154, 111, 42)
+    assert set().union(*rows) <= first
+    certificate = relation(len(products))
+    assert (len(products), len(kept), len(certificate)) == (154, 111, 42)
     # the 42 certificate coefficients, as "index:coefficient" joined by ";"
-    text = ";".join(f"{j}:{c}" for j, c in sorted(relation.items()))
+    text = ";".join(f"{j}:{c}" for j, c in sorted(certificate.items()))
     assert text.startswith("5:1/120;6:-16/675;7:5/54;")
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d6c1d8f0460f5cd0e953aca371b240da8d8fde0c9de727535dc9cab17b3cb5e3")
-    assert (kept, tracked) == (kept_u, untracked)
 
 
 def test_inverse_roundtrip():

@@ -318,6 +318,19 @@ def test_exponent_tuples_solve_the_last_exponent():
     assert tuples == [(x, x + 1, 200 - x) for x in range(201)]
 
 
+def test_exponent_walk_refuses_a_remainder_table_over_the_cap():
+    # the walk's table has (2*t_1 + 1)(2*t_2 + 1) bits per generator, at most
+    # 1024 * 100 = 102400 here: 102399 bits pass, and 102401 are refused unbuilt
+    degrees = [(1, 0), (0, 1)]
+    assert _exponent_tuples(degrees, (51199, 0), 10, 100) == [(51199, 0)]
+    with pytest.raises(CapExceededError) as refused:
+        _exponent_tuples(degrees, (51200, 0), 10, 100)
+    assert (refused.value.cap_name, refused.value.cap_value) == ("monomials", 100)
+    # about 2 * 10^30 bits: refused before any shift of that size is tried
+    with pytest.raises(CapExceededError):
+        _exponent_tuples(degrees, (10 ** 30, 0), 10)
+
+
 def _walk(degrees, target, cap=10 ** 6):
     """(tuples, calls): `_exponent_tuples` and the number of calls its inner
     walk makes, counted with a profile hook."""

@@ -151,3 +151,17 @@ def test_cli_imports_only_limits_from_the_package_at_module_level():
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names]
     assert [m for m in imported if m.startswith((".", "polinv"))] == [".limits"]
+
+
+def test_echelon_takes_only_rows_and_no_call_passes_track():
+    # one elimination path: relations are read back from the steps the loop
+    # logs, so `_echelon` has no option and no call in the package passes one
+    (echelon,) = [node for node in _tree(SRC / "linalg.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_echelon"]
+    args = echelon.args
+    assert [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs] == ["rows"]
+    assert args.vararg is None and args.kwarg is None
+    passing = [(path.name, node.lineno) for path in MODULES for node in ast.walk(_tree(path))
+               if isinstance(node, ast.Call)
+               and any(k.arg == "track" for k in node.keywords)]
+    assert passing == []
