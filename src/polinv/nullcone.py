@@ -393,10 +393,6 @@ def certify_torus(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
     systems, vectors_per_system, subspaces_per_system = 50, 20, 3
     box_bound = 20
     rng = random.Random(seed)
-    # each plane is probed as span_probe_nullcone(member, plane, 64, seed)
-    # probes it, so all of them share one stream of coefficient pairs
-    probe_rng = random.Random(seed)
-    pairs = [(probe_rng.randint(-9, 9), probe_rng.randint(-9, 9)) for _ in range(64)]
     vector_queries = 0
     agreements = 0
     witness_valid = 0
@@ -424,21 +420,8 @@ def certify_torus(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
                 decided[support] = torus_nullcone_member(ws, v)
             return decided[support]
 
-        inside: dict = {}  # zero pattern of a vector -> whether it is in the nullcone
-
-        def escapes(v1, v2) -> bool:
-            # whether a probe c1*v1 + c2*v2 leaves the nullcone; membership
-            # depends only on the support, so on the zero pattern
-            for c1, c2 in pairs:
-                pattern = tuple([c1 * x + c2 * y != 0 for x, y in zip(v1, v2)])
-                got = inside.get(pattern)
-                if got is None:
-                    combo = tuple([c1 * x + c2 * y for x, y in zip(v1, v2)])
-                    got = inside[pattern] = decide(tuple(_support_weights(ws, [combo])),
-                                                   combo) is not None
-                if not got:
-                    return True
-            return False
+        def member(v) -> bool:
+            return decide(tuple(_support_weights(ws, [v])), v) is not None
 
         for _ in range(vectors_per_system):
             v = _random_vector(rng, ws.coordinates)
@@ -454,14 +437,15 @@ def certify_torus(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
         for _ in range(subspaces_per_system):
             v1 = _random_vector(rng, ws.coordinates)
             v2 = _random_vector(rng, ws.coordinates)
-            gamma = subspace_in_common_vgamma(ws, SubspaceSpec(ws.coordinates, (v1, v2)))
-            escaped = escapes(v1, v2)
+            L = SubspaceSpec(ws.coordinates, (v1, v2))
+            gamma = subspace_in_common_vgamma(ws, L)
+            probe = span_probe_nullcone(member, L, trials=64, seed=seed)
             planes += 1
-            if not escaped:
+            if not probe.escaped:
                 planes_contained += 1
                 if gamma is None:
                     lemma_ok = False
-            if gamma is not None and escaped:
+            if gamma is not None and probe.escaped:
                 soundness_ok = False
 
     checks = [

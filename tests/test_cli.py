@@ -447,14 +447,14 @@ def test_membership_refuses_a_large_generator_power_as_it_is_built(tmp_path, cap
 
 
 def test_membership_of_a_huge_exponent_exits_3_before_the_walk_table(tmp_path, capsys):
-    # the target (10^30, 0) needs an exponent-walk table of about 2 * 10^30
-    # bits per generator, over 1024 bits per monomial of the cap
+    # the target (10^30, 0) needs exponent-walk tables of about 10^30 bits,
+    # over the walk's limit of 2^32 bytes
     argv = ["membership", {"blocks": 2, "vars_per_block": 2, "poly": f"x1_1^{10 ** 30}"},
             {"vars": 2, "copies": 2, "invariants": ["x1+x2", "x1*x2"]}]
     assert main(materialize(tmp_path, argv)) == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == f"error: degree too large (cap monomials={DEFAULT_CAPS.monomials})\n"
+    assert err == f"error: degree too large (cap walk_table_bytes={2 ** 32})\n"
 
 
 def test_seed_env_and_flag_precedence(files, capsys, monkeypatch):

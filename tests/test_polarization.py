@@ -318,17 +318,29 @@ def test_exponent_tuples_solve_the_last_exponent():
     assert tuples == [(x, x + 1, 200 - x) for x in range(201)]
 
 
-def test_exponent_walk_refuses_a_remainder_table_over_the_cap():
-    # the walk's table has (2*t_1 + 1)(2*t_2 + 1) bits per generator, at most
-    # 1024 * 100 = 102400 here: 102399 bits pass, and 102401 are refused unbuilt
+def test_exponent_walk_refuses_a_table_over_its_byte_limit(monkeypatch):
+    # the walk's tables have (prod_b (2*t_b + 1) + 1) // 2 bits, t_1 + 1 here:
+    # with a limit of 100 bytes, 800 bits pass and 801 are refused unbuilt
+    monkeypatch.setattr(polarization, "WALK_TABLE_BYTES", 100)
     degrees = [(1, 0), (0, 1)]
-    assert _exponent_tuples(degrees, (51199, 0), 10, 100) == [(51199, 0)]
+    assert _exponent_tuples(degrees, (799, 0), 10) == [(799, 0)]
     with pytest.raises(CapExceededError) as refused:
-        _exponent_tuples(degrees, (51200, 0), 10, 100)
-    assert (refused.value.cap_name, refused.value.cap_value) == ("monomials", 100)
-    # about 2 * 10^30 bits: refused before any shift of that size is tried
+        _exponent_tuples(degrees, (800, 0), 10)
+    assert (refused.value.cap_name, refused.value.cap_value) == ("walk_table_bytes", 100)
+    monkeypatch.undo()
+    # about 10^30 bits: refused before any shift of that size is tried
     with pytest.raises(CapExceededError):
         _exponent_tuples(degrees, (10 ** 30, 0), 10)
+
+
+def test_membership_of_a_high_power_on_one_variable_per_block():
+    # tables of 10 582 401 bits each (1.3 MB), far below the byte limit,
+    # although the target has a single monomial
+    L = copies_layout(1, 2)
+    x1, x2 = Poly.variable(L, 0), Poly.variable(L, 1)
+    gens = GeneratorSet(L, ((x1, (1, 0)), (x2, (0, 1))))
+    cert = membership(x1 ** 2300 * x2 ** 2300, gens)
+    assert cert == [((2300, 2300), Q(1))]
 
 
 def _walk(degrees, target, cap=10 ** 6):
