@@ -19,8 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import groups
 from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
-from .poly import (Poly, VariableLayout, count_monomials, glex_key, is_scalar_multiple,
-                   multidegrees)
+from .poly import (Poly, VariableLayout, _power_table, count_monomials, glex_key,
+                   is_scalar_multiple, multidegrees)
 from .reports import check, make_report
 
 Q = Fraction
@@ -177,11 +177,11 @@ def wallach_operator(r: int, f: Poly) -> Poly:
 
 
 # The exponent walk keeps tables of about prod_b (2*t_b + 1) / 2 bits.  On one
-# core, with two generators, they took 6.9 s and 155 MB to build at (9200,
-# 9200) (21 MB tables) and 18 s and 250 MB at (13000, 13000) (42 MB): time
-# grows as about the 1.4 power of the table size and memory about six times
-# it.  A table over 2**32 bytes would take hours and some 25 GB, so such a
-# target is refused before any table is built.
+# core, with two generators, they took 0.25-0.31 s and 155 MB to build at
+# (9200, 9200) (21 MB tables) and 0.53-0.66 s and 277 MB at (13000, 13000)
+# (42 MB): time and memory grow about linearly in the table size, memory at
+# six to seven times it.  A table over 2**32 bytes would need some 25 GB, so
+# such a target is refused before any table is built.
 WALK_TABLE_BYTES = 1 << 32
 
 
@@ -209,8 +209,12 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     if (strides[-1] + 1) // 2 > 8 * WALK_TABLE_BYTES:  # the bits of `box` below
         raise CapExceededError("degree too large", "walk_table_bytes", WALK_TABLE_BYTES)
     box = 1
-    for t, s in zip(target, strides):
-        box *= ((1 << (t + 1) * s) - 1) // ((1 << s) - 1)
+    for t, s in zip(target, strides):  # box times sum_{k <= t} 2**(k*s), by doubling
+        e = 1
+        while e <= t:
+            box |= box << e * s
+            e *= 2
+        box &= (1 << (t + 1) * s) - 1
     steps = [sum(d * s for d, s in zip(deg, strides)) for deg in degrees]
 
     def most(rem: tuple, deg: tuple) -> int:  # the largest e with e*deg <= rem
@@ -290,8 +294,7 @@ def _mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
-def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
-                         monomial_cap: int = DEFAULT_CAPS.monomials,
+def _products_for_target(gens: GeneratorSet, target: tuple, cap: int, monomial_cap: int,
                          extra_keys: Iterable[int] = ()):
     """Generator products of the target multidegree, expanded over the integers.
 
@@ -299,36 +302,34 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
     `_exponent_tuples`, in its lex order.  Each generator g_i is scaled once
     by the lcm d_i of its denominators; `terms` maps packed exponent keys
     (`_pack`, width `_digit_width(target)`) to ints and equals scale times
-    prod_i g_i^{e_i}, with scale = prod_i d_i^{e_i}.  Only the powers g_i^e
-    that some product uses are kept, each built once from the largest kept
-    lower power.  The monomial cap bounds the union of `extra_keys` (the
-    packed support of a polynomial to be tested against the span) and the
-    supports of the finished products, and is checked as each product
-    finishes; partial products, which can still cancel, are not counted.  It
-    also bounds each kept power on its own, checked at every step of its
-    build, so one large power is refused before it is finished.
-    Every `terms` is a fresh dict that no cached power shares, so the callers
-    hand them to `_echelon`, which reduces them in place.
+    prod_i g_i^{e_i}, with scale = prod_i d_i^{e_i}.  Before any product is
+    expanded, the powers g_i^e that the tuples use are built once each, in
+    ascending order, each from the one before (`_power_table`); a generator
+    that no tuple uses is neither packed nor powered.  The monomial cap
+    bounds the union of `extra_keys` (the packed support of a polynomial to
+    be tested against the span) and the supports of the finished products,
+    and is checked as each product finishes; partial products, which can
+    still cancel, are not counted.  It also bounds each power on its own,
+    checked at every step of its build, so one large power is refused before
+    it is finished.  Every `terms` is a fresh dict that no power shares, so
+    the callers hand them to `_echelon`, which reduces them in place.
     """
     degrees = [deg for _, deg in gens.generators]
     tuples = _exponent_tuples(degrees, tuple(target), cap)
     width = _digit_width(target)
-    powers: Dict[int, Dict[int, tuple]] = {}  # i -> {e: (terms, scale) of g_i^e}
 
-    def gen_power(i: int, e: int):
-        kept = powers.get(i)
-        if kept is None:
-            kept = powers[i] = {1: _packed(gens.generators[i][0], width)}
-        got = kept.get(e)
-        if got is None:
-            k = max(k for k in kept if k < e)
-            (terms, scale), (base, d) = kept[k], kept[1]
-            for _ in range(e - k):
-                terms, scale = _mul(terms, base), scale * d
-                if len(terms) > monomial_cap:
-                    raise CapExceededError("too many monomials", "monomials", monomial_cap)
-            got = kept[e] = (terms, scale)
-        return got
+    def step(power, base):  # one more factor of a power, refused as it passes the cap
+        power = _mul(power, base)
+        if len(power) > monomial_cap:
+            raise CapExceededError("too many monomials", "monomials", monomial_cap)
+        return power
+
+    tables = {}  # i -> ({e: (d_i g_i)^e} for the exponents of g_i the tuples use, d_i)
+    for i, column in enumerate(zip(*tuples)):
+        used = sorted(set(column) - {0})
+        if used:
+            base, d = _packed(gens.generators[i][0], width)
+            tables[i] = (_power_table(base, used, step), d)
 
     support = set()
 
@@ -343,8 +344,8 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int,
         terms, scale = {0: 1}, 1
         for i, e in enumerate(exps):
             if e:
-                factor, d = gen_power(i, e)
-                terms, scale = _mul(terms, factor), scale * d
+                table, d = tables[i]
+                terms, scale = _mul(terms, table[e]), scale * d ** e
         products.append((exps, terms, scale))
         count(terms)
     return products

@@ -282,10 +282,11 @@ class Poly:
         All image polynomials must share one layout (the target).  Variables
         without an image map to the variable with the same canonical index in
         the target layout, so the identity substitution is the default.  Each
-        image q_j is scaled once to d_j * q_j with integer coefficients, each
-        power a term uses is built once from the largest lower power already
-        built (`_int_mul`), the terms are summed in Python ints over one
-        common denominator, and one Fraction is made per output term.
+        image q_j is scaled once to d_j * q_j with integer coefficients; the
+        powers of it that the terms use are built once each, in ascending
+        order, each from the one before (`_power_table` with `_int_mul`); the
+        terms are summed in Python ints over one common denominator, and one
+        Fraction is made per output term.
         """
         if not images:
             return self
@@ -293,34 +294,26 @@ class Poly:
         if len(layouts) > 1:
             raise ValueError("substitution images live in different layouts")
         target, = layouts
-        powers: Dict[int, Dict[int, tuple]] = {}  # j -> {e: (terms, scale) of (d_j q_j)^e}
-
-        def power(j: int, e: int) -> tuple:
-            kept = powers.get(j)
-            if kept is None:
+        tables = {}  # j -> ({e: (d_j q_j)^e} for the exponents of x_j in self, d_j)
+        for j, column in enumerate(zip(*self._terms)):
+            used = sorted(set(column) - {0})
+            if used:
                 image = images.get(j)
                 if image is None:
                     if j >= target.total:
                         raise ValueError("unmapped variable has no counterpart in target layout")
                     image = Poly.variable(target, j)
-                kept = powers[j] = {1: _integer_terms(image._terms)}
-            got = kept.get(e)
-            if got is None:
-                k = max(k for k in kept if k < e)
-                (terms, scale), (base, d) = kept[k], kept[1]
-                for _ in range(e - k):
-                    terms, scale = _int_mul(terms, base), scale * d
-                got = kept[e] = (terms, scale)
-            return got
+                base, d = _integer_terms(image._terms)
+                tables[j] = (_power_table(base, used, _int_mul), d)
 
         parts = []  # (numerator, denominator, integer product) per term of self
         for exps, c in self._terms.items():
             terms, den = None, c.denominator
             for j, e in enumerate(exps):
                 if e:
-                    factor, scale = power(j, e)
-                    terms = factor if terms is None else _int_mul(terms, factor)
-                    den *= scale
+                    table, d = tables[j]
+                    terms = table[e] if terms is None else _int_mul(terms, table[e])
+                    den *= d ** e
             if terms is None:
                 terms = {(0,) * target.total: 1}
             parts.append((c.numerator, den, terms))
@@ -374,6 +367,17 @@ def _powers(x: int, exponents: Sequence[int]) -> dict:
     for k in exponents:
         power *= x ** (k - last)
         out[k], last = power, k
+    return out
+
+
+def _power_table(base, exponents: Sequence[int], mul) -> dict:
+    """{e: base^e} for the ascending positive `exponents`, each power built
+    from the one before by repeated `mul(power, base)`, so each is built once."""
+    out, power, last = {}, base, 1
+    for e in exponents:
+        for _ in range(e - last):
+            power = mul(power, base)
+        out[e], last = power, e
     return out
 
 

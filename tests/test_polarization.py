@@ -8,7 +8,7 @@ import pytest
 
 from polinv import polarization
 from polinv.groups import DiagonalAction, builtin_family, is_invariant
-from polinv.limits import CapExceededError
+from polinv.limits import DEFAULT_CAPS, CapExceededError
 from polinv.linalg import Matrix, rank, solve_in_span
 from polinv.poly import Poly, VariableLayout, glex_key, monomials, parse_poly
 from polinv.polarization import (GeneratorSet, certificate_combination,
@@ -17,7 +17,7 @@ from polinv.polarization import (GeneratorSet, certificate_combination,
                                  graded_span_basis, membership, polarize,
                                  polarization_generators, separation_test,
                                  wallach_operator)
-from polinv.polarization import _exponent_tuples, _products_for_target
+from polinv.polarization import _exponent_tuples, _pack, _products_for_target
 
 from fraction_product import fraction_product
 from unpruned_walk import unpruned_exponent_tuples
@@ -620,6 +620,28 @@ def test_certificate_combination_matches_the_fraction_reconstruction(monkeypatch
     assert cancelled >= 5
 
 
+def test_products_build_each_generator_power_once(monkeypatch):
+    # x1_1^600 against x1 + x2 and x1*x2 on two copies: in lex order the
+    # tuples raise the power of x1_1 + x1_2 by two as that of x1_1*x1_2 falls
+    # by one (300, 299, ...).  Building each power once, from the one below
+    # it, takes 599 + 299 steps, and each product at most two more.
+    calls = []
+    mul = polarization._mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(polarization, "_mul", counted)
+    x1, x2 = (Poly.variable(VariableLayout(1, 2), i) for i in range(2))
+    gens = polarization_generators([x1 + x2, x1 * x2], 2)
+    products = _products_for_target(gens, (600, 0), 10 ** 4, DEFAULT_CAPS.monomials)
+    assert len(products) == 301
+    assert len(calls) <= 2000
+    assert products[0][0] == (0, 0, 0, 0, 300)
+    assert products[0][1:] == ({_pack((300, 300, 0, 0), 10): 1}, 1)
+
+
 # ---------------------------------------------------------------------------
 # Packed exponent keys at the edges
 # ---------------------------------------------------------------------------
@@ -627,7 +649,7 @@ def test_certificate_combination_matches_the_fraction_reconstruction(monkeypatch
 def test_zero_target_is_the_constant_product():
     L = copies_layout(2, 2)
     gens = GeneratorSet(L, ((Poly.variable(L, 0), (1, 0)), (Poly.variable(L, 2), (0, 1))))
-    assert _products_for_target(gens, (0, 0), 10) == [((0, 0), {0: 1}, 1)]
+    assert _products_for_target(gens, (0, 0), 10, DEFAULT_CAPS.monomials) == [((0, 0), {0: 1}, 1)]
     span = graded_span_basis(gens, (0, 0))
     assert (span.dimension, span.basis) == (1, ((0, 0),))
     assert membership(Poly.constant(L, Q(3, 2)), gens) == [((0, 0), Q(3, 2))]
@@ -637,8 +659,9 @@ def test_zero_multidegree_generator_stays_at_exponent_zero():
     L = copies_layout(1, 2)
     x, y = Poly.variable(L, 0), Poly.variable(L, 1)
     gens = GeneratorSet(L, ((Poly.constant(L, Q(2, 3)), (0, 0)), (x, (1, 0)), (x * y, (1, 1))))
-    assert [e for e, _, _ in _products_for_target(gens, (2, 1), 10)] == [(0, 1, 1)]
-    assert [e for e, _, _ in _products_for_target(gens, (0, 0), 10)] == [(0, 0, 0)]
+    for target, exps in (((2, 1), (0, 1, 1)), ((0, 0), (0, 0, 0))):
+        products = _products_for_target(gens, target, 10, DEFAULT_CAPS.monomials)
+        assert [e for e, _, _ in products] == [exps]
     assert membership(Q(5, 4) * x * x * y, gens) == [((0, 1, 1), Q(5, 4))]
     assert graded_span_basis(gens, (0, 0)).dimension == 1
     assert graded_span_basis(gens, (2, 1)).basis == ((0, 1, 1),)

@@ -4,7 +4,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polinv.poly import (Poly, VariableLayout, compositions, glex_key,
+from polinv import poly
+from polinv.poly import (Poly, VariableLayout, _power_table, compositions, glex_key,
                          homogeneous_bivariate_gcd, is_scalar_multiple, multidegrees,
                          parse_poly, poly_to_string)
 
@@ -155,6 +156,46 @@ def test_substitute_keeps_its_contract():
     for bad in (-1, 1.5):
         with pytest.raises(ValueError, match="exponent must be a non-negative integer"):
             X ** bad
+
+
+def test_power_table_matches_repeated_products():
+    # ascending exponents with gaps, with and without 1: each power is built
+    # once, from the one before, so the top exponent e takes e - 1 products
+    base = X + Q(1, 2) * Y - 3
+    for exponents in ([], [1], [3], [1, 2, 5], [2, 3, 7], [4, 9, 10]):
+        for b in (base, -7):
+            calls = []
+
+            def mul(a, c):
+                calls.append(1)
+                return a * c
+
+            table = _power_table(b, exponents, mul)
+            assert list(table) == exponents
+            for e in exponents:
+                want = b
+                for _ in range(e - 1):
+                    want = want * b
+                assert table[e] == want
+            assert len(calls) == max(exponents, default=1) - 1
+
+
+def test_substitute_builds_each_power_once(monkeypatch):
+    # sum_i t1^(200 - i) t2^i asks for the powers of t1 in falling order:
+    # 199 + 199 steps build the powers of both images, and the 199 terms
+    # with both variables take one more product each
+    calls = []
+    mul = poly._int_mul
+
+    def counted(a, b):
+        calls.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "_int_mul", counted)
+    p = Poly(L2, {(200 - i, i): Q(1) for i in range(201)})
+    got = p.substitute({0: 2 * X, 1: Q(1, 3) * Y})
+    assert got == Poly(L2, {(200 - i, i): Q(2 ** (200 - i), 3 ** i) for i in range(201)})
+    assert len(calls) <= 700
 
 
 def test_equality_and_hash_with_non_polynomials():
