@@ -99,11 +99,11 @@ def cmd_polarize(args, caps: Caps) -> dict:
     from .poly import Poly, poly_to_string
     from .reports import check, make_report
     from .specs import capped_layout, load_spec, poly_from_spec
-    layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
+    layout, f = poly_from_spec(load_spec(args.poly_file), caps)
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
-    target = capped_layout(args.copies, layout.vars_per_block, caps.monomials)
-    comps = polarize(f, args.copies, caps.monomials)
+    target = capped_layout(args.copies, layout.vars_per_block, caps)
+    comps = polarize(f, args.copies, caps)
     # f_I is multihomogeneous of multidegree I, so alpha^I f_I(v_1, ..., v_n) =
     # f_I(alpha_1 v_1, ..., alpha_n v_n): the right side of the identity is
     # the sum of the components (their terms are disjoint) at the scaled point
@@ -132,12 +132,12 @@ def cmd_invariant_dims(args, caps: Caps) -> dict:
     from .reports import check, make_report
     from .specs import capped_layout, group_from_spec, load_spec
     _check_max_degree(args.max_degree)
-    group = group_from_spec(load_spec(args.group_file), caps.group_order)
-    action = DiagonalAction(group, capped_layout(args.copies, group.dimension, caps.monomials))
+    group = group_from_spec(load_spec(args.group_file), caps)
+    action = DiagonalAction(group, capped_layout(args.copies, group.dimension, caps))
     rows = []
     bounded = True
     for deg in multidegrees(args.max_degree, args.copies):
-        dim = invariant_dimension(action, deg, caps.monomials)
+        dim = invariant_dimension(action, deg, caps)
         n_mono = count_monomials((group.dimension,) * args.copies, deg)
         bounded = bounded and dim <= n_mono
         rows.append({"multidegree": list(deg), "dim_invariants": dim,
@@ -160,16 +160,14 @@ def cmd_compare(args, caps: Caps) -> dict:
         raise ValueError("compare needs a builtin group file "
                          "(the classical invariant generators are wired in for S, B, D)")
     family, m = builtin
-    group = builtin_family(family, m, caps.group_order)
-    capped_layout(args.copies, m, caps.monomials)
+    group = builtin_family(family, m, caps)
+    capped_layout(args.copies, m, caps)
     # the rows are computed in this order and `invariant_dimension` refuses
     # each degree over the cap: refuse before the first row instead
     for deg in multidegrees(args.max_degree, args.copies):
-        if count_monomials((m,) * args.copies, deg) > caps.monomials:
-            raise CapExceededError("degree too large", "monomials", caps.monomials)
-    invs = classical_generators(family, m, caps.monomials)
-    rows = compare_graded_dims(group, invs, args.copies, args.max_degree,
-                               caps.span_products, caps.monomials)
+        caps.bound("monomials", count_monomials((m,) * args.copies, deg), "degree too large")
+    invs = classical_generators(family, m, caps)
+    rows = compare_graded_dims(group, invs, args.copies, args.max_degree, caps)
     checks = [check("pol_dims_bounded_by_invariant_dims",
                     all(dp <= di for _, di, dp in rows))]
     for deg, di, dp in rows:
@@ -187,11 +185,11 @@ def cmd_membership(args, caps: Caps) -> dict:
     from .poly import poly_to_string
     from .reports import check, make_report
     from .specs import generators_from_spec, load_spec, poly_from_spec
-    layout, f = poly_from_spec(load_spec(args.poly_file), caps.monomials)
-    gens = generators_from_spec(load_spec(args.gens_file), caps.monomials)
+    layout, f = poly_from_spec(load_spec(args.poly_file), caps)
+    gens = generators_from_spec(load_spec(args.gens_file), caps)
     if gens.layout != layout:
         raise ValueError("polynomial and generator layouts differ")
-    cert = membership(f, gens, caps.span_products, caps.monomials)
+    cert = membership(f, gens, caps)
     checks = [check("member", cert is not None)]
     payload = {"polynomial": poly_to_string(f),
                "multidegree": list(f.multidegree() or ()),

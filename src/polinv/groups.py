@@ -20,7 +20,7 @@ from functools import cached_property
 from itertools import permutations, product
 from typing import Sequence, Tuple, Union
 
-from .limits import CapExceededError, DEFAULT_CAPS, frozen
+from .limits import Caps, DEFAULT_CAPS, frozen
 from .linalg import Matrix, frac, inverse, power_traces, rank
 from .poly import Poly, VariableLayout, count_monomials
 
@@ -100,12 +100,13 @@ def _det_one_minus(g: Element) -> tuple:
     return tuple(c)
 
 
-def enumerate_group(generators: Sequence[Matrix], cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
+def enumerate_group(generators: Sequence[Matrix], caps: Caps = DEFAULT_CAPS) -> MatrixGroup:
     """Close the generators under multiplication, breadth-first from the identity.
 
     The element order is deterministic: BFS layer by layer, multiplying on the
     right by the generators in the order given.  Each generator and element
     is then stored as its (perm, signs) pair when it is a signed permutation.
+    A closure of more than `caps.group_order` elements is refused.
     """
     gens = list(generators)
     if not gens:
@@ -125,8 +126,7 @@ def enumerate_group(generators: Sequence[Matrix], cap: int = DEFAULT_CAPS.group_
         for g in gens:
             f = e @ g
             if f.entries not in seen:
-                if len(elements) >= cap:
-                    raise CapExceededError("group too large", "group_order", cap)
+                caps.bound("group_order", len(elements) + 1, "group too large")
                 seen.add(f.entries)
                 elements.append(f)
                 queue.append(f)
@@ -134,13 +134,14 @@ def enumerate_group(generators: Sequence[Matrix], cap: int = DEFAULT_CAPS.group_
                        tuple(_signed_perm(g) or g for g in elements))
 
 
-def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> MatrixGroup:
+def builtin_family(name: str, m: int, caps: Caps = DEFAULT_CAPS) -> MatrixGroup:
     """Standard reflection representations, listed as (perm, signs) pairs.
 
     S = symmetric group permuting coordinates, B = all signed permutations,
     D = permutations with an even number of sign changes (needs m >= 2).  The
-    order m!, 2^m m! or 2^(m-1) m! is checked against `cap` factor by factor,
-    before any element is built, so a huge m is refused at once.
+    order m!, 2^m m! or 2^(m-1) m! is checked against `caps.group_order`
+    factor by factor, before any element is built, so a huge m is refused at
+    once.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
@@ -152,8 +153,7 @@ def builtin_family(name: str, m: int, cap: int = DEFAULT_CAPS.group_order) -> Ma
     order = 1  # m! times 2^m (B) or 2^(m-1) (D), one factor at a time
     for k in range(1, m + 1):
         order *= 2 * k if flips and k >= flips else k
-        if order > cap:
-            raise CapExceededError("group too large", "group_order", cap)
+        caps.bound("group_order", order, "group too large")
     ident, plus = tuple(range(m)), (1,) * m
     gens = [((1, 0) + ident[2:], plus)] if m >= 2 else []
     if m >= 3:
@@ -241,7 +241,7 @@ def is_invariant(p: Poly, action: DiagonalAction) -> bool:
 
 
 def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
-                        monomial_cap: int = DEFAULT_CAPS.monomials) -> int:
+                        caps: Caps = DEFAULT_CAPS) -> int:
     """Exact dimension of the invariant subspace in multidegree (a_1, ..., a_n).
 
     Molien's formula, dim = (1/|G|) sum_g prod_j h_{a_j}(g), where h_k(g) is
@@ -249,13 +249,12 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
     forms).  The sum runs over `molien_classes`, one term per distinct
     det(1 - s g) = sum_i c_i s^i weighted by its element count, with
     h_k = -sum_{i>=1} c_i h_{k-i}.  No `Poly` and no rank is formed.  A
-    multidegree whose monomial basis is above `monomial_cap` is refused with
-    a cap error first.
+    multidegree whose monomial basis is above `caps.monomials` is refused
+    with a cap error first.
     """
     deg = tuple(deg)
-    n_mono = count_monomials((action.layout.vars_per_block,) * len(deg), deg)
-    if n_mono > monomial_cap:
-        raise CapExceededError("degree too large", "monomials", monomial_cap)
+    caps.bound("monomials", count_monomials((action.layout.vars_per_block,) * len(deg), deg),
+               "degree too large")
     if len(deg) != action.layout.blocks:
         raise ValueError("multidegree length does not match layout")
     top, total = max(deg, default=0), 0

@@ -16,7 +16,7 @@ from operator import mul
 from typing import List, Sequence, Tuple
 
 from . import nullcone, polarization
-from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
+from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import (Matrix, _echelon, _integer_entries, _integer_row, _integer_terms, frac,
                      mat_mul)
 from .poly import Poly, VariableLayout, compositions, count_monomials
@@ -143,9 +143,9 @@ def subalgebra_closure(sub: LieSubspace) -> List[Matrix]:
 # ---------------------------------------------------------------------------
 
 def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
-                            monomial_cap: int = DEFAULT_CAPS.monomials) -> int:
+                            caps: Caps = DEFAULT_CAPS) -> int:
     """Dimension of the SL2-invariants of multidegree `deg` in the coefficients
-    of R_{d_1} + ... + R_{d_k}, refused over `monomial_cap` monomials.  The
+    of R_{d_1} + ... + R_{d_k}, refused over `caps.monomials` monomials.  The
     piece is an sl2-module; with weight d - 2i on the coefficient of
     x^(d-i) y^i in R_d (or its opposite: the weights are symmetric), its
     invariants number N_0 - N_2, N_w the monomials of weight w (the
@@ -156,8 +156,8 @@ def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
         raise ValueError("multidegree length does not match the module")
     if any(d < 1 for d in module):
         raise ValueError("summand degrees must be at least 1")
-    if count_monomials(tuple(d + 1 for d in module), deg) > monomial_cap:
-        raise CapExceededError("degree too large", "monomials", monomial_cap)
+    caps.bound("monomials", count_monomials(tuple(d + 1 for d in module), deg),
+               "degree too large")
     counts = Counter({0: 1})  # weight -> monomials over the blocks so far
     for d, a in zip(module, deg):
         block = Counter(d * a - 2 * sum(i * k for i, k in enumerate(c))
@@ -374,8 +374,8 @@ def certify_so5(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
 
     # the polarization components of tr(A^2), tr(A^4) match the generator
     # list up to the multinomial coefficients of the formal expansion
-    pol2 = polarization.polarize(tr2, 2)
-    pol4 = polarization.polarize(tr4, 2)
+    pol2 = polarization.polarize(tr2, 2, caps)
+    pol4 = polarization.polarize(tr4, 2, caps)
     expansion_ok = (
         pol2.get((2, 0)) == gens[0]
         and pol2.get((1, 1)) == 2 * gens[1]
@@ -429,8 +429,8 @@ def certify_so5(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
 def certify_sl2_r1(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
     """Polarization index 1 for the defining SL2-module R_1: no invariants on
     one copy in low degree, but an invariant (the determinant) on two copies."""
-    single = [sl2_invariant_dimension((1,), (k,), caps.monomials) for k in range(1, 5)]
-    pair = sl2_invariant_dimension((1, 1), (1, 1), caps.monomials)
+    single = [sl2_invariant_dimension((1,), (k,), caps) for k in range(1, 5)]
+    pair = sl2_invariant_dimension((1, 1), (1, 1), caps)
     checks = [
         check("r1_no_invariants_deg_1_to_4", single == [0, 0, 0, 0], dims=single),
         check("r1_pair_determinant", pair == 1, dim=pair),

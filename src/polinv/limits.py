@@ -88,17 +88,29 @@ def frozen(cls):
 
 @frozen
 class Caps:
-    """Size caps shared by the whole toolkit.
+    """Size caps shared by the whole toolkit, handed down whole to every
+    function that refuses over one of them.
 
-    group_order    largest finite group that enumeration will close
-    span_products  most generator products expanded in one graded piece
-    monomials      largest monomial basis for a dimension count, and most
-                   columns (monomials) in one span or membership system
+    group_order    the order of a builtin family, and the size of the closure
+                   of a generator list
+    span_products  the exponent tuples (generator products) of one graded piece
+    monomials      the variables of a layout; the output of a polarization,
+                   counted together over a generator set; the terms of a
+                   `family`'s generators; the monomial basis of a dimension
+                   count; the support of a span or membership system; and
+                   each generator power its products use
     """
 
     group_order: int = 100_000
     span_products: int = 50_000
     monomials: int = 20_000
+
+    def bound(self, name: str, size: int, message: str) -> None:
+        """Refuse `size` over the cap `name`: when size > value, the value of
+        that field, CapExceededError(message, name, value) is raised."""
+        value = getattr(self, name)
+        if size > value:
+            raise CapExceededError(message, name, value)
 
 
 DEFAULT_CAPS = Caps()

@@ -17,7 +17,7 @@ from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import groups
-from .limits import CapExceededError, DEFAULT_CAPS, DEFAULT_SEED, frozen
+from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
 from .poly import (Poly, VariableLayout, _power_table, count_monomials, glex_key,
                    is_scalar_multiple, multidegrees)
@@ -39,29 +39,31 @@ def embed_in_copies(f: Poly, n: int) -> Poly:
     return f.substitute({0: Poly.variable(target, 0)})
 
 
-def polarize(f: Poly, n: int, monomial_cap: int = DEFAULT_CAPS.monomials) -> Dict[tuple, Poly]:
+def _polarized_size(f: Poly, n: int) -> int:
+    """The number of monomials in the polarization of f on n copies of V:
+    sum over the terms x^e of f of prod_j C(e_j + n - 1, n - 1).  Distinct
+    terms polarize onto disjoint monomials and every multinomial coefficient
+    is positive, so nothing cancels and the count is exact."""
+    if f.layout.blocks != 1:
+        raise ValueError("polarize expects a polynomial on a single copy of V")
+    if n < 1:
+        raise ValueError("need at least one copy")
+    block = (n,) * f.layout.vars_per_block
+    return sum(count_monomials(block, e) for e in f._terms)
+
+
+def polarize(f: Poly, n: int, caps: Caps = DEFAULT_CAPS) -> Dict[tuple, Poly]:
     """All nonzero polarization components of f on n copies of V.
 
     Keys are multidegrees I, in graded-lex order; the defining identity
     f(sum_a alpha_a v_a) = sum_I alpha^I f_I(v_1, ..., v_n) holds exactly.
     A term c*x^e expands to c * prod_j (sum_a x_{a,j})^{e_j}, and each power
-    is written down from its multinomial coefficients (`_multinomials`).  The
-    expansion has exactly sum over the terms x^e of f of
-    prod_j C(e_j + n - 1, n - 1) monomials: distinct terms polarize onto
-    disjoint monomials and every multinomial coefficient is positive, so
-    nothing cancels.  An expansion over `monomial_cap` is refused before it
-    is built.
+    is written down from its multinomial coefficients (`_multinomials`).  An
+    expansion of more than `caps.monomials` monomials (`_polarized_size`) is
+    refused before it is built.
     """
-    if f.layout.blocks != 1:
-        raise ValueError("polarize expects a polynomial on a single copy of V")
-    if n < 1:
-        raise ValueError("need at least one copy")
+    caps.bound("monomials", _polarized_size(f, n), "polarization too large")
     m = f.layout.vars_per_block
-    size = 0
-    for e in f._terms:
-        size += count_monomials((n,) * m, e)
-        if size > monomial_cap:
-            raise CapExceededError("polarization too large", "monomials", monomial_cap)
     lists: Dict[tuple, list] = {}  # the lists of `_multinomials` built in this call
     buckets: Dict[tuple, Dict[tuple, Fraction]] = {}
     for e, c in f._terms.items():
@@ -128,12 +130,13 @@ class GradedSpan:
 
 def polarization_generators(invariant_gens: Sequence[Poly], n: int,
                             group: Optional[groups.MatrixGroup] = None,
-                            monomial_cap: int = DEFAULT_CAPS.monomials) -> GeneratorSet:
+                            caps: Caps = DEFAULT_CAPS) -> GeneratorSet:
     """Polarize every generator and collect the components, de-duplicated
     up to exact scalar multiples.  Constant components are dropped; when a
     group is supplied, every input is checked to be invariant first.  The
-    polarizations together are refused over `monomial_cap` monomials: each
-    `polarize` gets what the ones before it left of the cap.
+    polarizations together are refused over `caps.monomials` monomials: the
+    size of each (`_polarized_size`) is added to those before it, and the
+    total is checked before that polarization is built.
     """
     if not invariant_gens:
         raise ValueError("no generators given")
@@ -149,11 +152,9 @@ def polarization_generators(invariant_gens: Sequence[Poly], n: int,
     for f in invariant_gens:
         if f.layout != invariant_gens[0].layout:
             raise ValueError("generators live on different layouts")
-        try:
-            components = polarize(f, n, monomial_cap - used)
-        except CapExceededError:  # reported against the whole cap
-            raise CapExceededError("polarization too large", "monomials", monomial_cap) from None
-        used += sum(len(comp._terms) for comp in components.values())
+        used += _polarized_size(f, n)
+        caps.bound("monomials", used, "polarization too large")
+        components = polarize(f, n, caps)
         for deg, comp in components.items():
             if all(d == 0 for d in deg):
                 continue
@@ -185,7 +186,7 @@ def wallach_operator(r: int, f: Poly) -> Poly:
 WALK_TABLE_BYTES = 1 << 32
 
 
-def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
+def _exponent_tuples(degrees: Sequence[tuple], target: tuple, caps: Caps):
     """All exponent tuples e with sum_i e_i * degrees[i] = target, in lex order.
 
     Generators of zero multidegree are held at exponent zero (a constant
@@ -195,9 +196,9 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
     exponent zero within the call, and a zero remainder takes the zero tail
     at once, so each call past the start enters a prefix that ends at or
     before the last nonzero exponent of a tuple listed: there are at most
-    1 + (such distinct prefixes) calls.  Raises when more than `cap` tuples
-    would be produced, and as a degree too large when a table of the walk
-    would exceed `WALK_TABLE_BYTES`.
+    1 + (such distinct prefixes) calls.  Raises when more than
+    `caps.span_products` tuples would be produced, and as a degree too large
+    when a table of the walk would exceed `WALK_TABLE_BYTES`.
     """
     n = len(degrees)
     # A remainder r <= target is bit sum_b r_b * strides[b]; radix 2*t_b + 1
@@ -231,6 +232,7 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
             e *= 2
         fills[i] = filled.to_bytes(size, "little")
     out: List[tuple] = []
+    limit = caps.span_products  # read once: the check runs for every tuple
 
     def rec(i: int, remaining: tuple, pos: int, prefix: tuple):
         if not pos:  # every later exponent is zero
@@ -242,8 +244,8 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, cap: int):
         if i == n:
             if pos:  # the start is the only prefix not checked
                 return
-            if len(out) >= cap:
-                raise CapExceededError("span too large", "span_products", cap)
+            if len(out) >= limit:
+                caps.bound("span_products", len(out) + 1, "span too large")
             out.append(prefix)
             return
         deg, reach = degrees[i], fills[i + 1]
@@ -294,7 +296,7 @@ def _mul(a: Dict[int, int], b: Dict[int, int]) -> Dict[int, int]:
     return {k: c for k, c in out.items() if c}
 
 
-def _products_for_target(gens: GeneratorSet, target: tuple, cap: int, monomial_cap: int,
+def _products_for_target(gens: GeneratorSet, target: tuple, caps: Caps,
                          extra_keys: Iterable[int] = ()):
     """Generator products of the target multidegree, expanded over the integers.
 
@@ -305,7 +307,7 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int, monomial_c
     prod_i g_i^{e_i}, with scale = prod_i d_i^{e_i}.  Before any product is
     expanded, the powers g_i^e that the tuples use are built once each, in
     ascending order, each from the one before (`_power_table`); a generator
-    that no tuple uses is neither packed nor powered.  The monomial cap
+    that no tuple uses is neither packed nor powered.  `caps.monomials`
     bounds the union of `extra_keys` (the packed support of a polynomial to
     be tested against the span) and the supports of the finished products,
     and is checked as each product finishes; partial products, which can
@@ -315,13 +317,12 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int, monomial_c
     the callers hand them to `_echelon`, which reduces them in place.
     """
     degrees = [deg for _, deg in gens.generators]
-    tuples = _exponent_tuples(degrees, tuple(target), cap)
+    tuples = _exponent_tuples(degrees, tuple(target), caps)
     width = _digit_width(target)
 
     def step(power, base):  # one more factor of a power, refused as it passes the cap
         power = _mul(power, base)
-        if len(power) > monomial_cap:
-            raise CapExceededError("too many monomials", "monomials", monomial_cap)
+        caps.bound("monomials", len(power), "too many monomials")
         return power
 
     tables = {}  # i -> ({e: (d_i g_i)^e} for the exponents of g_i the tuples use, d_i)
@@ -335,8 +336,7 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int, monomial_c
 
     def count(keys):
         support.update(keys)
-        if len(support) > monomial_cap:
-            raise CapExceededError("too many monomials", "monomials", monomial_cap)
+        caps.bound("monomials", len(support), "too many monomials")
 
     count(extra_keys)
     products = []
@@ -352,18 +352,16 @@ def _products_for_target(gens: GeneratorSet, target: tuple, cap: int, monomial_c
 
 
 def graded_span_basis(gens: GeneratorSet, target: Sequence[int],
-                      cap: int = DEFAULT_CAPS.span_products,
-                      monomial_cap: int = DEFAULT_CAPS.monomials) -> GradedSpan:
+                      caps: Caps = DEFAULT_CAPS) -> GradedSpan:
     """The graded piece spanned by generator products, as the exponent tuples
     of its lex-first independent products."""
     target = tuple(target)
-    products = _products_for_target(gens, target, cap, monomial_cap)
+    products = _products_for_target(gens, target, caps)
     kept, _ = _echelon((terms, scale) for _, terms, scale in products)
     return GradedSpan(target, tuple(products[j][0] for j in kept))
 
 
-def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_products,
-               monomial_cap: int = DEFAULT_CAPS.monomials
+def membership(f: Poly, gens: GeneratorSet, caps: Caps = DEFAULT_CAPS
                ) -> Optional[List[Tuple[tuple, Fraction]]]:
     """Exact membership of f in the graded piece of the polarization algebra.
 
@@ -380,7 +378,7 @@ def membership(f: Poly, gens: GeneratorSet, cap: int = DEFAULT_CAPS.span_product
     if deg is None:
         raise ValueError("membership needs a multihomogeneous polynomial")
     f_terms, f_scale = _packed(f, _digit_width(deg))
-    products = _products_for_target(gens, deg, cap, monomial_cap, f_terms)
+    products = _products_for_target(gens, deg, caps, f_terms)
     rows = [(terms, scale) for _, terms, scale in products] + [(f_terms, f_scale)]
     relation = _echelon(rows)[1](len(products))
     if relation is None:
@@ -412,14 +410,13 @@ def certificate_combination(gens: GeneratorSet, certificate) -> Poly:
 # Wired-in classical generator lists for the builtin reflection groups
 # ---------------------------------------------------------------------------
 
-def classical_generators(family: str, m: int,
-                         monomial_cap: int = DEFAULT_CAPS.monomials) -> List[Poly]:
+def classical_generators(family: str, m: int, caps: Caps = DEFAULT_CAPS) -> List[Poly]:
     """Generators of the invariant ring for the builtin families.
 
     S: power sums p_1..p_m.  B: sum x_i^{2s}, s = 1..m.
     D: sigma_s = sum x_i^{2s} for s < m together with sigma_m = x_1...x_m.
     They have m*m terms (S, B) or m(m - 1) + 1 (D), and each term polarizes
-    to at least one monomial, so more terms than `monomial_cap` are refused
+    to at least one monomial, so more terms than `caps.monomials` are refused
     as a polarization too large, before any is built.
     """
     layout = VariableLayout(1, m)
@@ -427,8 +424,8 @@ def classical_generators(family: str, m: int,
         raise ValueError(f"unsupported family {family!r}")
     if family == "D" and m < 2:
         raise ValueError("family D needs m >= 2")
-    if (m * (m - 1) + 1 if family == "D" else m * m) > monomial_cap:
-        raise CapExceededError("polarization too large", "monomials", monomial_cap)
+    caps.bound("monomials", m * (m - 1) + 1 if family == "D" else m * m,
+               "polarization too large")
 
     def power_sum(k: int) -> Poly:
         return Poly._trusted(layout, {(0,) * i + (k,) + (0,) * (m - 1 - i): Q(1)
@@ -443,9 +440,7 @@ def classical_generators(family: str, m: int,
 
 
 def compare_graded_dims(group: groups.MatrixGroup, invariant_gens: Sequence[Poly], n: int,
-                        max_total_degree: int,
-                        span_cap: int = DEFAULT_CAPS.span_products,
-                        monomial_cap: int = DEFAULT_CAPS.monomials):
+                        max_total_degree: int, caps: Caps = DEFAULT_CAPS):
     """Table of (multidegree, dim of invariants, dim of polarization span).
 
     Covers every multidegree of total degree <= max_total_degree in graded-lex
@@ -455,11 +450,11 @@ def compare_graded_dims(group: groups.MatrixGroup, invariant_gens: Sequence[Poly
     m = group.dimension
     layout = copies_layout(m, n)
     action = groups.DiagonalAction(group, layout)
-    gens = polarization_generators(invariant_gens, n, group, monomial_cap)
+    gens = polarization_generators(invariant_gens, n, group, caps)
     rows = []
     for deg in multidegrees(max_total_degree, n):
-        dim_inv = groups.invariant_dimension(action, deg, monomial_cap)
-        dim_pol = graded_span_basis(gens, deg, span_cap, monomial_cap).dimension
+        dim_inv = groups.invariant_dimension(action, deg, caps)
+        dim_pol = graded_span_basis(gens, deg, caps).dimension
         rows.append((deg, dim_inv, dim_pol))
     return rows
 
@@ -468,7 +463,7 @@ def compare_graded_dims(group: groups.MatrixGroup, invariant_gens: Sequence[Poly
 # Packaged certificate: the D_4 polarization gap on two copies
 # ---------------------------------------------------------------------------
 
-def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
+def certify_dm(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
     """The polarization gap for the reflection group D_4 on two copies.
 
     P_1 is the classical polarization operator, so every iterated P_1 image of
@@ -479,25 +474,24 @@ def certify_dm(seed: int = DEFAULT_SEED, caps=DEFAULT_CAPS) -> dict:
     square (which is B_4-invariant) is, certifying integrality without
     equality.
     """
-    group = groups.builtin_family("D", 4)
+    group = groups.builtin_family("D", 4, caps)
     layout = copies_layout(4, 2)
     action = groups.DiagonalAction(group, layout)
-    invs = classical_generators("D", 4)
-    gens = polarization_generators(invs, 2, group, caps.monomials)
+    invs = classical_generators("D", 4, caps)
+    gens = polarization_generators(invs, 2, group, caps)
 
     dims = {}
     for deg in ((2, 2), (3, 3)):
-        dims[deg] = (groups.invariant_dimension(action, deg, caps.monomials),
-                     graded_span_basis(gens, deg, caps.span_products,
-                                       caps.monomials).dimension)
+        dims[deg] = (groups.invariant_dimension(action, deg, caps),
+                     graded_span_basis(gens, deg, caps).dimension)
 
     sigma4 = embed_in_copies(invs[3], 2)
     h = wallach_operator(1, wallach_operator(1, sigma4)) * Q(1, 2)
-    h_component = polarize(invs[3], 2, caps.monomials)[(2, 2)]
+    h_component = polarize(invs[3], 2, caps)[(2, 2)]
     w = wallach_operator(3, sigma4)
-    w_cert = membership(w, gens, caps.span_products, caps.monomials)
+    w_cert = membership(w, gens, caps)
     square = w * w
-    square_cert = membership(square, gens, caps.span_products, caps.monomials)
+    square_cert = membership(square, gens, caps)
     square_ok = (square_cert is not None
                  and certificate_combination(gens, square_cert) == square)
 

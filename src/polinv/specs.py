@@ -17,7 +17,7 @@ object).  Any fault raises ValueError naming the file kind and the key, e.g.
 "group file: 'builtin.m' must be an integer".  An integer field takes what
 int() takes, except a bool or a float with a fractional part, so nothing is
 truncated; a rational field means frac(str(value)).  A layout with more
-variables than the monomial cap raises CapExceededError before anything of
+variables than `Caps.monomials` raises CapExceededError before anything of
 that size is built.  The objects built here keep their own checks for
 library callers.
 """
@@ -30,7 +30,7 @@ from math import isqrt
 from typing import Optional, Tuple
 
 from . import groups, nullcone, polarization
-from .limits import DEFAULT_CAPS, CapExceededError
+from .limits import Caps, DEFAULT_CAPS
 from .linalg import Matrix, frac
 from .poly import Poly, VariableLayout, parse_poly
 
@@ -132,10 +132,10 @@ def builtin_from_spec(spec) -> Optional[Tuple[str, int]]:
     return builtin.read("family", _string), builtin.read("m", _integer)
 
 
-def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> groups.MatrixGroup:
+def group_from_spec(spec, caps: Caps = DEFAULT_CAPS) -> groups.MatrixGroup:
     builtin = builtin_from_spec(spec)
     if builtin is not None:
-        return groups.builtin_family(*builtin, cap)
+        return groups.builtin_family(*builtin, caps)
     fields = _Object(GROUP, "", spec)
     if "generators" not in fields:
         raise ValueError(f"{GROUP}: needs a 'builtin' or 'generators' key")
@@ -145,47 +145,46 @@ def group_from_spec(spec, cap: int = DEFAULT_CAPS.group_order) -> groups.MatrixG
         if n * n != len(flat):
             raise ValueError(f"{GROUP}: 'generators[{i}]' entry count is not a perfect square")
         gens.append(Matrix(n, n, tuple(flat)))
-    return groups.enumerate_group(gens, cap)
+    return groups.enumerate_group(gens, caps)
 
 
-def capped_layout(blocks: int, vars_per_block: int, cap: int) -> VariableLayout:
-    """The layout, refused when its variable count exceeds the monomial cap:
+def capped_layout(blocks: int, vars_per_block: int, caps: Caps) -> VariableLayout:
+    """The layout, refused when its variable count exceeds `caps.monomials`:
     the degree-1 monomial basis alone is already that large.  The command
     line checks its n copies of V here too."""
     layout = VariableLayout(blocks, vars_per_block)
-    if layout.total > cap:
-        raise CapExceededError("too many variables", "monomials", cap)
+    caps.bound("monomials", layout.total, "too many variables")
     return layout
 
 
-def _layout_from_spec(fields: _Object, cap: int) -> VariableLayout:
+def _layout_from_spec(fields: _Object, caps: Caps) -> VariableLayout:
     if "vars" in fields:
-        return capped_layout(1, fields.read("vars", _integer), cap)
+        return capped_layout(1, fields.read("vars", _integer), caps)
     return capped_layout(fields.read("blocks", _integer),
-                         fields.read("vars_per_block", _integer), cap)
+                         fields.read("vars_per_block", _integer), caps)
 
 
-def poly_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> Tuple[VariableLayout, Poly]:
+def poly_from_spec(spec, caps: Caps = DEFAULT_CAPS) -> Tuple[VariableLayout, Poly]:
     fields = _Object(POLY, "", spec)
-    layout = _layout_from_spec(fields, cap)
+    layout = _layout_from_spec(fields, caps)
     return layout, fields.read("poly", _poly(layout))
 
 
-def generators_from_spec(spec, cap: int = DEFAULT_CAPS.monomials) -> polarization.GeneratorSet:
+def generators_from_spec(spec, caps: Caps = DEFAULT_CAPS) -> polarization.GeneratorSet:
     fields = _Object(GENS, "", spec)
     if "family" in fields:
         family, m = fields.read("family", _string), fields.read("m", _integer)
         copies = fields.read("copies", _integer)
-        capped_layout(copies, m, cap)
-        invs = polarization.classical_generators(family, m, cap)
-        return polarization.polarization_generators(invs, copies, monomial_cap=cap)
+        capped_layout(copies, m, caps)
+        invs = polarization.classical_generators(family, m, caps)
+        return polarization.polarization_generators(invs, copies, caps=caps)
     if "invariants" in fields:
         m, copies = fields.read("vars", _integer), fields.read("copies", _integer)
-        capped_layout(copies, m, cap)
+        capped_layout(copies, m, caps)
         invs = fields.read("invariants", _list(_poly(VariableLayout(1, m))))
-        return polarization.polarization_generators(invs, copies, monomial_cap=cap)
+        return polarization.polarization_generators(invs, copies, caps=caps)
     if "generators" in fields:
-        layout = _layout_from_spec(fields, cap)
+        layout = _layout_from_spec(fields, caps)
         gens = []
         for i, p in enumerate(fields.read("generators", _list(_poly(layout)))):
             deg = p.multidegree()

@@ -198,6 +198,17 @@ def test_certify_sl3_and_sl2r1(files, capsys):
     assert run(capsys, ["certify", "sl2-r1"])[0] == 0
 
 
+@pytest.mark.parametrize("flag,scenario,size,error", [
+    # D_4 has order 192, and tr(A^4) of so5 polarizes to 560 monomials on two copies
+    ("--cap-group-order", "dm", 192, "group too large (cap group_order=191)"),
+    ("--cap-monomials", "so5", 560, "polarization too large (cap monomials=559)"),
+], ids=["dm", "so5"])
+def test_certify_honours_the_cap_flags(capsys, flag, scenario, size, error):
+    assert main([flag, str(size - 1), "certify", scenario]) == 3
+    assert capsys.readouterr() == ("", f"error: {error}\n")
+    assert main([flag, str(size), "certify", scenario]) == 0
+
+
 def test_malformed_input_exits_2(files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

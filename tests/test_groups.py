@@ -8,7 +8,7 @@ import pytest
 
 from polinv import groups, linalg
 from polinv.cli import main
-from polinv.limits import CapExceededError
+from polinv.limits import CapExceededError, Caps
 from polinv.linalg import Matrix, inverse
 from polinv.poly import Poly, VariableLayout, monomials, multidegrees, parse_poly
 from polinv.groups import (DiagonalAction, MatrixGroup, act, builtin_family, enumerate_group,
@@ -72,7 +72,7 @@ def test_unsupported_family():
 
 def test_enumeration_cap():
     with pytest.raises(CapExceededError):
-        builtin_family("D", 4, cap=10)
+        builtin_family("D", 4, Caps(group_order=10))
 
 
 def test_enumeration_rejects_singular_generator():
@@ -441,7 +441,7 @@ def test_invariant_dimension_bounded_by_monomials():
 def test_invariant_dimension_cap():
     a = action_for("B", 3, blocks=2)
     with pytest.raises(CapExceededError):
-        invariant_dimension(a, (4, 4), monomial_cap=10)
+        invariant_dimension(a, (4, 4), Caps(monomials=10))
 
 
 def test_same_orbit_examples():

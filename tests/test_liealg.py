@@ -7,7 +7,7 @@ import pytest
 from polinv import linalg, liealg
 from polinv.groups import (DiagonalAction, builtin_family, enumerate_group,
                            invariant_dimension, reynolds)
-from polinv.limits import CapExceededError
+from polinv.limits import CapExceededError, Caps
 from polinv.linalg import Matrix
 from polinv.poly import Poly, VariableLayout, count_monomials, monomials, parse_poly
 from polinv.polarization import polarize
@@ -339,7 +339,7 @@ def test_sl2_dimension_matches_the_dense_reference():
 
 def test_sl2_dimension_cap():
     with pytest.raises(CapExceededError):
-        sl2_invariant_dimension((3,), (8,), monomial_cap=10)
+        sl2_invariant_dimension((3,), (8,), Caps(monomials=10))
 
 
 def test_so5_trace_invariants():

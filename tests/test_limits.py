@@ -4,7 +4,7 @@ import pytest
 
 from polinv.groups import DiagonalAction, builtin_family
 from polinv.liealg import LieAlgebraBasis, LieSubspace, sl, unit_matrix
-from polinv.limits import Caps, frozen
+from polinv.limits import CapExceededError, Caps, frozen
 from polinv.linalg import Matrix
 from polinv.nullcone import BinaryForm, ProbeVerdict, SubspaceSpec, WeightSystem
 from polinv.polarization import GeneratorSet, GradedSpan, SeparationReport
@@ -111,6 +111,15 @@ def test_frozen_reads_annotations_not_kept_in_the_class_dict():
 def test_frozen_refuses_a_class_with_fewer_than_two_fields(annotations):
     with pytest.raises(TypeError):
         frozen(type("Small", (), {"__annotations__": annotations}))
+
+
+def test_caps_bound_passes_at_equality_and_raises_above():
+    caps = Caps(group_order=5, span_products=7, monomials=9)
+    for name, value in (("group_order", 5), ("span_products", 7), ("monomials", 9)):
+        caps.bound(name, value, "too large")
+        with pytest.raises(CapExceededError, match="^too large$") as refused:
+            caps.bound(name, value + 1, "too large")
+        assert (refused.value.cap_name, refused.value.cap_value) == (name, value)
 
 
 def _instances():

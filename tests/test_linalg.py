@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polinv import linalg
 from polinv.groups import DiagonalAction, builtin_family, invariant_dimension
+from polinv.limits import Caps
 from polinv.linalg import (Matrix, _echelon, inverse, mat_mul, power_traces, rank, rref,
                            solve_in_span, strict_positive_functional)
 from polinv.nullcone import brute_box_functional
@@ -222,9 +223,10 @@ def test_polarization_product_columns_repeat_along_orbits():
     group = builtin_family("D", 4)
     gens = polarization_generators(classical_generators("D", 4), 2, group=group)
     action = DiagonalAction(group, copies_layout(4, 2))
+    caps = Caps(span_products=10 ** 6, monomials=10 ** 6)
     for target, n_columns, n_classes in (((3, 3), 100, 10), ((4, 4), 313, 26),
                                          ((5, 3), 280, 22), ((6, 6), 1776, 111)):
-        rows = [terms for _, terms, _ in _products_for_target(gens, target, 10 ** 6, 10 ** 6)]
+        rows = [terms for _, terms, _ in _products_for_target(gens, target, caps)]
         assert len(set().union(*rows)) == n_columns
         assert len(_sign_classes(rows)) == n_classes == invariant_dimension(action, target)
 
@@ -234,7 +236,7 @@ def test_echelon_pins_the_dm_square_certificate_system():
     invs = classical_generators("D", 4)
     gens = polarization_generators(invs, 2, group=builtin_family("D", 4))
     square = wallach_operator(3, embed_in_copies(invs[3], 2)) ** 2
-    products = _products_for_target(gens, (6, 6), 10 ** 6, 10 ** 6)
+    products = _products_for_target(gens, (6, 6), Caps(span_products=10 ** 6, monomials=10 ** 6))
     f_terms, f_scale = _packed(square, _digit_width((6, 6)))
     rows = [terms for _, terms, _ in products] + [f_terms]
     scales = [scale for _, _, scale in products] + [f_scale]

@@ -8,7 +8,7 @@ import pytest
 
 from polinv import polarization
 from polinv.groups import DiagonalAction, builtin_family, is_invariant
-from polinv.limits import DEFAULT_CAPS, CapExceededError
+from polinv.limits import CapExceededError, Caps
 from polinv.linalg import Matrix, rank, solve_in_span
 from polinv.poly import Poly, VariableLayout, glex_key, monomials, parse_poly
 from polinv.polarization import (GeneratorSet, certificate_combination,
@@ -114,12 +114,12 @@ def test_polarize_refuses_exactly_above_its_expansion_size():
         f = Poly(layout, {tuple(rng.randint(0, 4) for _ in range(m)): Q(rng.randint(1, 5))
                           for _ in range(rng.randint(1, 5))})
         size = sum(prod(comb(k + n - 1, n - 1) for k in e) for e in f._terms)
-        comps = polarize(f, n, size)
+        comps = polarize(f, n, Caps(monomials=size))
         assert sum(len(c._terms) for c in comps.values()) == size
         with pytest.raises(CapExceededError):
-            polarize(f, n, size - 1)
+            polarize(f, n, Caps(monomials=size - 1))
         with pytest.raises(CapExceededError):
-            polarization_generators([f], n, monomial_cap=size - 1)
+            polarization_generators([f], n, caps=Caps(monomials=size - 1))
 
 
 def _substituted_polarization(f, n):
@@ -159,17 +159,18 @@ def test_polarization_generators_cap_the_polarizations_together():
     layout = VariableLayout(1, 2)
     fs = [parse_poly("x1^2", layout), parse_poly("x1*x2", layout)]
     for f in fs:
-        polarization_generators([f], 2, monomial_cap=6)
-    assert len(polarization_generators(fs, 2, monomial_cap=7).generators) == 6
+        polarization_generators([f], 2, caps=Caps(monomials=6))
+    assert len(polarization_generators(fs, 2, caps=Caps(monomials=7)).generators) == 6
     with pytest.raises(CapExceededError, match="polarization too large"):
-        polarization_generators(fs, 2, monomial_cap=6)
+        polarization_generators(fs, 2, caps=Caps(monomials=6))
 
 
 @pytest.mark.parametrize("family,terms", [("S", 36), ("B", 36), ("D", 31)])
 def test_classical_generators_refuse_more_terms_than_the_cap(family, terms):
-    assert sum(len(p._terms) for p in classical_generators(family, 6, terms)) == terms
+    gens = classical_generators(family, 6, Caps(monomials=terms))
+    assert sum(len(p._terms) for p in gens) == terms
     with pytest.raises(CapExceededError, match="polarization too large"):
-        classical_generators(family, 6, terms - 1)
+        classical_generators(family, 6, Caps(monomials=terms - 1))
 
 
 @pytest.mark.parametrize("family", ["S", "B", "D"])
@@ -259,22 +260,22 @@ def test_graded_span_cap():
     x, y = Poly.variable(L, 0), Poly.variable(L, 1)
     gens = GeneratorSet(L, ((x, (1,)), (y, (1,))))
     with pytest.raises(CapExceededError):
-        graded_span_basis(gens, (40,), cap=10)
+        graded_span_basis(gens, (40,), Caps(span_products=10))
     # x^2, xy, y^2: three columns, so a monomial cap of 2 refuses both builders
-    assert graded_span_basis(gens, (2,), monomial_cap=3).dimension == 3
+    assert graded_span_basis(gens, (2,), Caps(monomials=3)).dimension == 3
     with pytest.raises(CapExceededError):
-        graded_span_basis(gens, (2,), monomial_cap=2)
+        graded_span_basis(gens, (2,), Caps(monomials=2))
     with pytest.raises(CapExceededError):
-        membership(x * y, gens, monomial_cap=2)
+        membership(x * y, gens, Caps(monomials=2))
     # the tested polynomial's own monomials count too: x^2 and xy are two columns
     only_x = GeneratorSet(L, ((x, (1,)),))
     with pytest.raises(CapExceededError):
-        membership(x * y, only_x, monomial_cap=1)
-    assert membership(x * y, only_x, monomial_cap=2) is None
+        membership(x * y, only_x, Caps(monomials=1))
+    assert membership(x * y, only_x, Caps(monomials=2)) is None
     # the expansion itself refuses, once the finished products pass the cap
     with pytest.raises(CapExceededError):
-        _products_for_target(gens, (2,), 10, monomial_cap=2)
-    assert len(_products_for_target(gens, (2,), 10, monomial_cap=3)) == 3
+        _products_for_target(gens, (2,), Caps(span_products=10, monomials=2))
+    assert len(_products_for_target(gens, (2,), Caps(span_products=10, monomials=3))) == 3
 
 
 def _brute_exponent_tuples(degrees, target):
@@ -295,26 +296,28 @@ def test_exponent_tuples_match_a_brute_force_filter():
                    for _ in range(rng.randint(0, 4))]
         target = tuple(rng.randint(0, 6) for _ in range(blocks))
         expected = _brute_exponent_tuples(degrees, target)
-        assert _exponent_tuples(degrees, target, 10 ** 6) == expected, (degrees, target)
+        assert (_exponent_tuples(degrees, target, Caps(span_products=10 ** 6))
+                == expected), (degrees, target)
         empty += not expected
         # the span_products cap refuses exactly when there are more tuples
         if expected:
-            assert _exponent_tuples(degrees, target, len(expected)) == expected
+            assert _exponent_tuples(degrees, target, Caps(span_products=len(expected))) == expected
             with pytest.raises(CapExceededError):
-                _exponent_tuples(degrees, target, len(expected) - 1)
+                _exponent_tuples(degrees, target, Caps(span_products=len(expected) - 1))
     assert empty > 30
     # zero-degree generators, also after the last one of nonzero degree
-    assert _exponent_tuples([(0, 0), (1, 0), (0, 0), (0, 1), (0, 0)], (2, 3), 10) == [
+    ten = Caps(span_products=10)
+    assert _exponent_tuples([(0, 0), (1, 0), (0, 0), (0, 1), (0, 0)], (2, 3), ten) == [
         (0, 2, 0, 3, 0)]
-    assert _exponent_tuples([(0,)], (0,), 10) == [(0,)]
-    assert _exponent_tuples([(0,)], (1,), 10) == []
-    assert _exponent_tuples([(2, 2)], (4, 3), 10) == []
+    assert _exponent_tuples([(0,)], (0,), ten) == [(0,)]
+    assert _exponent_tuples([(0,)], (1,), ten) == []
+    assert _exponent_tuples([(2, 2)], (4, 3), ten) == []
 
 
 def test_exponent_tuples_solve_the_last_exponent():
     # x + z = 200 and y + z = 201: one tuple per x, and the walk enters only
     # the 201 (x, y) prefixes that complete, not all 201 x 202 of them
-    tuples = _exponent_tuples([(1, 0), (0, 1), (1, 1)], (200, 201), 201)
+    tuples = _exponent_tuples([(1, 0), (0, 1), (1, 1)], (200, 201), Caps(span_products=201))
     assert tuples == [(x, x + 1, 200 - x) for x in range(201)]
 
 
@@ -323,14 +326,15 @@ def test_exponent_walk_refuses_a_table_over_its_byte_limit(monkeypatch):
     # with a limit of 100 bytes, 800 bits pass and 801 are refused unbuilt
     monkeypatch.setattr(polarization, "WALK_TABLE_BYTES", 100)
     degrees = [(1, 0), (0, 1)]
-    assert _exponent_tuples(degrees, (799, 0), 10) == [(799, 0)]
+    ten = Caps(span_products=10)
+    assert _exponent_tuples(degrees, (799, 0), ten) == [(799, 0)]
     with pytest.raises(CapExceededError) as refused:
-        _exponent_tuples(degrees, (800, 0), 10)
+        _exponent_tuples(degrees, (800, 0), ten)
     assert (refused.value.cap_name, refused.value.cap_value) == ("walk_table_bytes", 100)
     monkeypatch.undo()
     # about 10^30 bits: refused before any shift of that size is tried
     with pytest.raises(CapExceededError):
-        _exponent_tuples(degrees, (10 ** 30, 0), 10)
+        _exponent_tuples(degrees, (10 ** 30, 0), ten)
 
 
 def test_membership_of_a_high_power_on_one_variable_per_block():
@@ -343,7 +347,7 @@ def test_membership_of_a_high_power_on_one_variable_per_block():
     assert cert == [((2300, 2300), Q(1))]
 
 
-def _walk(degrees, target, cap=10 ** 6):
+def _walk(degrees, target, caps=Caps(span_products=10 ** 6)):
     """(tuples, calls): `_exponent_tuples` and the number of calls its inner
     walk makes, counted with a profile hook."""
     calls = 0
@@ -355,7 +359,7 @@ def _walk(degrees, target, cap=10 ** 6):
 
     sys.setprofile(hook)
     try:
-        tuples = _exponent_tuples(degrees, target, cap)
+        tuples = _exponent_tuples(degrees, target, caps)
     finally:
         sys.setprofile(None)
     return tuples, calls
@@ -373,10 +377,11 @@ def test_pruned_walk_matches_the_unpruned_walk_on_polarization_degrees(m):
         assert calls <= 1 + len(tuples) * len(degrees), target
     # the span_products cap refuses at the same tuple count
     expected = unpruned_exponent_tuples(degrees, (6, 6), 10 ** 6)
-    assert _exponent_tuples(degrees, (6, 6), len(expected)) == expected
-    for walk in (_exponent_tuples, unpruned_exponent_tuples):
+    assert _exponent_tuples(degrees, (6, 6), Caps(span_products=len(expected))) == expected
+    for walk, cap in ((_exponent_tuples, Caps(span_products=len(expected) - 1)),
+                      (unpruned_exponent_tuples, len(expected) - 1)):
         with pytest.raises(CapExceededError):
-            walk(degrees, (6, 6), len(expected) - 1)
+            walk(degrees, (6, 6), cap)
 
 
 def test_walk_calls_end_at_the_last_nonzero_exponent():
@@ -395,7 +400,7 @@ def test_walk_calls_end_at_the_last_nonzero_exponent():
 
 def test_pruned_walk_on_large_targets():
     degrees = [(1, 0), (0, 1), (1, 1)]
-    assert (_exponent_tuples(degrees, (200, 201), 10 ** 6)
+    assert (_exponent_tuples(degrees, (200, 201), Caps(span_products=10 ** 6))
             == unpruned_exponent_tuples(degrees, (200, 201), 10 ** 6))
     # no tuple reaches an odd first degree: the walk enters no prefix
     assert _walk([(2, 0), (0, 2)], (1001, 1000)) == ([], 1)
@@ -635,7 +640,7 @@ def test_products_build_each_generator_power_once(monkeypatch):
     monkeypatch.setattr(polarization, "_mul", counted)
     x1, x2 = (Poly.variable(VariableLayout(1, 2), i) for i in range(2))
     gens = polarization_generators([x1 + x2, x1 * x2], 2)
-    products = _products_for_target(gens, (600, 0), 10 ** 4, DEFAULT_CAPS.monomials)
+    products = _products_for_target(gens, (600, 0), Caps(span_products=10 ** 4))
     assert len(products) == 301
     assert len(calls) <= 2000
     assert products[0][0] == (0, 0, 0, 0, 300)
@@ -649,7 +654,7 @@ def test_products_build_each_generator_power_once(monkeypatch):
 def test_zero_target_is_the_constant_product():
     L = copies_layout(2, 2)
     gens = GeneratorSet(L, ((Poly.variable(L, 0), (1, 0)), (Poly.variable(L, 2), (0, 1))))
-    assert _products_for_target(gens, (0, 0), 10, DEFAULT_CAPS.monomials) == [((0, 0), {0: 1}, 1)]
+    assert _products_for_target(gens, (0, 0), Caps(span_products=10)) == [((0, 0), {0: 1}, 1)]
     span = graded_span_basis(gens, (0, 0))
     assert (span.dimension, span.basis) == (1, ((0, 0),))
     assert membership(Poly.constant(L, Q(3, 2)), gens) == [((0, 0), Q(3, 2))]
@@ -660,7 +665,7 @@ def test_zero_multidegree_generator_stays_at_exponent_zero():
     x, y = Poly.variable(L, 0), Poly.variable(L, 1)
     gens = GeneratorSet(L, ((Poly.constant(L, Q(2, 3)), (0, 0)), (x, (1, 0)), (x * y, (1, 1))))
     for target, exps in (((2, 1), (0, 1, 1)), ((0, 0), (0, 0, 0))):
-        products = _products_for_target(gens, target, 10, DEFAULT_CAPS.monomials)
+        products = _products_for_target(gens, target, Caps(span_products=10))
         assert [e for e, _, _ in products] == [exps]
     assert membership(Q(5, 4) * x * x * y, gens) == [((0, 1, 1), Q(5, 4))]
     assert graded_span_basis(gens, (0, 0)).dimension == 1

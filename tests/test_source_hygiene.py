@@ -1,7 +1,7 @@
 """Source hygiene of `src/polinv`, read with `ast` alone: every imported name
 is used in its module, every module-level private name is referenced
-somewhere in the package besides its own definition, and nothing evaluated at
-import builds a list, dict or set."""
+somewhere in the package besides its own definition, nothing evaluated at
+import builds a list, dict or set, and the `caps` record is handed on whole."""
 
 import ast
 from pathlib import Path
@@ -165,3 +165,32 @@ def test_echelon_takes_only_rows_and_no_call_passes_track():
                if isinstance(node, ast.Call)
                and any(k.arg == "track" for k in node.keywords)]
     assert passing == []
+
+
+def _parameters(fn):
+    args = fn.args
+    return [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+
+
+def test_every_call_between_capped_functions_passes_caps():
+    # the caps travel as one `Caps` record: a function that takes `caps` hands
+    # it to every package function it calls that takes one, so no scenario or
+    # command runs one of them at the default caps by omission
+    functions = [(path.name, node) for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(_tree(path)) if isinstance(node, ast.FunctionDef)]
+    assert [(name, fn.name) for name, fn in functions
+            if {"cap", "monomial_cap", "span_cap"} & set(_parameters(fn))] == []
+    capped = [(name, fn) for name, fn in functions if "caps" in _parameters(fn)]
+    names = {fn.name for _, fn in capped}
+    assert {"builtin_family", "polarize", "membership", "capped_layout"} <= names
+    missing = []
+    for name, fn in capped:
+        for call in ast.walk(fn):
+            if not isinstance(call, ast.Call):
+                continue
+            callee = getattr(call.func, "id", getattr(call.func, "attr", None))
+            passed = [*call.args, *(k.value for k in call.keywords)]
+            if callee in names and not any(isinstance(a, ast.Name) and a.id == "caps"
+                                           for a in passed):
+                missing.append((name, fn.name, call.lineno, callee))
+    assert missing == []
