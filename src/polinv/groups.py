@@ -106,7 +106,11 @@ def enumerate_group(generators: Sequence[Matrix], caps: Caps = DEFAULT_CAPS) -> 
     The element order is deterministic: BFS layer by layer, multiplying on the
     right by the generators in the order given.  Each generator and element
     is then stored as its (perm, signs) pair when it is a signed permutation.
-    A closure of more than `caps.group_order` elements is refused.
+    A closure of more than `caps.group_order` elements is refused.  So is an
+    element whose trace is not an integer of absolute value at most n: a
+    rational matrix of finite order has roots of unity as its eigenvalues,
+    so its trace is a rational algebraic integer of size at most n, and the
+    generators of a finite group never meet this refusal.
     """
     gens = list(generators)
     if not gens:
@@ -127,6 +131,10 @@ def enumerate_group(generators: Sequence[Matrix], caps: Caps = DEFAULT_CAPS) -> 
             f = e @ g
             if f.entries not in seen:
                 caps.bound("group_order", len(elements) + 1, "group too large")
+                trace = sum(f.entries[::n + 1])
+                if trace.denominator != 1 or abs(trace.numerator) > n:
+                    raise ValueError("generators do not generate a finite group: "
+                                     f"an element has trace {trace}")
                 seen.add(f.entries)
                 elements.append(f)
                 queue.append(f)

@@ -11,13 +11,11 @@ from __future__ import annotations
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
-from operator import mul
 from typing import List, Sequence, Tuple
 
 from . import nullcone, polarization
 from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
-from .linalg import (Matrix, _echelon, _integer_entries, _integer_row, _integer_terms, frac,
+from .linalg import (Matrix, _echelon, _int_product, _integer_row, _integer_terms, _scaled,
                      mat_mul)
 from .poly import Poly, VariableLayout, compositions, count_monomials
 from .reports import check, make_report
@@ -38,24 +36,18 @@ def _check_square(n: int, mats: Sequence[Matrix]) -> None:
 
 def _commutator(x: list, y: list, n: int) -> list:
     """xy - yx in Python ints, for n x n int matrices given as row-major lists."""
-    x_rows = [x[i * n:(i + 1) * n] for i in range(n)]
-    y_rows = [y[i * n:(i + 1) * n] for i in range(n)]
-    x_cols = [x[j::n] for j in range(n)]
-    y_cols = [y[j::n] for j in range(n)]
-    return [sum(map(mul, xr, yc)) - sum(map(mul, yr, xc))
-            for xr, yr in zip(x_rows, y_rows) for xc, yc in zip(x_cols, y_cols)]
+    return [s - t for s, t in zip(_int_product(x, y, n, n, n), _int_product(y, x, n, n, n))]
 
 
 def bracket(a: Matrix, b: Matrix) -> Matrix:
-    """Commutator ab - ba, exactly.  a and b are scaled to int entries once,
-    by the lcms d_a and d_b of their denominators; then ab and ba both carry
-    the scale d_a*d_b, their difference is summed in Python ints, and each
-    entry is one Fraction over that scale."""
+    """Commutator ab - ba, exactly.  a and b are scaled to int entries once
+    (`_scaled`, by d_a and d_b); then ab and ba both carry the scale d_a*d_b,
+    their difference is taken in Python ints, and each entry is one Fraction
+    over that scale."""
     _check_square(a.rows, (a, b))
-    x, dx = _integer_entries(a)
-    y, dy = _integer_entries(b)
-    d = dx * dy
-    return Matrix(a.rows, a.cols, tuple(Q(v, d) for v in _commutator(x, y, a.rows)))
+    x, dx = _scaled(a.entries)
+    y, dy = _scaled(b.entries)
+    return Matrix(a.rows, a.cols, tuple(Q(v, dx * dy) for v in _commutator(x, y, a.rows)))
 
 
 def _bracket_step(mats: Sequence[Matrix]):
@@ -256,9 +248,7 @@ def jacobian_rank(polys: Sequence[Poly], point: Sequence) -> int:
     layout = polys[0].layout
     if len(point) != layout.total:
         raise ValueError("point length does not match the variable count")
-    point = [frac(x) for x in point]
-    D = lcm(*[x.denominator for x in point])
-    nums = [x.numerator * (D // x.denominator) for x in point]
+    nums, D = _scaled(point)
     top = max((k for p in polys for e in p._terms for k in e), default=0)
     powers = [[n ** k for k in range(top + 1)] for n in nums]  # powers[v][k] = n_v^k
     rows = []
@@ -288,27 +278,23 @@ def generic_orbit_dimension(alg: LieAlgebraBasis, point: Sequence[Matrix]) -> in
     """
     n = alg.matrix_size
     _check_square(n, point)
-    # b and each a_k scaled to int entries: a nonzero scale on a row (b) or
-    # on a block of columns (a_k) keeps the rank
-    scaled = [_integer_entries(a)[0] for a in point]
-    rows = []
-    for b in alg.basis:
-        x = _integer_entries(b)[0]
-        row = [v for y in scaled for v in _commutator(x, y, n)]
-        rows.append(({j: v for j, v in enumerate(row) if v}, 1))
+    # each basis matrix and each a_k scaled to int entries: a nonzero scale
+    # on a row (a basis matrix) or on a block of columns (a_k) keeps the rank
+    scaled = [_scaled(a.entries)[0] for a in point]
+    basis = [_scaled(b.entries)[0] for b in alg.basis]
+    rows = (_integer_row([v for y in scaled for v in _commutator(x, y, n)]) for x in basis)
     return len(_echelon(rows)[0])
 
 
 def random_algebra_element(alg: LieAlgebraBasis, rng: random.Random) -> Matrix:
     """Integer combination of the basis with coefficients in -9..9, drawn in
     basis order and summed in Python ints over the basis's common
-    denominator d."""
+    denominator d: the coefficient row times the basis, one matrix per row,
+    by `_int_product`."""
     n = alg.matrix_size
-    d = lcm(*[x.denominator for b in alg.basis for x in b.entries])
-    total = [0] * (n * n)
-    for b in alg.basis:
-        c = rng.randint(-9, 9)
-        total = [t + c * x.numerator * (d // x.denominator) for t, x in zip(total, b.entries)]
+    coefficients = [rng.randint(-9, 9) for _ in alg.basis]
+    entries, d = _scaled([x for b in alg.basis for x in b.entries])
+    total = _int_product(coefficients, entries, 1, len(coefficients), n * n)
     return Matrix(n, n, tuple(Q(t, d) for t in total))
 
 

@@ -1,27 +1,32 @@
 """Exact linear algebra over the rationals.
 
 Matrix entries are `fractions.Fraction` values, which Python keeps reduced
-to lowest terms with a positive denominator.  The one elimination kernel is
-`_echelon`, fraction-free integer elimination (in the style of Bareiss) on
+to lowest terms with a positive denominator.  Every exact kernel of the
+package runs in Python ints, and `_scaled` is the one way there: it scales
+a list of rationals by the lcm of their denominators, to ints (a list of
+ints passes as it is).  The one elimination kernel is `_echelon`,
+fraction-free integer elimination (in the style of Bareiss) on
 `(row, scale)` pairs: a sparse {column: int} row of nonzero entries that is
 `scale` times the vector it stands for, its columns any int keys.  `rank`,
 `rref`, `inverse` and `solve_in_span` build these pairs with `_integer_row`
-(each vector scaled by the lcm of its denominators, columns its positions),
-and so do the span questions of `liealg`; `polarization` passes generator
-products it already expanded over the integers, with their packed exponent
-keys as the columns.  A column that repeats an earlier one up to sign is
-dropped first: no combination of the rows tells them apart.  Each row is
-then combined with the kept rows in the order kept, as b*r - a*k, on sparse
-+-1 pivots where they exist, and the gcd content is divided out after every
-step that scaled a row, so entries stay small integers.  Each row logs the
-scalars of its steps, and the relation of a row that was not kept is read
-back from the logs by one reverse sweep: no row carries a combination, and
-no Fraction is built until the final coefficients.  `Matrix @` multiplies in
-Python ints, each operand scaled once by the lcm of its denominators.
-`mat_mul` multiplies matrices given as row and column lists, with rational
-or `Poly` entries; `power_traces` yields tr(A^k) through it for the Molien
-count in `groups` and the nilpotency test in `nullcone`.  There is no
-floating point anywhere in this module; every answer is exact.
+(the nonzero entries of a vector through `_scaled`, columns their
+positions), and so do the span questions of `liealg`; `polarization` passes
+generator products it already expanded over the integers, with their packed
+exponent keys as the columns.  A column that repeats an earlier one up to
+sign is dropped first: no combination of the rows tells them apart.  Each
+row is then combined with the kept rows in the order kept, as b*r - a*k, on
+sparse +-1 pivots where they exist, and the gcd content is divided out
+after every step that scaled a row, so entries stay small integers.  Each
+row logs the scalars of its steps, and the relation of a row that was not
+kept is read back from the logs by one reverse sweep: no row carries a
+combination, and no Fraction is built until the final coefficients.
+`_int_product`, rows by columns in ints, is the one integer matrix product:
+`Matrix @` runs it on its operands through `_scaled`, and so do the bracket
+and the orbit ranks of `liealg`.  `mat_mul` multiplies matrices given as
+row and column lists, with rational or `Poly` entries; `power_traces`
+yields tr(A^k) through it for the Molien count in `groups` and the
+nilpotency test in `nullcone`.  There is no floating point anywhere in this
+module; every answer is exact.
 """
 
 from __future__ import annotations
@@ -92,18 +97,15 @@ class Matrix:
                       tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
-        """Exact product.  Each operand is scaled once to integer entries (by
-        the lcm of its denominators), rows are multiplied by columns in Python
-        ints, and each entry is divided once by the product of the scales."""
+        """Exact product.  Each operand is scaled once to integer entries
+        (`_scaled`), multiplied by `_int_product`, and each entry is divided
+        once by the product of the scales."""
         if self.cols != other.rows:
             raise ValueError("matrix size mismatch")
-        a, da = _integer_entries(self)
-        b, db = _integer_entries(other)
-        n = self.cols
-        rows = [a[i * n:(i + 1) * n] for i in range(self.rows)]
-        columns = [b[j::other.cols] for j in range(other.cols)]
-        return Matrix(self.rows, other.cols,
-                      tuple(Q(sum(map(mul, r, c)), da * db) for r in rows for c in columns))
+        a, da = _scaled(self.entries)
+        b, db = _scaled(other.entries)
+        return Matrix(self.rows, other.cols, tuple(
+            Q(x, da * db) for x in _int_product(a, b, self.rows, self.cols, other.cols)))
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
@@ -133,25 +135,37 @@ class Matrix:
         return all(a == 0 for a in self.entries)
 
 
-def _integer_entries(m: Matrix) -> tuple:
-    """(entries, d): d times the entries of m as a row-major list of ints, d
-    the lcm of their denominators."""
-    d = lcm(*[x.denominator for x in m.entries])
-    return [x.numerator * (d // x.denominator) for x in m.entries], d
+def _scaled(values: Sequence) -> tuple:
+    """(ints, d): d times the rationals `values` as a list of ints, d the lcm
+    of their denominators.  The one place a rational vector becomes an
+    integer one.  Ints and Fractions are read as they are, anything else
+    through `frac`; a sequence of ints is returned as it is, with d = 1."""
+    try:
+        d = lcm(*[x.denominator for x in values])
+    except AttributeError:  # strings and floats
+        return _scaled([frac(x) for x in values])
+    if d == 1 and all(type(x) is int for x in values):
+        return values, 1
+    return [x.numerator * (d // x.denominator) for x in values], d
+
+
+def _int_product(a: Sequence, b: Sequence, rows: int, inner: int, cols: int) -> list:
+    """The product of the rows x inner matrix a and the inner x cols matrix b,
+    both row-major sequences of ints, as a row-major list of ints."""
+    a_rows = [a[i * inner:(i + 1) * inner] for i in range(rows)]
+    b_columns = [b[j::cols] for j in range(cols)]
+    return [sum(map(mul, r, c)) for r in a_rows for c in b_columns]
 
 
 def _integer_terms(terms: Mapping) -> tuple:
-    """(row, d): d*terms as a {key: int} map, d the lcm of the denominators.
-
-    `terms` maps keys to Fractions.
-    """
-    d = lcm(*[q.denominator for q in terms.values()])
-    return {k: q.numerator * (d // q.denominator) for k, q in terms.items()}, d
+    """(row, d): d*terms as a {key: int} map, d the lcm of the denominators."""
+    values, d = _scaled(list(terms.values()))
+    return dict(zip(terms, values)), d
 
 
 def _integer_row(v: Sequence) -> tuple:
     """(row, d): d*v as a sparse {column: int} row, d the lcm of the denominators."""
-    return _integer_terms({i: frac(x) for i, x in enumerate(v) if x})
+    return _integer_terms({i: x for i, x in enumerate(v) if x})
 
 
 def _echelon(rows: Iterable[tuple]):
@@ -428,17 +442,6 @@ def _fm_solve(rows, nvars: int) -> Optional[tuple]:
     return [n * (d // den) for n in nums] + [val.numerator * (d // val.denominator)], d
 
 
-def _integer_point(p: Sequence) -> tuple:
-    """p as a tuple of ints, scaled by the lcm of its denominators: the same
-    constraint <gamma, p> > 0.  A point of ints is returned unscaled."""
-    p = tuple(p)
-    if all(type(x) is int for x in p):
-        return p
-    q = [frac(x) for x in p]
-    m = lcm(*[x.denominator for x in q])
-    return tuple(x.numerator * (m // x.denominator) for x in q)
-
-
 def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = None):
     """Find an integer vector gamma with <gamma, p> > 0 for every point p.
 
@@ -447,7 +450,7 @@ def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = 
     list is vacuously feasible and returns (1, ..., 1); pass `dim` to fix its
     length.
     """
-    rows = [_integer_point(p) for p in points]
+    rows = [tuple(_scaled(p)[0]) for p in points]
     if not rows:
         return tuple([1] * (dim if dim is not None else 0))
     d = len(rows[0])

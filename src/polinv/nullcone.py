@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
-from .linalg import (Matrix, _integer_point, frac, power_traces,
+from .linalg import (Matrix, _scaled, frac, power_traces,
                      strict_positive_functional)
 from .poly import Poly, VariableLayout, homogeneous_bivariate_gcd
 from .reports import check, make_report
@@ -122,7 +121,7 @@ def brute_box_functional(points: Sequence[Sequence], dim: int,
         return tuple([1] * dim)
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    rows = [_integer_point(p) for p in points]
+    rows = [_scaled(p)[0] for p in points]
     if any(len(r) != dim for r in rows):
         raise ValueError("dimension mismatch")
     columns = list(zip(*rows))  # columns[i][k]: coordinate i of point k
@@ -295,9 +294,8 @@ def _lift_entries(mat) -> Tuple[list, object]:
         if layout:
             break
     if layout is None:
-        rows = [[frac(x) for x in r] for r in rows]
-        d = lcm(*(x.denominator for r in rows for x in r))
-        return [[x.numerator * (d // x.denominator) for x in r] for r in rows], 0
+        entries = _scaled([x for r in rows for x in r])[0]
+        return [entries[i * n:(i + 1) * n] for i in range(n)], 0
     lifted = []
     for r in rows:
         lifted.append([x if isinstance(x, Poly) else Poly.constant(layout, x) for x in r])

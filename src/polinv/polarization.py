@@ -341,11 +341,14 @@ def _products_for_target(gens: GeneratorSet, target: tuple, caps: Caps,
     count(extra_keys)
     products = []
     for exps in tuples:
-        terms, scale = {0: 1}, 1
+        terms, scale = None, 1
         for i, e in enumerate(exps):
             if e:
                 table, d = tables[i]
-                terms, scale = _mul(terms, table[e]), scale * d ** e
+                terms = dict(table[e]) if terms is None else _mul(terms, table[e])
+                scale *= d ** e
+        if terms is None:
+            terms = {0: 1}
         products.append((exps, terms, scale))
         count(terms)
     return products

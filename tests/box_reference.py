@@ -6,7 +6,7 @@ coordinates, and solves only the last coordinate as an interval."""
 from itertools import product
 from operator import mul
 
-from polinv.linalg import _integer_point
+from polinv.linalg import _scaled
 
 
 def prefix_scan_box_functional(points, dim, bound=20):
@@ -15,7 +15,7 @@ def prefix_scan_box_functional(points, dim, bound=20):
     gives (1, ..., 1)."""
     if not points:
         return tuple([1] * dim)
-    rows = [_integer_point(p) for p in points]
+    rows = [_scaled(p)[0] for p in points]
     split = [(r[:-1], r[-1]) for r in rows]
     for prefix in product(range(-bound, bound + 1), repeat=dim - 1):
         lo, hi = -bound, bound

@@ -209,6 +209,18 @@ def test_certify_honours_the_cap_flags(capsys, flag, scenario, size, error):
     assert main([flag, str(size), "certify", scenario]) == 0
 
 
+def test_generators_of_an_infinite_group_exit_2(tmp_path, capsys):
+    # diag(1/2, 2) has infinite order: its entries double at every power, so
+    # closing it runs to the group-order cap ever more slowly; its trace 5/2
+    # is no sum of two roots of unity, which refuses it at the first element
+    spec = write(tmp_path, "g.json", {"generators": [["1/2", "0", "0", "2"]]})
+    argv = ["--cap-group-order", "3000", "invariant-dims", spec, "--copies", "1",
+            "--max-degree", "2"]
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", "error: generators do not generate a finite group: an element has trace 5/2\n")
+
+
 def test_malformed_input_exits_2(files, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

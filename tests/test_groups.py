@@ -75,6 +75,19 @@ def test_enumeration_cap():
         builtin_family("D", 4, Caps(group_order=10))
 
 
+def test_enumeration_refuses_an_element_of_infinite_order_by_its_trace():
+    # S and ST generate SL_2(Z); a product of them has trace 3, which no
+    # 2 x 2 rational matrix of finite order has.  A unipotent generator keeps
+    # trace 2 at every power and still meets the group-order cap.
+    s, st = Matrix.from_rows([[0, -1], [1, 0]]), Matrix.from_rows([[0, -1], [1, 1]])
+    with pytest.raises(ValueError, match="not generate a finite group: an element has trace 3"):
+        enumerate_group([s, st])
+    with pytest.raises(CapExceededError):
+        enumerate_group([Matrix.from_rows([[1, 1], [0, 1]])], Caps(group_order=50))
+    rotation, swap = Matrix.from_rows([[0, -1], [1, -1]]), Matrix.from_rows([[0, 1], [1, 0]])
+    assert len(enumerate_group([rotation, swap]).elements) == 6  # S_3, traces -1, 0 and 2
+
+
 def test_enumeration_rejects_singular_generator():
     with pytest.raises(ValueError):
         enumerate_group([Matrix.from_rows([[1, 1], [1, 1]])])

@@ -341,6 +341,15 @@ def test_mat_mul_keeps_the_shape_for_an_empty_inner_dimension():
         Matrix(2, 1, (Q(1), Q(2))) @ Matrix(2, 1, (Q(1), Q(2)))
 
 
+def test_scaled_clears_every_denominator_by_their_lcm():
+    ints = [3, -1, 0]
+    assert linalg._scaled(ints) == (ints, 1)
+    assert linalg._scaled(ints)[0] is ints  # ints pass as they are
+    assert linalg._scaled((Q(1, 2), 3, "-2/3", Q(5, 4))) == ([6, 36, -8, 15], 12)
+    assert linalg._scaled([Q(4), Q(-7)]) == ([4, -7], 1)
+    assert linalg._scaled([]) == ([], 1)
+
+
 def test_mat_mul_matches_a_triple_loop_on_polys():
     layout = VariableLayout(1, 3)
     zero = Poly.zero(layout)

@@ -629,7 +629,8 @@ def test_products_build_each_generator_power_once(monkeypatch):
     # x1_1^600 against x1 + x2 and x1*x2 on two copies: in lex order the
     # tuples raise the power of x1_1 + x1_2 by two as that of x1_1*x1_2 falls
     # by one (300, 299, ...).  Building each power once, from the one below
-    # it, takes 599 + 299 steps, and each product at most two more.
+    # it, takes 599 + 299 steps; each product starts from a copy of its first
+    # power, so the 299 products with two factors take one step each.
     calls = []
     mul = polarization._mul
 
@@ -642,7 +643,7 @@ def test_products_build_each_generator_power_once(monkeypatch):
     gens = polarization_generators([x1 + x2, x1 * x2], 2)
     products = _products_for_target(gens, (600, 0), Caps(span_products=10 ** 4))
     assert len(products) == 301
-    assert len(calls) <= 2000
+    assert len(calls) == 599 + 299 + 299
     assert products[0][0] == (0, 0, 0, 0, 300)
     assert products[0][1:] == ({_pack((300, 300, 0, 0), 10): 1}, 1)
 

@@ -1,7 +1,8 @@
 """Source hygiene of `src/polinv`, read with `ast` alone: every imported name
 is used in its module, every module-level private name is referenced
 somewhere in the package besides its own definition, nothing evaluated at
-import builds a list, dict or set, and the `caps` record is handed on whole."""
+import builds a list, dict or set, the `caps` record is handed on whole, and
+one function turns a list of rationals into ints."""
 
 import ast
 from pathlib import Path
@@ -194,3 +195,33 @@ def test_every_call_between_capped_functions_passes_caps():
                                            for a in passed):
                 missing.append((name, fn.name, call.lineno, callee))
     assert missing == []
+
+
+def _calls_by_function(tree, callee):
+    """The qualified names ("Class.method" or "function") of the functions and
+    methods in `tree` that call `callee` by name or as an attribute."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "id", getattr(func, "attr", None)) == callee:
+                    out.add(".".join(scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return out
+
+
+def test_only_scaled_clears_a_list_of_denominators():
+    # `linalg._scaled` is the one way from a list of rationals to ints over
+    # the lcm of their denominators; the two other lcms have another shape
+    # (a two-term common denominator, and one over the terms of a sum)
+    calling = {(path.name, name) for path in MODULES
+               for name in _calls_by_function(_tree(path), "lcm")}
+    assert calling == {("linalg.py", "_scaled"), ("linalg.py", "_fm_solve"),
+                       ("poly.py", "Poly.substitute")}
