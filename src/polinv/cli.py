@@ -6,8 +6,9 @@ commands the query itself is the check, grep-style), 2 on malformed input,
 3 when a size cap is exceeded.  Seed and caps can be set by environment
 variables (POLINV_SEED, POLINV_CAP_GROUP_ORDER, POLINV_CAP_SPAN_PRODUCTS,
 POLINV_CAP_MONOMIALS); command line flags win over the environment.
-Each command imports the polinv modules it runs when it runs, so a call
-executes no module that it does not use (the package loads them lazily).
+The polinv modules are reached through the lazy module objects the package
+registers, so a call executes no module that it does not use: a module runs
+on the first access to one of its attributes.
 """
 
 from __future__ import annotations
@@ -16,16 +17,16 @@ import argparse
 import os
 import random
 import sys
-from importlib import import_module
 
+from . import groups, liealg, linalg, nullcone, polarization, poly, reports, specs
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED
 
 
 # the packaged `certify` scenarios as (name, module, function), in the order
-# `--help` lists them; a scenario's module is imported when it runs
-_SCENARIOS = (("dm", "polarization", "certify_dm"), ("so5", "liealg", "certify_so5"),
-              ("sl3", "liealg", "certify_sl3"), ("torus", "nullcone", "certify_torus"),
-              ("sl2-r1", "liealg", "certify_sl2_r1"))
+# `--help` lists them; a scenario's module executes when it runs
+_SCENARIOS = (("dm", polarization, "certify_dm"), ("so5", liealg, "certify_so5"),
+              ("sl3", liealg, "certify_sl3"), ("torus", nullcone, "certify_torus"),
+              ("sl2-r1", liealg, "certify_sl2_r1"))
 
 
 def _env_int(name: str, default: int) -> int:
@@ -85,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_vector(text: str):
-    from .linalg import frac
-    return tuple(frac(part) for part in text.split(","))
+    return tuple(linalg.frac(part) for part in text.split(","))
 
 
 def _check_max_degree(max_degree: int) -> None:
@@ -95,19 +95,15 @@ def _check_max_degree(max_degree: int) -> None:
 
 
 def cmd_polarize(args, caps: Caps) -> dict:
-    from .polarization import polarize
-    from .poly import Poly, poly_to_string
-    from .reports import check, make_report
-    from .specs import capped_layout, load_spec, poly_from_spec
-    layout, f = poly_from_spec(load_spec(args.poly_file), caps)
+    layout, f = specs.poly_from_spec(specs.load_spec(args.poly_file), caps)
     if layout.blocks != 1:
         raise ValueError("polarize expects a single-block polynomial file")
-    target = capped_layout(args.copies, layout.vars_per_block, caps)
-    comps = polarize(f, args.copies, caps)
+    target = specs.capped_layout(args.copies, layout.vars_per_block, caps)
+    comps = polarization.polarize(f, args.copies, caps)
     # f_I is multihomogeneous of multidegree I, so alpha^I f_I(v_1, ..., v_n) =
     # f_I(alpha_1 v_1, ..., alpha_n v_n): the right side of the identity is
     # the sum of the components (their terms are disjoint) at the scaled point
-    merged = Poly(target, {e: c for comp in comps.values() for e, c in comp.terms()})
+    merged = poly.Poly(target, {e: c for comp in comps.values() for e, c in comp.terms()})
     rng = random.Random(args.seed)
     m = layout.vars_per_block
     trials_ok = True
@@ -118,133 +114,117 @@ def cmd_polarize(args, caps: Caps) -> dict:
         lhs = f.evaluate(combined)
         rhs = merged.evaluate([a * x for a, p in zip(alphas, points) for x in p])
         trials_ok = trials_ok and lhs == rhs
-    checks = [check("expansion_identity_spot_check", trials_ok, trials=5)]
-    components = [{"multidegree": list(deg), "polynomial": poly_to_string(p)}
+    checks = [reports.check("expansion_identity_spot_check", trials_ok, trials=5)]
+    components = [{"multidegree": list(deg), "polynomial": poly.poly_to_string(p)}
                   for deg, p in comps.items()]
-    return make_report("polarize", args.seed, caps, checks,
-                       copies=args.copies, component_count=len(components),
-                       components=components)
+    return reports.make_report("polarize", args.seed, caps, checks,
+                               copies=args.copies, component_count=len(components),
+                               components=components)
 
 
 def cmd_invariant_dims(args, caps: Caps) -> dict:
-    from .groups import DiagonalAction, invariant_dimension
-    from .poly import count_monomials, multidegrees
-    from .reports import check, make_report
-    from .specs import capped_layout, group_from_spec, load_spec
     _check_max_degree(args.max_degree)
-    group = group_from_spec(load_spec(args.group_file), caps)
-    action = DiagonalAction(group, capped_layout(args.copies, group.dimension, caps))
+    group = specs.group_from_spec(specs.load_spec(args.group_file), caps)
+    action = groups.DiagonalAction(group, specs.capped_layout(args.copies, group.dimension, caps))
     rows = []
     bounded = True
-    for deg in multidegrees(args.max_degree, args.copies):
-        dim = invariant_dimension(action, deg, caps)
-        n_mono = count_monomials((group.dimension,) * args.copies, deg)
+    for deg in poly.multidegrees(args.max_degree, args.copies):
+        dim = groups.invariant_dimension(action, deg, caps)
+        n_mono = poly.count_monomials((group.dimension,) * args.copies, deg)
         bounded = bounded and dim <= n_mono
         rows.append({"multidegree": list(deg), "dim_invariants": dim,
                      "monomials": n_mono})
-    checks = [check("dims_bounded_by_monomial_count", bounded)]
-    return make_report("invariant-dims", args.seed, caps, checks,
-                       group_order=group.order, copies=args.copies,
-                       max_degree=args.max_degree, table=rows)
+    checks = [reports.check("dims_bounded_by_monomial_count", bounded)]
+    return reports.make_report("invariant-dims", args.seed, caps, checks,
+                               group_order=group.order, copies=args.copies,
+                               max_degree=args.max_degree, table=rows)
 
 
 def cmd_compare(args, caps: Caps) -> dict:
-    from .groups import builtin_family
-    from .polarization import classical_generators, compare_graded_dims
-    from .poly import count_monomials, multidegrees
-    from .reports import check, make_report
-    from .specs import builtin_from_spec, capped_layout, load_spec
     _check_max_degree(args.max_degree)
-    builtin = builtin_from_spec(load_spec(args.group_file))
+    builtin = specs.builtin_from_spec(specs.load_spec(args.group_file))
     if builtin is None:
         raise ValueError("compare needs a builtin group file "
                          "(the classical invariant generators are wired in for S, B, D)")
     family, m = builtin
-    group = builtin_family(family, m, caps)
-    capped_layout(args.copies, m, caps)
+    group = groups.builtin_family(family, m, caps)
+    specs.capped_layout(args.copies, m, caps)
     # the rows are computed in this order and `invariant_dimension` refuses
     # each degree over the cap: refuse before the first row instead
-    for deg in multidegrees(args.max_degree, args.copies):
-        caps.bound("monomials", count_monomials((m,) * args.copies, deg), "degree too large")
-    invs = classical_generators(family, m, caps)
-    rows = compare_graded_dims(group, invs, args.copies, args.max_degree, caps)
-    checks = [check("pol_dims_bounded_by_invariant_dims",
-                    all(dp <= di for _, di, dp in rows))]
+    for deg in poly.multidegrees(args.max_degree, args.copies):
+        caps.bound("monomials", poly.count_monomials((m,) * args.copies, deg), "degree too large")
+    invs = polarization.classical_generators(family, m, caps)
+    rows = polarization.compare_graded_dims(group, invs, args.copies, args.max_degree, caps)
+    checks = [reports.check("pol_dims_bounded_by_invariant_dims",
+                            all(dp <= di for _, di, dp in rows))]
     for deg, di, dp in rows:
         name = "equal_at_" + "_".join(str(d) for d in deg)
-        checks.append(check(name, di == dp, dim_invariants=di, dim_pol_span=dp))
+        checks.append(reports.check(name, di == dp, dim_invariants=di, dim_pol_span=dp))
     table = [{"multidegree": list(deg), "dim_invariants": di, "dim_pol_span": dp}
              for deg, di, dp in rows]
-    return make_report("compare", args.seed, caps, checks,
-                       family=family, m=m, copies=args.copies,
-                       max_degree=args.max_degree, table=table)
+    return reports.make_report("compare", args.seed, caps, checks,
+                               family=family, m=m, copies=args.copies,
+                               max_degree=args.max_degree, table=table)
 
 
 def cmd_membership(args, caps: Caps) -> dict:
-    from .polarization import certificate_combination, membership
-    from .poly import poly_to_string
-    from .reports import check, make_report
-    from .specs import generators_from_spec, load_spec, poly_from_spec
-    layout, f = poly_from_spec(load_spec(args.poly_file), caps)
-    gens = generators_from_spec(load_spec(args.gens_file), caps)
+    layout, f = specs.poly_from_spec(specs.load_spec(args.poly_file), caps)
+    gens = specs.generators_from_spec(specs.load_spec(args.gens_file), caps)
     if gens.layout != layout:
         raise ValueError("polynomial and generator layouts differ")
-    cert = membership(f, gens, caps)
-    checks = [check("member", cert is not None)]
-    payload = {"polynomial": poly_to_string(f),
+    cert = polarization.membership(f, gens, caps)
+    checks = [reports.check("member", cert is not None)]
+    payload = {"polynomial": poly.poly_to_string(f),
                "multidegree": list(f.multidegree() or ()),
                "member": cert is not None}
     if cert is not None:
-        checks.append(check("certificate_reconstructs",
-                            certificate_combination(gens, cert) == f,
-                            certificate_terms=len(cert)))
+        checks.append(reports.check("certificate_reconstructs",
+                                    polarization.certificate_combination(gens, cert) == f,
+                                    certificate_terms=len(cert)))
         payload["certificate"] = [{"exponents": list(e), "coefficient": str(c)}
                                   for e, c in cert]
-    return make_report("membership", args.seed, caps, checks, **payload)
+    return reports.make_report("membership", args.seed, caps, checks, **payload)
 
 
 def cmd_nullcone(args, caps: Caps) -> dict:
-    from .nullcone import BinaryForm, binary_nullcone_witness, torus_nullcone_member, v_gamma
-    from .reports import check, make_report
-    from .specs import binary_form_from_spec, load_spec, weight_system_from_spec
     if args.nullcone_kind == "torus":
-        ws = weight_system_from_spec(load_spec(args.module_file))
+        ws = specs.weight_system_from_spec(specs.load_spec(args.module_file))
         v = _parse_vector(args.vector)
-        gamma = torus_nullcone_member(ws, v)
-        checks = [check("in_nullcone", gamma is not None)]
+        gamma = nullcone.torus_nullcone_member(ws, v)
+        checks = [reports.check("in_nullcone", gamma is not None)]
         payload = {"vector": [str(x) for x in v], "member": gamma is not None}
         if gamma is not None:
             support = [w for x, w in zip(v, ws.weights) if x != 0]
             valid = all(sum(g * x for g, x in zip(gamma, w)) > 0 for w in support)
-            checks.append(check("cocharacter_strictly_positive_on_support", valid))
+            checks.append(reports.check("cocharacter_strictly_positive_on_support", valid))
             payload["cocharacter"] = list(gamma)
-            payload["positive_part"] = list(v_gamma(ws, gamma))
-        return make_report("nullcone-torus", args.seed, caps, checks, **payload)
-    form = binary_form_from_spec(load_spec(args.form_file))
-    witness = None if form.is_zero() else binary_nullcone_witness(form)
+            payload["positive_part"] = list(nullcone.v_gamma(ws, gamma))
+        return reports.make_report("nullcone-torus", args.seed, caps, checks, **payload)
+    form = specs.binary_form_from_spec(specs.load_spec(args.form_file))
+    witness = None if form.is_zero() else nullcone.binary_nullcone_witness(form)
     member = form.is_zero() or witness is not None
-    checks = [check("in_nullcone", member)]
+    checks = [reports.check("in_nullcone", member)]
     payload = {"degree": form.degree, "coeffs": [str(c) for c in form.coeffs],
                "member": member}
     if witness is not None:
         # a certificate checked by another route: the quotient q = f / l^m is
         # multiplied back, and l^m * q must be f exactly
         m = form.degree // 2 + 1
-        power, quotient = BinaryForm(0, (1,)), form
+        power, quotient = nullcone.BinaryForm(0, (1,)), form
         for _ in range(m):
             power = power.multiply(witness)
             if quotient is not None:
                 quotient = quotient.divide_linear(*witness.coeffs)
         divides = quotient is not None and power.multiply(quotient) == form
-        checks.append(check("witness_power_divides_form", divides,
-                            required_multiplicity=m))
+        checks.append(reports.check("witness_power_divides_form", divides,
+                                    required_multiplicity=m))
         payload["witness"] = [str(c) for c in witness.coeffs]
-    return make_report("nullcone-binary", args.seed, caps, checks, **payload)
+    return reports.make_report("nullcone-binary", args.seed, caps, checks, **payload)
 
 
 def cmd_certify(args, caps: Caps) -> dict:
     module, function = {name: rest for name, *rest in _SCENARIOS}[args.scenario]
-    return getattr(import_module(f".{module}", __package__), function)(args.seed, caps)
+    return getattr(module, function)(args.seed, caps)
 
 
 def main(argv=None) -> int:
@@ -272,9 +252,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    from .reports import render_structured, render_text
-    text = render_structured(report) if args.format == "structured" else render_text(report)
-    sys.stdout.write(text)
+    render = reports.render_structured if args.format == "structured" else reports.render_text
+    sys.stdout.write(render(report))
     return 0 if report["result"] == "PASS" else 1
 
 

@@ -153,7 +153,7 @@ def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
     counts = Counter({0: 1})  # weight -> monomials over the blocks so far
     for d, a in zip(module, deg):
         block = Counter(d * a - 2 * sum(i * k for i, k in enumerate(c))
-                        for c in compositions(a, d + 1))
+                        for c, _ in compositions(a, d + 1))
         joint = Counter()
         for w, x in counts.items():
             for v, y in block.items():
@@ -178,7 +178,7 @@ def _skew_symbolic(layout: VariableLayout, block: int):
         row = []
         for j in range(5):
             if i == j:
-                row.append(Poly.zero(layout))
+                row.append(0)
             elif i < j:
                 row.append(var[(i, j)])
             else:
@@ -203,7 +203,7 @@ def so5_trace_invariants() -> Tuple[Poly, Poly]:
     in the ten entries above the diagonal.  These generate the invariant ring."""
     layout = VariableLayout(1, 10)
     A = _skew_symbolic(layout, 0)
-    A2 = mat_mul(A, list(zip(*A)), Poly.zero(layout))
+    A2 = mat_mul(A, list(zip(*A)))
     return _poly_trace_product(A, A), _poly_trace_product(A2, A2)
 
 
@@ -217,10 +217,9 @@ def so5_pol2_generators() -> List[Poly]:
     layout = VariableLayout(2, 10)
     B = _skew_symbolic(layout, 0)
     C = _skew_symbolic(layout, 1)
-    zero = Poly.zero(layout)
-    B2 = mat_mul(B, list(zip(*B)), zero)
-    C2 = mat_mul(C, list(zip(*C)), zero)
-    BC = mat_mul(B, list(zip(*C)), zero)
+    B2 = mat_mul(B, list(zip(*B)))
+    C2 = mat_mul(C, list(zip(*C)))
+    BC = mat_mul(B, list(zip(*C)))
     gens = [
         _poly_trace_product(B, B),
         _poly_trace_product(B, C),
@@ -316,8 +315,7 @@ def certify_sl3(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
     layout = VariableLayout(1, 2)
     a = Poly.variable(layout, 0)
     b = Poly.variable(layout, 1)
-    z = Poly.zero(layout)
-    symbolic_plane = [[z, a, z], [b, z, a], [z, -b, z]]
+    symbolic_plane = [[0, a, 0], [b, 0, a], [0, -b, 0]]
     nilpotent = nullcone.matrix_nilpotent(symbolic_plane)
 
     witness = bracket(A, B)

@@ -22,10 +22,12 @@ kept is read back from the logs by one reverse sweep: no row carries a
 combination, and no Fraction is built until the final coefficients.
 `_int_product`, rows by columns in ints, is the one integer matrix product:
 `Matrix @` runs it on its operands through `_scaled`, and so do the bracket
-and the orbit ranks of `liealg`.  `mat_mul` multiplies matrices given as
-row and column lists, with rational or `Poly` entries; `power_traces`
-yields tr(A^k) through it for the Molien count in `groups` and the
-nilpotency test in `nullcone`.  There is no floating point anywhere in this
+and the orbit ranks of `liealg`; `Matrix.matvec` is `Matrix @` on one
+column.  `mat_mul` multiplies matrices given as row and column lists, with
+rational entries, `Poly` entries or both (an entry with no product is the
+int 0): `power_traces` yields tr(A^k) through it for the Molien count in
+`groups` and the nilpotency test in `nullcone`, and `liealg` forms the so5
+trace invariants with it.  There is no floating point anywhere in this
 module; every answer is exact.
 """
 
@@ -110,7 +112,7 @@ class Matrix:
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(row[0] for row in mat_mul(self.to_rows(), [[frac(x) for x in v]], Q(0)))
+        return (self @ Matrix(self.cols, 1, tuple(frac(x) for x in v))).entries
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -296,36 +298,35 @@ def _divide(row: dict, g: int) -> None:
             row[c] //= g
 
 
-def mat_mul(rows: Sequence[Sequence], columns: Sequence[Sequence], zero=0) -> list:
+def mat_mul(rows: Sequence[Sequence], columns: Sequence[Sequence]) -> list:
     """AB as a list of rows, from the rows of A and the columns of B (so the
     shape is right also when the inner dimension is 0).  Entries are
-    rationals (`zero` = 0) or Polys of one layout (`zero` their zero Poly).
-    Products with a zero factor are skipped, and each sum starts from its
-    first product, so no Poly is copied once more by adding it to `zero`."""
+    rationals, Polys of one layout, or both.  Products with a zero factor are
+    skipped, and each sum starts from its first product, so no Poly is copied
+    once more by adding it to 0; an entry with no product is the int 0."""
     out = []
     for r in rows:
         out_row = []
         for c in columns:
-            terms = [x * y for x, y in zip(r, c) if x != zero and y != zero]
-            out_row.append(sum(terms[1:], terms[0]) if terms else zero)
+            terms = [x * y for x, y in zip(r, c) if x != 0 and y != 0]
+            out_row.append(sum(terms[1:], terms[0]) if terms else 0)
         out.append(out_row)
     return out
 
 
-def power_traces(rows: Sequence[Sequence], zero=0) -> Iterator:
+def power_traces(rows: Sequence[Sequence]) -> Iterator:
     """tr(A), tr(A^2), ..., tr(A^n) of the n x n matrix `rows`, one at a time.
 
-    Entries are rationals (`zero` = 0) or Polys of one layout (`zero` their
-    zero Poly).  Each power is formed by `mat_mul` only when its trace is
-    asked for.
+    Entries are rationals, Polys of one layout, or both.  Each power is
+    formed by `mat_mul` only when its trace is asked for.
     """
     n = len(rows)
     columns = list(zip(*rows))
     power = rows  # A^k
     for k in range(1, n + 1):
-        yield sum((power[i][i] for i in range(n)), zero)
+        yield sum(power[i][i] for i in range(n))
         if k < n:
-            power = mat_mul(power, columns, zero)
+            power = mat_mul(power, columns)
 
 
 def rank(m: Matrix) -> int:
@@ -382,7 +383,7 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]
     of [basis | target].  Returns the coefficient list, or None when the
     target is not in the span.  All vectors must have the same length.
     """
-    vectors = [*basis, target]
+    vectors = [[frac(x) for x in v] for v in [*basis, target]]
     n = len(target)
     if any(len(v) != n for v in vectors):
         raise ValueError("dimension mismatch")

@@ -274,32 +274,19 @@ def binary_nullcone_witness(f: BinaryForm) -> Optional[BinaryForm]:
 # Matrix nilpotency
 # ---------------------------------------------------------------------------
 
-def _lift_entries(mat) -> Tuple[list, object]:
-    """Square rows of one entry type, with that type's zero: Polys of one
-    layout when any entry is a Poly, else integers (the rationals times their
-    common denominator, a nonzero scalar, which keeps nilpotency)."""
-    if isinstance(mat, Matrix):
-        rows = mat.to_rows()
-    else:
-        rows = [list(r) for r in mat]
+def _square_rows(mat) -> list:
+    """The rows of a square `Matrix` or list of rows.  All-rational rows are
+    scaled to ints (by their common denominator, a nonzero scalar, which
+    keeps nilpotency); rows that hold a Poly pass as they are, since Poly
+    arithmetic takes rational entries on either side."""
+    rows = mat.to_rows() if isinstance(mat, Matrix) else [list(r) for r in mat]
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    layout = None
-    for r in rows:
-        for x in r:
-            if isinstance(x, Poly):
-                layout = x.layout
-                break
-        if layout:
-            break
-    if layout is None:
-        entries = _scaled([x for r in rows for x in r])[0]
-        return [entries[i * n:(i + 1) * n] for i in range(n)], 0
-    lifted = []
-    for r in rows:
-        lifted.append([x if isinstance(x, Poly) else Poly.constant(layout, x) for x in r])
-    return lifted, Poly.zero(layout)
+    if any(isinstance(x, Poly) for r in rows for x in r):
+        return rows
+    entries = _scaled([x for r in rows for x in r])[0]
+    return [entries[i * n:(i + 1) * n] for i in range(n)]
 
 
 def matrix_nilpotent(mat) -> bool:
@@ -311,8 +298,7 @@ def matrix_nilpotent(mat) -> bool:
     identities, k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} tr(A^i), where e_k is
     the sum of the principal k x k minors.
     """
-    rows, zero = _lift_entries(mat)
-    return all(t == zero for t in power_traces(rows, zero))
+    return all(t == 0 for t in power_traces(_square_rows(mat)))
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from . import groups
 from .limits import CapExceededError, Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import _echelon, _integer_terms
-from .poly import (Poly, VariableLayout, _power_table, count_monomials, glex_key,
-                   is_scalar_multiple, multidegrees)
+from .poly import (Poly, VariableLayout, _power_table, compositions, count_monomials,
+                   glex_key, is_scalar_multiple, multidegrees)
 from .reports import check, make_report
 
 Q = Fraction
@@ -58,43 +58,22 @@ def polarize(f: Poly, n: int, caps: Caps = DEFAULT_CAPS) -> Dict[tuple, Poly]:
     Keys are multidegrees I, in graded-lex order; the defining identity
     f(sum_a alpha_a v_a) = sum_I alpha^I f_I(v_1, ..., v_n) holds exactly.
     A term c*x^e expands to c * prod_j (sum_a x_{a,j})^{e_j}, and each power
-    is written down from its multinomial coefficients (`_multinomials`).  An
+    is written down from its multinomial coefficients (`compositions`).  An
     expansion of more than `caps.monomials` monomials (`_polarized_size`) is
     refused before it is built.
     """
     caps.bound("monomials", _polarized_size(f, n), "polarization too large")
     m = f.layout.vars_per_block
-    lists: Dict[tuple, list] = {}  # the lists of `_multinomials` built in this call
+    lists = {k: compositions(k, n) for k in {k for e in f._terms for k in e}}
     buckets: Dict[tuple, Dict[tuple, Fraction]] = {}
     for e, c in f._terms.items():
-        for choice in product(*(_multinomials(k, n, lists) for k in e)):
+        for choice in product(*(lists[k] for k in e)):
             copies = tuple(zip(*(parts for parts, _ in choice)))  # copy a: x_{a,1..m}
             buckets.setdefault(tuple(map(sum, copies)), {})[sum(copies, ())] = \
                 c * prod(w for _, w in choice)
     target = copies_layout(m, n)
     return {deg: Poly._trusted(target, terms)
             for deg, terms in sorted(buckets.items(), key=lambda kv: glex_key(kv[0]))}
-
-
-def _multinomials(k: int, n: int, lists: Dict[tuple, list]) -> list:
-    """[(parts, k! / (parts_1! ... parts_n!))] for parts in `compositions(k, n)`,
-    in that order, kept in `lists` under (k, n) with the lists it is built from.
-
-    The multinomial of (p, rest) is C(k, p) times that of rest, a composition
-    of k - p into n - 1 parts; as p runs from k down to 0, C(k, p - 1) is
-    C(k, p) * p // (k - p + 1), one exact multiply and divide.
-    """
-    if (k, n) not in lists:
-        if n == 1:
-            lists[k, n] = [((k,), 1)]
-        else:
-            out = []
-            binomial = 1  # C(k, p)
-            for p in range(k, -1, -1):
-                out += [((p, *rest), binomial * w) for rest, w in _multinomials(k - p, n - 1, lists)]
-                binomial = binomial * p // (k - p + 1)
-            lists[k, n] = out
-    return lists[k, n]
 
 
 @frozen

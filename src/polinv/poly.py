@@ -59,21 +59,31 @@ def glex_key(exponents: Sequence[int]):
     return (sum(exponents), tuple(exponents))
 
 
-def compositions(total: int, parts: int):
-    """All tuples of `parts` non-negative integers summing to `total`, lex descending."""
+def compositions(total: int, parts: int) -> list:
+    """[(c, total! / (c_1! ... c_parts!))] for every tuple c of `parts`
+    non-negative integers summing to `total`, lex descending: the
+    compositions with their multinomial coefficients.
+
+    The multinomial of (p, rest) is C(total, p) times that of rest, a
+    composition of total - p into parts - 1 parts; as p runs from total down
+    to 0, C(total, p - 1) is C(total, p) * p // (total - p + 1), one exact
+    multiply and divide.
+    """
     if parts == 1:
-        yield (total,)
-        return
-    for first in range(total, -1, -1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
+        return [((total,), 1)]
+    out = []
+    binomial = 1  # C(total, p)
+    for p in range(total, -1, -1):
+        out += [((p, *rest), binomial * w) for rest, w in compositions(total - p, parts - 1)]
+        binomial = binomial * p // (total - p + 1)
+    return out
 
 
 def multidegrees(max_total: int, parts: int) -> Iterator[tuple]:
     """Every multidegree with `parts` entries and total degree <= max_total, graded-lex
     ascending, one total degree at a time (so a caller that refuses one stops early)."""
     for total in range(max_total + 1):
-        yield from reversed(list(compositions(total, parts)))
+        yield from reversed([c for c, _ in compositions(total, parts)])
 
 
 def monomials(block_sizes: Sequence[int], deg: Sequence[int]) -> List[tuple]:
@@ -81,7 +91,7 @@ def monomials(block_sizes: Sequence[int], deg: Sequence[int]) -> List[tuple]:
     degree deg[a] in block a, lex descending."""
     out = [()]
     for size, d in zip(block_sizes, deg):
-        options = list(compositions(d, size))
+        options = [c for c, _ in compositions(d, size)]
         out = [prefix + opt for prefix in out for opt in options]
     return out
 

@@ -428,8 +428,8 @@ def test_polarization_over_the_monomial_cap_exits_3_before_expanding(tmp_path, c
     def expanded(*args, **kwargs):
         raise AssertionError("the polarization was expanded")
 
-    # every power in an expansion is listed by `_multinomials` first
-    monkeypatch.setattr(polarization, "_multinomials", expanded)
+    # every power in an expansion is listed by `compositions` first
+    monkeypatch.setattr(polarization, "compositions", expanded)
     assert main(materialize(tmp_path, argv)) == 3
     out, err = capsys.readouterr()
     assert out == ""

@@ -322,7 +322,7 @@ def test_mat_mul_matches_a_triple_loop_on_rationals():
                 row[j] = Q(0)  # a zero column
         expected = _triple_loop(a, b, c, Q(0))
         columns = [[b[t][j] for t in range(k)] for j in range(c)]
-        assert mat_mul(a, columns, Q(0)) == expected
+        assert mat_mul(a, columns) == expected
         a_matrix = Matrix(r, k, tuple(x for row in a for x in row))
         product = a_matrix @ Matrix(k, c, tuple(x for row in b for x in row))
         assert (product.rows, product.cols) == (r, c)
@@ -366,7 +366,7 @@ def test_mat_mul_matches_a_triple_loop_on_polys():
         a = [[entry() for _ in range(k)] for _ in range(r)]
         b = [[entry() for _ in range(c)] for _ in range(k)]
         columns = [[b[t][j] for t in range(k)] for j in range(c)]
-        assert mat_mul(a, columns, zero) == _triple_loop(a, b, c, zero)
+        assert mat_mul(a, columns) == _triple_loop(a, b, c, zero)
 
 
 def test_power_traces_match_matrix_powers():
@@ -385,16 +385,22 @@ def test_power_traces_on_polys_are_lazy():
     layout = VariableLayout(1, 2)
     a, b = Poly.variable(layout, 0), Poly.variable(layout, 1)
     z = Poly.zero(layout)
-    traces = power_traces([[a, b], [b, z]], z)
+    traces = power_traces([[a, b], [b, z]])
     assert next(traces) == a
     assert next(traces) == a * a + b * b * 2
     assert next(traces, None) is None
+    # rows that mix Polys and ints: the entries with no product are the int 0
+    assert list(power_traces([[a, 1], [0, 0]])) == [a, a * a]
 
 
 def test_solve_in_span_examples():
     assert solve_in_span([(1, 0)], (2, 0)) == [Q(2)]
     assert solve_in_span([(1, 0)], (0, 1)) is None
     assert solve_in_span([(1, 1), (1, -1)], (3, 1)) == [Q(2), Q(1)]
+    # string entries are coerced before any zero entry is dropped
+    assert solve_in_span([["0"]], ["1"]) is None
+    assert solve_in_span([["0"]], ["0"]) == [Q(0)]
+    assert solve_in_span([["0", "2"]], ["0", "1"]) == [Q(1, 2)]
 
 
 def test_solve_in_span_dimension_mismatch():

@@ -291,6 +291,10 @@ def test_matrix_nilpotent_examples():
     assert not matrix_nilpotent([[1, 0, 0], [0, -1, 0], [0, 0, 0]])
     assert not matrix_nilpotent([[a, b], [b, -a]])
     assert matrix_nilpotent(Matrix.from_rows([[0, 0, 0], [4, 0, 0], [1, -2, 0]]))
+    # rows that mix ints, Fractions and Polys, with no zero Poly
+    assert matrix_nilpotent([[0, a, 0], [b, 0, a], [0, -b, 0]])
+    assert matrix_nilpotent([[0, a], [Q(0), 0]])
+    assert not matrix_nilpotent([[1, a], [0, 0]])
 
 
 def test_matrix_nilpotent_agrees_with_powers():

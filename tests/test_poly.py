@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from fractions import Fraction as Q
 
@@ -392,8 +394,22 @@ def test_multidegrees_are_graded_lex_ascending():
     for parts in (1, 2, 3):
         for max_total in range(8):
             expected = sorted((deg for total in range(max_total + 1)
-                               for deg in compositions(total, parts)), key=glex_key)
+                               for deg, _ in compositions(total, parts)), key=glex_key)
             assert list(multidegrees(max_total, parts)) == expected
+
+
+def test_compositions_carry_their_multinomials():
+    for parts in range(1, 5):
+        for total in range(7):
+            listed = compositions(total, parts)
+            expected = sorted((c for c in itertools.product(range(total + 1), repeat=parts)
+                               if sum(c) == total), reverse=True)
+            assert [c for c, _ in listed] == expected  # lex descending
+            for c, weight in listed:
+                # total! / (c_1! ... c_parts!) as a product of binomial steps
+                left = itertools.accumulate(c, lambda rest, x: rest - x, initial=total)
+                assert weight == math.prod(map(math.comb, left, c))
+            assert sum(w for _, w in listed) == parts ** total
 
 
 def test_multidegrees_list_one_total_degree_at_a_time():

@@ -142,16 +142,21 @@ def test_rref_is_named_only_where_it_is_defined_and_exported():
     assert naming == ["__init__.py", "linalg.py"]
 
 
-def test_cli_imports_only_limits_from_the_package_at_module_level():
-    # each command imports the modules it runs; one module-level import of
-    # another polinv module would make every command execute it at start-up
+def test_cli_reaches_the_package_through_the_lazy_module_objects():
+    # `from . import reports` binds a lazy module, which executes on its first
+    # attribute access; `from .reports import check` would execute `reports`
+    # at start-up for every command.  No import sits inside a function.
+    tree = _tree(SRC / "cli.py")
     imported = []
-    for node in _tree(SRC / "cli.py").body:
+    for node in tree.body:
         if isinstance(node, ast.ImportFrom):
             imported.append("." * node.level + (node.module or ""))
         elif isinstance(node, ast.Import):
             imported += [a.name for a in node.names]
-    assert [m for m in imported if m.startswith((".", "polinv"))] == [".limits"]
+    assert [m for m in imported if m.startswith((".", "polinv"))] == [".", ".limits"]
+    nested = [node.lineno for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert nested == []
 
 
 def test_echelon_takes_only_rows_and_no_call_passes_track():
