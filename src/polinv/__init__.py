@@ -18,8 +18,7 @@ from ._version import __version__
 _EXPORTS = (
     ("limits", ("Caps", "CapExceededError", "DEFAULT_CAPS", "DEFAULT_SEED")),
     ("linalg", ("Matrix", "rref", "solve_in_span", "strict_positive_functional")),
-    ("poly", ("Poly", "VariableLayout", "homogeneous_bivariate_gcd", "parse_poly",
-              "poly_to_string")),
+    ("poly", ("Poly", "VariableLayout", "parse_poly", "poly_to_string")),
     ("groups", ("DiagonalAction", "MatrixGroup", "act", "builtin_family",
                 "enumerate_group", "invariant_dimension", "reynolds", "same_orbit")),
     ("polarization", ("GeneratorSet", "GradedSpan", "certificate_combination",

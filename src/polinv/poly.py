@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import comb, lcm
 from numbers import Rational
 from operator import add
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from .limits import frozen
 from .linalg import _integer_terms, frac
@@ -64,19 +64,26 @@ def compositions(total: int, parts: int) -> list:
     non-negative integers summing to `total`, lex descending: the
     compositions with their multinomial coefficients.
 
-    The multinomial of (p, rest) is C(total, p) times that of rest, a
-    composition of total - p into parts - 1 parts; as p runs from total down
-    to 0, C(total, p - 1) is C(total, p) * p // (total - p + 1), one exact
-    multiply and divide.
+    Built one part at a time, with no recursion: each prefix carries what is
+    left of the total and its weight, and is extended by every next part p
+    from what is left down to 0, the weight times C(left, p) (stepped down
+    by one exact multiply and divide).  A prefix with nothing left has one
+    completion, its zeros, so it is carried as it is and padded at the end;
+    the last part is what is left.
     """
-    if parts == 1:
-        return [((total,), 1)]
-    out = []
-    binomial = 1  # C(total, p)
-    for p in range(total, -1, -1):
-        out += [((p, *rest), binomial * w) for rest, w in compositions(total - p, parts - 1)]
-        binomial = binomial * p // (total - p + 1)
-    return out
+    level = [((), total, 1)]  # (prefix, left, weight), lex descending
+    for _ in range(parts - 1):
+        grown = []
+        for prefix, left, w in level:
+            if not left:
+                grown.append((prefix, left, w))
+                continue
+            binomial = 1  # C(left, p)
+            for p in range(left, -1, -1):
+                grown.append(((*prefix, p), left - p, w * binomial))
+                binomial = binomial * p // (left - p + 1)
+        level = grown
+    return [((*prefix, *[0] * (parts - 1 - len(prefix)), left), w) for prefix, left, w in level]
 
 
 def multidegrees(max_total: int, parts: int) -> Iterator[tuple]:
@@ -188,9 +195,6 @@ class Poly:
         if len(degs) == 1:
             return degs.pop()
         return None
-
-    def is_homogeneous(self) -> bool:
-        return len({sum(e) for e in self._terms}) <= 1
 
     # -- ring operations ----------------------------------------------------
 
@@ -510,73 +514,3 @@ def poly_to_string(p: Poly) -> str:
             parts.append(("- " if c < 0 else "+ ") + core)
     return " ".join(parts)
 
-
-# ---------------------------------------------------------------------------
-# Homogeneous gcd in two variables
-# ---------------------------------------------------------------------------
-
-def _uni_trim(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _uni_mod(a: list, b: list) -> list:
-    # remainder of a by b, coefficient lists ascending in degree, b nonzero
-    a = list(a)
-    db, lead = len(b) - 1, b[-1]
-    while len(a) - 1 >= db and a:
-        q = a[-1] / lead
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b):
-            a[shift + i] -= q * bc
-        _uni_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _uni_gcd(a: list, b: list) -> list:
-    a, b = _uni_trim(list(a)), _uni_trim(list(b))
-    while b:
-        a, b = b, _uni_mod(a, b)
-    if not a:
-        return []
-    lead = a[-1]
-    return [x / lead for x in a]
-
-
-def homogeneous_bivariate_gcd(polys: Iterable[Poly]) -> Poly:
-    """Monic gcd of homogeneous polynomials in two variables.
-
-    Gcds over Q stay correct over the algebraic closure, so this decides
-    common roots exactly.  Each input must be homogeneous; zero inputs are
-    ignored and all-zero input is an error.
-    """
-    ps = [p for p in polys if not p.is_zero()]
-    if not ps:
-        raise ValueError("gcd of all-zero inputs")
-    layout = ps[0].layout
-    if layout.total != 2:
-        raise ValueError("homogeneous gcd needs exactly two variables")
-    if any(p.layout != layout for p in ps):
-        raise ValueError("layout mismatch")
-    if any(not p.is_homogeneous() for p in ps):
-        raise ValueError("inputs must be homogeneous")
-    g = None
-    k_common = None
-    for p in ps:
-        d = p.total_degree()
-        k = min(e[1] for e in p._terms)  # largest common power of the second variable
-        u = [Q(0)] * (d - k + 1)
-        for (i, j), c in p._terms.items():
-            u[i] = c
-        g = u if g is None else _uni_gcd(g, u)
-        k_common = k if k_common is None else min(k_common, k)
-    g = _uni_trim(list(g))
-    deg = len(g) - 1
-    terms = {}
-    for i, c in enumerate(g):
-        if c != 0:
-            terms[(i, deg - i + k_common)] = c
-    return Poly(layout, terms)

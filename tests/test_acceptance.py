@@ -14,13 +14,15 @@ from polinv.limits import DEFAULT_SEED
 from polinv.nullcone import (BinaryForm, SubspaceSpec, binary_form_nullcone_member,
                              binary_nullcone_witness, certify_torus,
                              span_probe_nullcone)
-from polinv.poly import Poly, VariableLayout, homogeneous_bivariate_gcd, parse_poly
+from polinv.poly import Poly, VariableLayout, parse_poly
 from polinv.polarization import (certificate_combination, certify_dm,
                                  classical_generators, compare_graded_dims,
                                  copies_layout, embed_in_copies, graded_span_basis,
                                  membership, polarize, polarization_generators,
                                  separation_test, wallach_operator)
 from polinv.liealg import certify_sl2_r1, certify_sl3, certify_so5, sl2_invariant_dimension
+
+from bivariate_gcd import binary_poly, homogeneous_bivariate_gcd
 
 
 def _line(name: str, ok: bool, detail: str = ""):
@@ -196,7 +198,7 @@ def _random_member(rng, d):
 
 
 def _is_squarefree(f: BinaryForm) -> bool:
-    p = f.to_poly()
+    p = binary_poly(f)
     g = homogeneous_bivariate_gcd([p, p.derivative(0), p.derivative(1)])
     return g.total_degree() == 0
 

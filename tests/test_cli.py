@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -98,6 +99,17 @@ def test_invariant_dims_command(files, capsys):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("argv,line", [
+    (["polarize", {"vars": 1, "poly": "x1"}, "--copies", "1200"], "component_count: 1200"),
+    (["invariant-dims", {"builtin": {"family": "S", "m": 1}}, "--copies", "1200",
+      "--max-degree", "1"], "dims_bounded_by_monomial_count: PASS"),
+], ids=["polarize", "invariant-dims"])
+def test_a_thousand_copies_and_more_exit_0(tmp_path, capsys, argv, line):
+    # the compositions of 1 into 1200 parts are listed without recursion
+    code, out = run(capsys, materialize(tmp_path, argv))
+    assert code == 0 and line in out
+
+
 def test_compare_pass_and_structured(files, capsys):
     code, out = run(capsys, ["--format", "structured", "compare", files["s2"],
                              "--copies", "2", "--max-degree", "4"])
@@ -151,15 +163,40 @@ def test_nullcone_binary_exit_codes(files, capsys):
 
 
 def test_nullcone_binary_computes_the_partials_gcd_once(files, capsys, monkeypatch):
+    # one witness, hence one gcd of the partials, per command
     from polinv import nullcone
     calls = []
-    gcd = nullcone.homogeneous_bivariate_gcd
-    monkeypatch.setattr(nullcone, "homogeneous_bivariate_gcd",
-                        lambda polys: calls.append(1) or gcd(polys))
+    witness = nullcone.binary_nullcone_witness
+    monkeypatch.setattr(nullcone, "binary_nullcone_witness",
+                        lambda form: calls.append(1) or witness(form))
     for name, code in (("form_member", 0), ("form_nonmember", 1)):
         calls.clear()
         assert run(capsys, ["nullcone", "binary", files[name]])[0] == code
         assert len(calls) == 1
+
+
+def _degree_120_form(member: bool) -> list:
+    """(3x - 7y)^61 * h for a seeded h of degree 59 with coefficients in
+    -9..9, or a seeded degree-120 form with such coefficients, outside the
+    nullcone: coefficient i multiplies x^(120 - i) y^i."""
+    if not member:
+        rng = random.Random(120)
+        return [rng.randint(-9, 9) for _ in range(121)]
+    rng = random.Random(61)
+    coeffs = [rng.randint(-9, 9) for _ in range(60)]
+    for _ in range(61):  # times 3x - 7y
+        coeffs = [3 * a - 7 * b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs
+
+
+@pytest.mark.parametrize("member,code", [(False, 1), (True, 0)], ids=["nonmember", "member"])
+def test_nullcone_binary_decides_a_degree_120_form(tmp_path, capsys, member, code):
+    path = write(tmp_path, "form.json",
+                 {"degree": 120, "coeffs": list(map(str, _degree_120_form(member)))})
+    got, out = run(capsys, ["--format", "structured", "nullcone", "binary", path])
+    report = json.loads(out)
+    assert got == code and report["member"] is member
+    assert report.get("witness") == (["3", "-7"] if member else None)
 
 
 def _binary_checks(out):

@@ -14,6 +14,7 @@ from polinv.nullcone import (BinaryForm, SubspaceSpec, WeightSystem,
                              span_probe_nullcone, subspace_in_common_vgamma,
                              torus_nullcone_member, v_gamma)
 
+from bivariate_gcd import reference_binary_witness
 from box_reference import prefix_scan_box_functional
 
 WS1 = WeightSystem(1, ((1,), (1,), (-1,)))
@@ -209,6 +210,53 @@ def test_binary_witness_at_infinity():
     f = form(4, 0, 0, 0, 1, 0)
     w = binary_nullcone_witness(f)
     assert w.coeffs == (0, 1)
+
+
+def _binary_sweep():
+    """Every nonzero form of degree <= 4 with coefficients in -2..2, then
+    seeded l^m * h up to degree 9 with rational coefficients, about half of
+    them with l = c*y, the root at infinity."""
+    for d in range(5):
+        for coeffs in itertools.product(range(-2, 3), repeat=d + 1):
+            if any(coeffs):
+                yield BinaryForm(d, coeffs)
+    rng = random.Random(34)
+
+    def rational():
+        return Q(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(4000):
+        d = rng.randint(1, 9)
+        m = rng.randint(1, d)
+        l = BinaryForm(1, (rng.choice([0, rational()]), rational()))
+        h = BinaryForm(d - m, tuple(rational() for _ in range(d - m + 1)))
+        if l.is_zero() or h.is_zero():
+            continue
+        for _ in range(m):
+            h = h.multiply(l)
+        yield h
+
+
+def test_binary_witness_matches_the_bivariate_gcd_reference():
+    at_infinity = members = 0
+    for f in _binary_sweep():
+        w = binary_nullcone_witness(f)
+        assert (w and w.coeffs) == reference_binary_witness(f), (f.degree, f.coeffs)
+        members += w is not None
+        at_infinity += w is not None and w.coeffs == (0, 1)
+    assert members > 2000 and at_infinity > 1000
+
+
+def test_binary_witness_builds_no_poly(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the binary form path built a Poly")
+
+    for name in ("__init__", "_trusted", "derivative"):
+        monkeypatch.setattr(Poly, name, refuse)
+    test_binary_member_examples()
+    test_binary_witness_examples()
+    test_binary_witness_at_infinity()
+    assert binary_nullcone_witness(form(6, 1, 2, 3, 4, 5, 6, 7)) is None
 
 
 def test_divide_linear():

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from polinv import poly
 from polinv.poly import (Poly, VariableLayout, _power_table, compositions, glex_key,
-                         homogeneous_bivariate_gcd, is_scalar_multiple, multidegrees,
-                         parse_poly, poly_to_string)
+                         is_scalar_multiple, multidegrees, parse_poly, poly_to_string)
 
+from bivariate_gcd import homogeneous_bivariate_gcd
 from fraction_product import fraction_product, fraction_substitution
 
 L2 = VariableLayout(1, 2)
@@ -349,7 +349,7 @@ def test_zero_serializes_as_zero():
     assert parse_poly("0", L2).is_zero()
 
 
-# -- homogeneous bivariate gcd ----------------------------------------------
+# -- homogeneous bivariate gcd (the reference in tests/bivariate_gcd.py) -----
 
 def test_gcd_monomials():
     g = homogeneous_bivariate_gcd([X ** 2 * Y, X * Y ** 2])
