@@ -4,6 +4,9 @@ Covers sl_n and so5 (realized as skew-symmetric 5x5 matrices), bracket
 closures of subspaces, invariant dimensions of SL2 on binary-form modules by
 counting the weights of monomials, the so5 trace invariants with their
 order-2 polarizations, and the packaged certificates built from them.
+Every combination sum_k c_k B_k of basis matrices, with rational or `Poly`
+coefficients (the generic skew matrix of so5, the symbolic sl3 plane, a
+random algebra element), is formed by `_combination`.
 """
 
 from __future__ import annotations
@@ -15,8 +18,7 @@ from typing import List, Sequence, Tuple
 
 from . import nullcone, polarization
 from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
-from .linalg import (Matrix, _echelon, _int_product, _integer_row, _integer_terms, _scaled,
-                     mat_mul)
+from .linalg import Matrix, _echelon, _int_product, _integer_row, _integer_terms, _scaled, mat_mul
 from .poly import Poly, VariableLayout, compositions, count_monomials
 from .reports import check, make_report
 
@@ -91,11 +93,26 @@ def sl(n: int) -> LieAlgebraBasis:
     return LieAlgebraBasis(f"sl_{n}", n, tuple(basis))
 
 
+def _so5_basis() -> tuple:
+    """E_ij - E_ji for i < j, lex in (i, j): the basis of so5 unchecked."""
+    return tuple(unit_matrix(5, i, j) - unit_matrix(5, j, i)
+                 for i in range(5) for j in range(i + 1, 5))
+
+
 def so5() -> LieAlgebraBasis:
     """Skew-symmetric 5 x 5 matrices, basis E_ij - E_ji for i < j."""
-    basis = [unit_matrix(5, i, j) - unit_matrix(5, j, i)
-             for i in range(5) for j in range(i + 1, 5)]
-    return LieAlgebraBasis("so5", 5, tuple(basis))
+    return LieAlgebraBasis("so5", 5, _so5_basis())
+
+
+def _combination(coefficients: Sequence, mats: Sequence[Matrix]) -> list:
+    """The rows of sum_k c_k M_k for square matrices M_k and coefficients
+    that are rationals, Polys of one layout, or both: `mat_mul` of the
+    entries, one row per position, by the coefficient column.  So each entry
+    starts from its first product, and an entry no matrix touches is the
+    int 0."""
+    n = mats[0].cols
+    flat = [x for x, in mat_mul(list(zip(*(m.entries for m in mats))), [coefficients])]
+    return [flat[i:i + n] for i in range(0, n * n, n)]
 
 
 @frozen
@@ -166,27 +183,6 @@ def sl2_invariant_dimension(module: Sequence[int], deg: Sequence[int],
 # so5 trace invariants and their order-2 polarizations
 # ---------------------------------------------------------------------------
 
-_SKEW_POSITIONS = tuple((i, j) for i in range(5) for j in range(i + 1, 5))
-
-
-def _skew_symbolic(layout: VariableLayout, block: int):
-    """The generic skew-symmetric 5x5 matrix over one block of ten variables."""
-    var = {pos: Poly.variable(layout, layout.index(block, k))
-           for k, pos in enumerate(_SKEW_POSITIONS)}
-    rows = []
-    for i in range(5):
-        row = []
-        for j in range(5):
-            if i == j:
-                row.append(0)
-            elif i < j:
-                row.append(var[(i, j)])
-            else:
-                row.append(-var[(j, i)])
-        rows.append(row)
-    return rows
-
-
 def _poly_trace_product(a, b) -> Poly:
     """tr(a b) without forming the full product."""
     n = len(a)
@@ -200,9 +196,10 @@ def _poly_trace_product(a, b) -> Poly:
 
 def so5_trace_invariants() -> Tuple[Poly, Poly]:
     """tr(A^2) and tr(A^4) for the generic skew 5x5 matrix A, as polynomials
-    in the ten entries above the diagonal.  These generate the invariant ring."""
+    in the ten entries above the diagonal (variable k the coefficient of so5
+    basis matrix k).  These generate the invariant ring."""
     layout = VariableLayout(1, 10)
-    A = _skew_symbolic(layout, 0)
+    A = _combination([Poly.variable(layout, k) for k in range(10)], _so5_basis())
     A2 = mat_mul(A, list(zip(*A)))
     return _poly_trace_product(A, A), _poly_trace_product(A2, A2)
 
@@ -214,9 +211,9 @@ def so5_pol2_generators() -> List[Poly]:
     """The eight generators of the order-2 polarization algebra of so5:
     tr(B^2), tr(BC), tr(C^2), tr(B^4), tr(B^3 C), 2 tr(B^2 C^2) + tr((BC)^2),
     tr(B C^3), tr(C^4), in this order."""
-    layout = VariableLayout(2, 10)
-    B = _skew_symbolic(layout, 0)
-    C = _skew_symbolic(layout, 1)
+    layout, basis = VariableLayout(2, 10), _so5_basis()
+    B, C = (_combination([Poly.variable(layout, layout.index(a, k)) for k in range(10)], basis)
+            for a in (0, 1))
     B2 = mat_mul(B, list(zip(*B)))
     C2 = mat_mul(C, list(zip(*C)))
     BC = mat_mul(B, list(zip(*C)))
@@ -287,14 +284,9 @@ def generic_orbit_dimension(alg: LieAlgebraBasis, point: Sequence[Matrix]) -> in
 
 def random_algebra_element(alg: LieAlgebraBasis, rng: random.Random) -> Matrix:
     """Integer combination of the basis with coefficients in -9..9, drawn in
-    basis order and summed in Python ints over the basis's common
-    denominator d: the coefficient row times the basis, one matrix per row,
-    by `_int_product`."""
-    n = alg.matrix_size
+    basis order (`_combination`)."""
     coefficients = [rng.randint(-9, 9) for _ in alg.basis]
-    entries, d = _scaled([x for b in alg.basis for x in b.entries])
-    total = _int_product(coefficients, entries, 1, len(coefficients), n * n)
-    return Matrix(n, n, tuple(Q(t, d) for t in total))
+    return Matrix.from_rows(_combination(coefficients, alg.basis))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +305,7 @@ def certify_sl3(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
     B = unit_matrix(3, 1, 0) - unit_matrix(3, 2, 1)
 
     layout = VariableLayout(1, 2)
-    a = Poly.variable(layout, 0)
-    b = Poly.variable(layout, 1)
-    symbolic_plane = [[0, a, 0], [b, 0, a], [0, -b, 0]]
+    symbolic_plane = _combination([Poly.variable(layout, 0), Poly.variable(layout, 1)], (A, B))
     nilpotent = nullcone.matrix_nilpotent(symbolic_plane)
 
     witness = bracket(A, B)

@@ -27,8 +27,10 @@ column.  `mat_mul` multiplies matrices given as row and column lists, with
 rational entries, `Poly` entries or both (an entry with no product is the
 int 0): `power_traces` yields tr(A^k) through it for the Molien count in
 `groups` and the nilpotency test in `nullcone`, and `liealg` forms the so5
-trace invariants with it.  There is no floating point anywhere in this
-module; every answer is exact.
+trace invariants and every combination of basis matrices with it.  Strict
+feasibility is fraction-free Fourier-Motzkin elimination (`_fm_solve`), a
+loop over the variables that keeps each level for the back-substitution.
+There is no floating point anywhere in this module; every answer is exact.
 """
 
 from __future__ import annotations
@@ -404,43 +406,47 @@ def _fm_solve(rows, nvars: int) -> Optional[tuple]:
     by its gcd and drops repeats (first seen kept); eliminating x_v combines
     a low row l (l[v] > 0) and a high row u (u[v] < 0) as l[v]*u - u[v]*l.
     Both only rescale constraints by positive factors, so every level holds
-    the same cone as rational elimination would.  Returns one rational
-    solution as (numerators, common denominator), or None.
+    the same cone as rational elimination would.  The variables are
+    eliminated in a loop from the last down, each level's low and high rows
+    kept; then x_0, x_1, ... are set in turn between the bounds of their
+    level.  Returns one rational solution as (numerators, common
+    denominator), or None.
     """
-    prim = []
-    for r in rows:
-        g = gcd(*r)
-        if g == 0:
-            return None  # 0 > 0
-        prim.append(tuple(x // g for x in r) if g != 1 else r)
-    rows = list(dict.fromkeys(prim))
-    if nvars == 0:
-        return [], 1
-    v = nvars - 1
-    lows = [r for r in rows if r[v] > 0]
-    highs = [r for r in rows if r[v] < 0]
-    new = [r[:v] for r in rows if r[v] == 0]
-    new += [tuple(l[v] * y - u[v] * x for x, y in zip(l[:v], u[:v]))
-            for l in lows for u in highs]
-    sub = _fm_solve(new, v)
-    if sub is None:
-        return None
-    nums, den = sub
-    # x_v > -(l.x)/l[v] for each low row, x_v < (u.x)/(-u[v]) for each high row
-    lo = max((Q(-sum(a * b for a, b in zip(l, nums)), den * l[v]) for l in lows),
-             default=None)
-    hi = min((Q(sum(a * b for a, b in zip(u, nums)), -den * u[v]) for u in highs),
-             default=None)
-    if lo is not None and hi is not None:
-        val = (lo + hi) / 2
-    elif lo is not None:
-        val = lo + 1
-    elif hi is not None:
-        val = hi - 1
-    else:
-        val = Q(0)
-    d = lcm(den, val.denominator)
-    return [n * (d // den) for n in nums] + [val.numerator * (d // val.denominator)], d
+    levels = []  # (lows, highs) of x_v, for v = nvars - 1 down to 0
+    for left in range(nvars, -1, -1):  # the number of variables not eliminated
+        prim = []
+        for r in rows:
+            g = gcd(*r)
+            if g == 0:
+                return None  # 0 > 0
+            prim.append(tuple(x // g for x in r) if g != 1 else r)
+        rows = list(dict.fromkeys(prim))
+        if left:
+            v = left - 1
+            lows = [r for r in rows if r[v] > 0]
+            highs = [r for r in rows if r[v] < 0]
+            rows = [r[:v] for r in rows if r[v] == 0]
+            rows += [tuple(l[v] * y - u[v] * x for x, y in zip(l[:v], u[:v]))
+                     for l in lows for u in highs]
+            levels.append((lows, highs))
+    nums, den = [], 1
+    for v, (lows, highs) in enumerate(reversed(levels)):
+        # x_v > -(l.x)/l[v] for each low row, x_v < (u.x)/(-u[v]) for each high row
+        lo = max((Q(-sum(a * b for a, b in zip(l, nums)), den * l[v]) for l in lows),
+                 default=None)
+        hi = min((Q(sum(a * b for a, b in zip(u, nums)), -den * u[v]) for u in highs),
+                 default=None)
+        if lo is not None and hi is not None:
+            val = (lo + hi) / 2
+        elif lo is not None:
+            val = lo + 1
+        elif hi is not None:
+            val = hi - 1
+        else:
+            val = Q(0)
+        d = lcm(den, val.denominator)
+        nums, den = [n * (d // den) for n in nums] + [val.numerator * (d // val.denominator)], d
+    return nums, den
 
 
 def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = None):

@@ -5,14 +5,17 @@ f(x_1 v_1 + ... + x_n v_n) viewed as functions on n copies of V.  They are
 computed here as f(sum_a x_{a,1}, ..., sum_a x_{a,m}), expanded from
 multinomial coefficients and split by block multidegree; the component of
 multidegree I is exactly the coefficient of the scalar monomial alpha^I in
-the formal expansion, with no extra normalization.
+the formal expansion, with no extra normalization.  The exponent tuples of
+the generator products of one multidegree are listed by a depth-first walk
+on an explicit stack, so no recursion depth grows with the number of
+generators.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import prod
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -69,8 +72,8 @@ def polarize(f: Poly, n: int, caps: Caps = DEFAULT_CAPS) -> Dict[tuple, Poly]:
     for e, c in f._terms.items():
         for choice in product(*(lists[k] for k in e)):
             copies = tuple(zip(*(parts for parts, _ in choice)))  # copy a: x_{a,1..m}
-            buckets.setdefault(tuple(map(sum, copies)), {})[sum(copies, ())] = \
-                c * prod(w for _, w in choice)
+            exps = tuple(chain.from_iterable(copies))
+            buckets.setdefault(tuple(map(sum, copies)), {})[exps] = c * prod(w for _, w in choice)
     target = copies_layout(m, n)
     return {deg: Poly._trusted(target, terms)
             for deg, terms in sorted(buckets.items(), key=lambda kv: glex_key(kv[0]))}
@@ -213,7 +216,9 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, caps: Caps):
     out: List[tuple] = []
     limit = caps.span_products  # read once: the check runs for every tuple
 
-    def rec(i: int, remaining: tuple, pos: int, prefix: tuple):
+    def rec(i: int, remaining: tuple, pos: int, prefix: tuple) -> list:
+        """One prefix of the walk: a finished tuple goes to `out`; otherwise
+        the prefix's extensions are returned, in falling exponent order."""
         if not pos:  # every later exponent is zero
             prefix += (0,) * (n - i)
             i = n
@@ -222,19 +227,25 @@ def _exponent_tuples(degrees: Sequence[tuple], target: tuple, caps: Caps):
             i += 1
         if i == n:
             if pos:  # the start is the only prefix not checked
-                return
+                return []
             if len(out) >= limit:
                 caps.bound("span_products", len(out) + 1, "span too large")
             out.append(prefix)
-            return
+            return []
         deg, reach = degrees[i], fills[i + 1]
-        for e in range(most(remaining, deg) + 1):
+        extensions = []
+        for e in range(most(remaining, deg), -1, -1):
             rest = pos - e * steps[i]
             if reach[rest >> 3] >> (rest & 7) & 1:
-                rec(i + 1, tuple(r - e * d for r, d in zip(remaining, deg)), rest,
-                    prefix + (e,))
+                extensions.append((i + 1, tuple(r - e * d for r, d in zip(remaining, deg)),
+                                   rest, prefix + (e,)))
+        return extensions
 
-    rec(0, tuple(target), sum(t * s for t, s in zip(target, strides)), ())
+    # depth first on an explicit stack, so no recursion depth grows with the
+    # number of generators; the smallest exponent is popped first: lex order
+    stack = [(0, tuple(target), sum(t * s for t, s in zip(target, strides)), ())]
+    while stack:
+        stack += rec(*stack.pop())
     return out
 
 

@@ -5,6 +5,10 @@ each; block a, slot j is the canonical index a*vars_per_block + j.  The
 multidegree of a monomial is the tuple of its total degrees per block.
 Term order everywhere is graded lexicographic on exponent vectors
 (descending), which makes every serialization and basis deterministic.
+Powers are built once each, in ascending order, by `_power_table`: the
+powers of the images in `Poly.substitute`, and the powers of a point's
+integer coordinates in `Poly.evaluate`, which clears the point's
+denominators once with `_scaled`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import re
 from fractions import Fraction
 from math import comb, lcm
 from numbers import Rational
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterator, List, Optional, Sequence
 
 from .limits import frozen
-from .linalg import _integer_terms, frac
+from .linalg import _integer_terms, _scaled, frac
 
 Q = Fraction
 
@@ -339,49 +343,31 @@ class Poly:
                 total[e] = total.get(e, 0) + k * x
         return Poly._trusted(target, {e: Q(x, common) for e, x in total.items() if x})
 
-    def multidegree_components(self) -> Dict[tuple, "Poly"]:
-        """Split into multihomogeneous parts; the values sum back to self."""
-        buckets: Dict[tuple, Dict[tuple, Fraction]] = {}
-        for e, c in self._terms.items():
-            buckets.setdefault(self.layout.block_degrees(e), {})[e] = c
-        return {deg: Poly(self.layout, terms) for deg, terms in sorted(buckets.items(), key=lambda kv: glex_key(kv[0]))}
-
     def evaluate(self, point: Sequence) -> Fraction:
-        """The exact value at `point`, in integers.  With coordinate i equal
-        to n_i/d_i and K_i its top exponent, a term c x^k times prod_i d_i^K_i
-        is c * prod_i n_i^k_i d_i^(K_i - k_i), each factor read from a table of
-        powers built once per variable; the sum is divided once, at the end."""
+        """The exact value at `point`, in integers.  The point is scaled once
+        to n/D (`_scaled`), and each variable's powers of n_i that the terms
+        use are built once (`_power_table`).  With K the top total degree, a
+        term c x^k times D^K is c * prod_i n_i^k_i * D^(K - |k|), so a
+        homogeneous polynomial needs no power of D; the sum is divided once,
+        at the end."""
         if len(point) != self.layout.total:
             raise ValueError("point length does not match layout")
-        point = [frac(x) for x in point]
+        nums, D = _scaled(point)
         coeffs, scale = _integer_terms(self._terms)
-        tables = []
-        for i, x in enumerate(point):
-            used = sorted({e[i] for e in coeffs})
-            if not used or used[-1] == 0:
-                continue
-            top = used[-1]
-            table = _powers(x.numerator, used)
-            if x.denominator != 1:
-                scale *= x.denominator ** top
-                den = _powers(x.denominator, [top - k for k in reversed(used)])
-                table = {k: v * den[top - k] for k, v in table.items()}
-            tables.append((i, table))
+        top = self.total_degree()
+        gaps = {e: top - sum(e) for e in coeffs}
+        tables = []  # (i, {k: n_i^k}) for each variable that the terms use
+        for i, column in enumerate(zip(*coeffs)):
+            used = sorted(set(column) - {0})
+            if used:
+                tables.append((i, {0: 1, **_power_table(nums[i], used, mul)}))
+        scales = {0: 1, **_power_table(D, sorted(set(gaps.values()) - {0}), mul)}
         total = 0
         for e, c in coeffs.items():
             for i, table in tables:
                 c *= table[e[i]]
-            total += c
-        return Q(total, scale)
-
-
-def _powers(x: int, exponents: Sequence[int]) -> dict:
-    """{k: x**k} for the ascending `exponents`, each power from the one before."""
-    out, power, last = {}, 1, 0
-    for k in exponents:
-        power *= x ** (k - last)
-        out[k], last = power, k
-    return out
+            total += c * scales[gaps[e]]
+        return Q(total, scale * D ** top)
 
 
 def _power_table(base, exponents: Sequence[int], mul) -> dict:

@@ -103,9 +103,14 @@ def test_invariant_dims_command(files, capsys):
     (["polarize", {"vars": 1, "poly": "x1"}, "--copies", "1200"], "component_count: 1200"),
     (["invariant-dims", {"builtin": {"family": "S", "m": 1}}, "--copies", "1200",
       "--max-degree", "1"], "dims_bounded_by_monomial_count: PASS"),
-], ids=["polarize", "invariant-dims"])
+    (["nullcone", "torus", {"torus_rank": 1500, "weights": [[1] * 1500]}, "1"], "cocharacter: ["),
+    (["membership", {"blocks": 2, "vars_per_block": 1, "poly": "x1_1"},
+      {"blocks": 2, "vars_per_block": 1, "generators": ["x1_1"] * 1200}], "member: True"),
+], ids=["polarize", "invariant-dims", "torus-rank-1500", "membership-1200-generators"])
 def test_a_thousand_copies_and_more_exit_0(tmp_path, capsys, argv, line):
-    # the compositions of 1 into 1200 parts are listed without recursion
+    # no recursion depth grows with the input: the compositions of 1 into
+    # 1200 parts, Fourier-Motzkin over 1500 variables and the exponent walk
+    # over 1200 generators are each a loop
     code, out = run(capsys, materialize(tmp_path, argv))
     assert code == 0 and line in out
 

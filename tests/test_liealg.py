@@ -541,6 +541,27 @@ def test_random_algebra_element_matches_the_fraction_sum():
             assert rng.random() == ref.random()
 
 
+def test_combination_is_the_hand_typed_symbolic_matrix():
+    # the sl3 plane a*A + b*B and the generic skew matrix of so5, typed out;
+    # an entry no basis matrix touches is the int 0, not a zero Poly
+    L = VariableLayout(1, 2)
+    a, b = Poly.variable(L, 0), Poly.variable(L, 1)
+    A = unit_matrix(3, 0, 1) + unit_matrix(3, 1, 2)
+    B = unit_matrix(3, 1, 0) - unit_matrix(3, 2, 1)
+    plane = liealg._combination([a, b], (A, B))
+    assert plane == [[0, a, 0], [b, 0, a], [0, -b, 0]]
+    assert [type(x) for x in plane[0]] == [int, Poly, int]
+    L = VariableLayout(1, 10)
+    xs = [Poly.variable(L, k) for k in range(10)]
+    skew = liealg._combination(xs, liealg._so5_basis())
+    positions = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    assert skew == [[0 if i == j else xs[positions.index((i, j))] if i < j
+                     else -xs[positions.index((j, i))] for j in range(5)] for i in range(5)]
+    # rational coefficients give the Fraction sum
+    assert liealg._combination([Q(1, 2), 3], (A, B)) == [[0, Q(1, 2), 0], [3, 0, Q(1, 2)],
+                                                         [0, -3, 0]]
+
+
 def test_certify_sl3():
     report = certify_sl3()
     assert report["result"] == "PASS"

@@ -124,12 +124,15 @@ def test_polarize_refuses_exactly_above_its_expansion_size():
 
 def _substituted_polarization(f, n):
     """The construction `polarize` replaced: substitute x_j -> sum_a x_{a,j}
-    and split the result by block multidegree."""
+    and split the result by block multidegree, in graded-lex order."""
     m = f.layout.vars_per_block
     target = copies_layout(m, n)
     images = {j: sum((Poly.variable(target, a * m + j) for a in range(n)), Poly.zero(target))
               for j in range(m)}
-    return f.substitute(images).multidegree_components()
+    buckets = {}
+    for e, c in f.substitute(images).terms():
+        buckets.setdefault(target.block_degrees(e), {})[e] = c
+    return {deg: Poly(target, buckets[deg]) for deg in sorted(buckets, key=glex_key)}
 
 
 def test_polarize_matches_the_substitution_reference():

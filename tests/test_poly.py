@@ -219,31 +219,6 @@ def test_derivative_examples():
     assert (Y ** 2).derivative(0).is_zero()
 
 
-def test_multidegree_components_two_blocks():
-    L = VariableLayout(2, 1)
-    x = Poly.variable(L, 0)
-    y = Poly.variable(L, 1)
-    comps = (x ** 2 + 2 * x * y + y ** 2).multidegree_components()
-    assert comps == {(2, 0): x ** 2, (1, 1): 2 * x * y, (0, 2): y ** 2}
-    assert Poly.zero(L).multidegree_components() == {}
-    assert (x ** 2 * y).multidegree_components() == {(2, 1): x ** 2 * y}
-
-
-def test_components_sum_to_input():
-    rng = random.Random(13)
-    L = VariableLayout(2, 2)
-    for _ in range(10):
-        terms = {tuple(rng.randint(0, 2) for _ in range(4)): Q(rng.randint(-3, 3))
-                 for _ in range(5)}
-        p = Poly(L, terms)
-        total = Poly.zero(L)
-        comps = p.multidegree_components()
-        assert len(set(comps)) == len(comps)
-        for c in comps.values():
-            total = total + c
-        assert total == p
-
-
 def test_evaluate():
     assert (X ** 2 + Y).evaluate((2, 3)) == 7
     assert (X * Y + 5).evaluate((0, 0)) == 5

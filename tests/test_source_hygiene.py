@@ -1,8 +1,9 @@
 """Source hygiene of `src/polinv`, read with `ast` alone: every imported name
 is used in its module, every module-level private name is referenced
 somewhere in the package besides its own definition, nothing evaluated at
-import builds a list, dict or set, the `caps` record is handed on whole, and
-one function turns a list of rationals into ints."""
+import builds a list, dict or set, the `caps` record is handed on whole,
+one function turns a list of rationals into ints, and no function calls
+itself except three whose depth is bounded."""
 
 import ast
 from pathlib import Path
@@ -230,3 +231,44 @@ def test_only_scaled_clears_a_list_of_denominators():
                for name in _calls_by_function(_tree(path), "lcm")}
     assert calling == {("linalg.py", "_scaled"), ("linalg.py", "_fm_solve"),
                        ("poly.py", "Poly.substitute")}
+
+
+def _callee(call):
+    """The name a call reaches itself by: a bare name, or a method of `self`
+    or `cls` (`super().__init__` is another function)."""
+    func = call.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) in ("self", "cls"):
+        return func.attr
+    return None
+
+
+def _self_calls(tree):
+    """The qualified names ("Class.method", "outer.inner" or "function") of
+    the functions in `tree` that call themselves by name."""
+    out = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = scope + [child.name]
+                if not isinstance(child, ast.ClassDef) and any(
+                        isinstance(c, ast.Call) and _callee(c) == child.name
+                        for c in ast.walk(child)):
+                    out.add(".".join(inner))
+                visit(child, inner)
+
+    visit(tree, [])
+    return out
+
+
+def test_no_function_calls_itself():
+    # a recursion whose depth grows with the input ends in a RecursionError
+    # (exit 1, read as "no") long before any cap; these three are bounded:
+    # the fixed nesting of a report, one re-entry for strings, and the box
+    # dimension of the oracle (at most 3 in every call in the package)
+    recursive = {(path.name, name) for path in sorted(SRC.glob("*.py"))
+                 for name in _self_calls(_tree(path))}
+    assert recursive == {("reports.py", "jsonable"), ("linalg.py", "_scaled"),
+                         ("nullcone.py", "brute_box_functional.descend")}
