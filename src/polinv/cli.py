@@ -194,9 +194,8 @@ def cmd_nullcone(args, caps: Caps) -> dict:
         checks = [reports.check("in_nullcone", gamma is not None)]
         payload = {"vector": [str(x) for x in v], "member": gamma is not None}
         if gamma is not None:
-            support = [w for x, w in zip(v, ws.weights) if x != 0]
-            valid = all(sum(g * x for g, x in zip(gamma, w)) > 0 for w in support)
-            checks.append(reports.check("cocharacter_strictly_positive_on_support", valid))
+            checks.append(reports.check("cocharacter_strictly_positive_on_support",
+                                        nullcone.check_cocharacter(ws, v, gamma)))
             payload["cocharacter"] = list(gamma)
             payload["positive_part"] = list(nullcone.v_gamma(ws, gamma))
         return reports.make_report("nullcone-torus", args.seed, caps, checks, **payload)
@@ -207,15 +206,7 @@ def cmd_nullcone(args, caps: Caps) -> dict:
     payload = {"degree": form.degree, "coeffs": [str(c) for c in form.coeffs],
                "member": member}
     if witness is not None:
-        # a certificate checked by another route: the quotient q = f / l^m is
-        # multiplied back, and l^m * q must be f exactly
-        m = form.degree // 2 + 1
-        power, quotient = nullcone.BinaryForm(0, (1,)), form
-        for _ in range(m):
-            power = power.multiply(witness)
-            if quotient is not None:
-                quotient = quotient.divide_linear(*witness.coeffs)
-        divides = quotient is not None and power.multiply(quotient) == form
+        divides, m = nullcone.check_binary_witness(form, witness)
         checks.append(reports.check("witness_power_divides_form", divides,
                                     required_multiplicity=m))
         payload["witness"] = [str(c) for c in witness.coeffs]

@@ -5,7 +5,8 @@ a signed permutation matrix, its `Matrix` otherwise.  The builtin S/B/D
 families are listed in closed form as such pairs; a group given by rational
 generator matrices is enumerated to a full element list by breadth-first
 closure.  The polynomial action follows the left-action convention
-(g.p)(v) = p(g^{-1} v), applied per block.
+(g.p)(v) = p(g^{-1} v), applied per block, and every element acts by one
+substitution of the variables (`Poly.substitute`), whatever its form.
 
 Invariant dimensions come from Molien's formula for every group: each
 element contributes the coefficients h_k of 1/det(1 - s g), read off its
@@ -32,9 +33,9 @@ def _signed_perm(g: Matrix):
     """(perm, signs) when g^{-1} maps each variable j to signs[j] * x_perm[j], else None.
 
     For a signed permutation matrix g^{-1} is the transpose of g, so the map
-    is read off the columns of g.  The substitution is then a monomial map,
-    which lets the action remap exponent tuples directly instead of
-    expanding products.
+    is read off the columns of g.  The pair needs no inverse, and it gives
+    det(1 - s g) from its signed cycles and g v by a signed remap of the
+    coordinates.
     """
     perm, signs = [], []
     for j in range(g.cols):
@@ -185,53 +186,35 @@ class DiagonalAction:
             raise ValueError("layout block size must equal the group dimension")
 
 
-def _substitution_images(g: Matrix, layout: VariableLayout):
-    """Variable images realizing p |-> p(g^{-1} .) blockwise."""
-    inv = inverse(g)
+def _substitution_images(g: Element, layout: VariableLayout):
+    """Variable images realizing p |-> p(g^{-1} .) blockwise.
+
+    A (perm, signs) pair sends x_(a,j) to signs[j] * x_(a,perm[j]); a `Matrix`
+    sends x_(a,j) to sum_i (g^{-1})_(j,i) x_(a,i), read off its inverse.
+    """
     m = layout.vars_per_block
+    if isinstance(g, Matrix):
+        inv = inverse(g)
+        rows = [[(i, inv.at(j, i)) for i in range(m) if inv.at(j, i) != 0] for j in range(m)]
+    else:
+        rows = [[(i, Fraction(s))] for i, s in zip(*g)]
     images = {}
-    for a in range(layout.blocks):
-        for j in range(m):
+    for base in range(0, layout.total, m):
+        for j, row in enumerate(rows):
             terms = {}
-            for i in range(m):
-                c = inv.at(j, i)
-                if c != 0:
-                    exps = [0] * layout.total
-                    exps[a * m + i] = 1
-                    terms[tuple(exps)] = c
-            images[a * m + j] = Poly(layout, terms)
+            for i, c in row:
+                exps = [0] * layout.total
+                exps[base + i] = 1
+                terms[tuple(exps)] = c
+            images[base + j] = Poly._trusted(layout, terms)
     return images
 
 
 def act(g: Element, p: Poly, action: DiagonalAction) -> Poly:
-    """(g.p)(v) = p(g^{-1} v) on every block: a pair remaps exponents, a Matrix substitutes."""
+    """(g.p)(v) = p(g^{-1} v) on every block, by substituting the images of the variables."""
     if p.layout != action.layout:
         raise ValueError("polynomial layout does not match the action")
-    if isinstance(g, Matrix):
-        return p.substitute(_substitution_images(g, action.layout))
-    src, odd = _layout_map(g, action.layout)
-    terms = {}
-    for e, c in p._terms.items():
-        terms[tuple(map(e.__getitem__, src))] = -c if sum(map(e.__getitem__, odd)) & 1 else c
-    return Poly._trusted(action.layout, terms)
-
-
-def _layout_map(sp, layout: VariableLayout):
-    """(src, odd) for a signed permutation acting on every block of the layout.
-
-    The image of x^e is (-1)^(sum of e[i], i in odd) * x^e' with
-    e'[t] = e[src[t]].
-    """
-    perm, signs = sp
-    m = layout.vars_per_block
-    src = [0] * layout.total
-    odd = []
-    for base in range(0, layout.total, m):
-        for j in range(m):
-            src[base + perm[j]] = base + j
-            if signs[j] < 0:
-                odd.append(base + j)
-    return src, odd
+    return p.substitute(_substitution_images(g, action.layout))
 
 
 def reynolds(p: Poly, action: DiagonalAction) -> Poly:

@@ -19,7 +19,7 @@ from typing import List, Sequence, Tuple
 from . import nullcone, polarization
 from .limits import Caps, DEFAULT_CAPS, DEFAULT_SEED, frozen
 from .linalg import Matrix, _echelon, _int_product, _integer_row, _integer_terms, _scaled, mat_mul
-from .poly import Poly, VariableLayout, compositions, count_monomials
+from .poly import Poly, VariableLayout, _power_table, compositions, count_monomials
 from .reports import check, make_report
 
 Q = Fraction
@@ -244,13 +244,15 @@ def jacobian_rank(polys: Sequence[Poly], point: Sequence) -> int:
     layout = polys[0].layout
     if len(point) != layout.total:
         raise ValueError("point length does not match the variable count")
+    if any(p.layout != layout for p in polys):
+        raise ValueError("layout mismatch")
     nums, D = _scaled(point)
-    top = max((k for p in polys for e in p._terms for k in e), default=0)
-    powers = [[n ** k for k in range(top + 1)] for n in nums]  # powers[v][k] = n_v^k
+    powers = []  # powers[v][k] = n_v^k for the k = e_v and e_v - 1 that a term x^e uses
+    for n, column in zip(nums, zip(*[e for p in polys for e in p._terms])):
+        used = {k - s for k in column if k for s in (0, 1)} - {0}
+        powers.append({0: 1, **_power_table(n, sorted(used), int.__mul__)})
     rows = []
     for p in polys:
-        if p.layout != layout:
-            raise ValueError("layout mismatch")
         terms, _ = _integer_terms(p._terms)
         deg = p.total_degree()
         row: dict = {}

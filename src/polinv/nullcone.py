@@ -7,6 +7,10 @@ of order floor(d/2), read off the coefficient list;
 matrices through the power traces: over Q, Newton's identities make
 tr(A^k) = 0 for k = 1..n equivalent to every characteristic coefficient
 vanishing, also for polynomial entries.
+
+Each certificate kind has one checker, which every caller uses:
+`check_cocharacter` for a torus cocharacter and `check_binary_witness` for
+a binary-form witness.
 """
 
 from __future__ import annotations
@@ -71,6 +75,14 @@ def v_gamma(ws: WeightSystem, gamma: Sequence[int]) -> tuple:
         raise ValueError("cocharacter length does not match the torus rank")
     return tuple(i for i, w in enumerate(ws.weights)
                  if sum(g * x for g, x in zip(gamma, w)) > 0)
+
+
+def check_cocharacter(ws: WeightSystem, v: Sequence, gamma: Sequence[int]) -> bool:
+    """True when gamma certifies that v lies in the nullcone: gamma . w > 0
+    for the weight w of every coordinate where v is nonzero, that is, v lies
+    in the positive part `v_gamma`."""
+    positive = set(v_gamma(ws, gamma))
+    return all(i in positive for i, x in enumerate(v) if x != 0)
 
 
 @frozen
@@ -254,12 +266,34 @@ def binary_nullcone_witness(f: BinaryForm) -> Optional[BinaryForm]:
         a, b = t.denominator, t.numerator
     else:
         a, b = 0, 1
-    quotient = f
-    for _ in range(k + 1):
-        quotient = quotient.divide_linear(a, b)
+    witness = BinaryForm(1, (a, b))
+    if _witness_quotient(f, witness)[1] is None:
+        raise AssertionError("internal error: witness fails to divide the form")
+    return witness
+
+
+def _witness_quotient(f: BinaryForm, l: BinaryForm) -> Tuple[int, Optional[BinaryForm]]:
+    """(m, f / l^m) for m = floor(d/2) + 1, the multiplicity a nullcone
+    witness l must have, by m exact divisions; the quotient is None when
+    l^m does not divide f."""
+    m, quotient = f.degree // 2 + 1, f
+    for _ in range(m):
+        quotient = quotient.divide_linear(*l.coeffs)
         if quotient is None:
-            raise AssertionError("internal error: witness fails to divide the form")
-    return BinaryForm(1, (a, b))
+            break
+    return m, quotient
+
+
+def check_binary_witness(f: BinaryForm, l: BinaryForm) -> Tuple[bool, int]:
+    """(holds, m): whether l^m divides f, m = floor(d/2) + 1, checked by a
+    route apart from the witness search: the quotient q = f / l^m is
+    multiplied back by l, m times, and the product must be f exactly."""
+    m, product = _witness_quotient(f, l)
+    if product is None:
+        return False, m
+    for _ in range(m):
+        product = product.multiply(l)
+    return product == f, m
 
 
 def _gcd(a: list, b: list) -> list:
@@ -433,7 +467,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
                 agreements += 1
             if gamma is not None:
                 witnesses_returned += 1
-                if all(sum(g * x for g, x in zip(gamma, w)) > 0 for w in support):
+                if check_cocharacter(ws, v, gamma):
                     witness_valid += 1
         for _ in range(subspaces_per_system):
             v1 = _random_vector(rng, ws.coordinates)

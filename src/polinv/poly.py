@@ -131,13 +131,7 @@ class Poly:
                     raise ValueError("negative exponent")
                 c = frac(c)
                 if c != 0:
-                    exps = tuple(exps)
-                    acc = clean.get(exps)
-                    c = c if acc is None else acc + c
-                    if c == 0:
-                        clean.pop(exps, None)
-                    else:
-                        clean[exps] = c
+                    clean[tuple(exps)] = c
         self.layout = layout
         self._terms = clean
 

@@ -160,6 +160,17 @@ def test_nullcone_torus_structured_report_is_pinned(tmp_path, capsys):
         "927b246010e10fab9fa01ca1cc6cd354422a13bee7d5ce541e5bcf90181806be")
 
 
+def test_nullcone_torus_check_refuses_a_forged_cocharacter(files, capsys, monkeypatch):
+    from polinv import nullcone
+    # weights 1, 1, -1: gamma = -1 is negative on the support of (1, 1, 0)
+    monkeypatch.setattr(nullcone, "torus_nullcone_member", lambda ws, v: (-1,))
+    code, out = run(capsys, ["--format", "structured", "nullcone", "torus", files["torus"],
+                             "1,1,0"])
+    assert code == 1
+    assert {c["name"]: c["pass"] for c in json.loads(out)["checks"]} == {
+        "in_nullcone": True, "cocharacter_strictly_positive_on_support": False}
+
+
 def test_nullcone_binary_exit_codes(files, capsys):
     code, out = run(capsys, ["nullcone", "binary", files["form_member"]])
     assert code == 0 and "witness" in out
@@ -202,6 +213,16 @@ def test_nullcone_binary_decides_a_degree_120_form(tmp_path, capsys, member, cod
     report = json.loads(out)
     assert got == code and report["member"] is member
     assert report.get("witness") == (["3", "-7"] if member else None)
+
+
+@pytest.mark.parametrize("name,code,digest", [
+    ("form_member", 0, "6fa9baec49130c7cec157d5984c406426333a1215fd8c85ebedd1e1035b2a929"),
+    ("form_nonmember", 1, "d0c9f1b0216ebfa2cdd36966dfc6688f0fa4a57fe6aa56d84a18357c368adc24"),
+], ids=["member", "nonmember"])
+def test_nullcone_binary_structured_report_is_pinned(files, capsys, name, code, digest):
+    got, out = run(capsys, ["--format", "structured", "nullcone", "binary", files[name]])
+    assert got == code
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def _binary_checks(out):

@@ -16,6 +16,7 @@ from polinv.groups import (DiagonalAction, MatrixGroup, act, builtin_family, enu
 from polinv.specs import group_from_spec
 
 from fraction_rref import fraction_rref
+from signed_remap import layout_map, signed_remap
 
 SWAP2 = Matrix.from_rows([[0, 1], [1, 0]])
 
@@ -122,7 +123,7 @@ def test_act_examples():
 
 def test_act_is_a_left_action_on_random_groups():
     # the 2-dimensional representation of S_3: 4 of its 6 elements are not
-    # signed permutations, so both stored forms and both paths of act() run
+    # signed permutations, so act() runs on both stored forms
     g1 = Matrix.from_rows([[0, -1], [1, -1]])    # order 3
     g2 = Matrix.from_rows([[0, 1], [1, 0]])
     group = enumerate_group([g1, g2])
@@ -167,6 +168,17 @@ def test_act_convention_matches_point_action():
         moved = list(ginv.matvec(v[0:3])) + list(ginv.matvec(v[3:6]))
         assert act(g, p, action).evaluate(v) == p.evaluate(moved)
         assert point_image(g, moved, L) == tuple(v)
+
+
+@pytest.mark.parametrize("family,m", [("S", 3), ("B", 3), ("D", 4)])
+def test_act_matches_the_signed_exponent_remap(family, m):
+    # every element is a (perm, signs) pair, acting on two copies
+    action = action_for(family, m, blocks=2)
+    rng = random.Random(f"remap{family}{m}")
+    for g in action.group.elements:
+        p = Poly(action.layout, {tuple(rng.randint(0, 2) for _ in range(2 * m)):
+                                 Q(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(4)})
+        assert act(g, p, action) == signed_remap(g, p)
 
 
 def test_reynolds_examples():
@@ -233,7 +245,7 @@ def _orbit_count(action, deg):
     stabilizer acts by -1 and a nonzero multiple of its signed orbit sum
     otherwise, and distinct orbits have disjoint supports: the dimension is
     the number of monomial orbits whose stabilizer acts by +1 only."""
-    signed = [groups._layout_map(g, action.layout) for g in action.group.elements]
+    signed = [layout_map(g, action.layout) for g in action.group.elements]
     seen = set()
     live = 0
     for e in monomials_of_multidegree(action.layout, deg):
@@ -261,7 +273,7 @@ ORDER3 = {"generators": [["0", "-1", "1", "-1"]]}
 def test_reynolds_and_invariant_dimension_match_act_sums(family, m, degs):
     group = group_from_spec(ORDER3) if family == "custom" else builtin_family(family, m)
     if family == "custom":
-        # order 3, not a signed permutation: the substitute path of act()
+        # order 3, not a signed permutation: act() substitutes the inverse's rows
         assert group.order == 3
         assert group.elements[0] == ((0, 1), (1, 1))
         assert all(isinstance(g, Matrix) for g in group.elements[1:])
