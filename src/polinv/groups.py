@@ -22,7 +22,7 @@ from itertools import permutations, product
 from typing import Sequence, Tuple, Union
 
 from .limits import Caps, DEFAULT_CAPS, frozen
-from .linalg import Matrix, frac, inverse, power_traces, rank
+from .linalg import Matrix, inverse, power_traces, rank
 from .poly import Poly, VariableLayout, count_monomials
 
 # a stored group element: the (perm, signs) pair of `_signed_perm`, or a Matrix
@@ -261,27 +261,3 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
     if rest:
         raise ArithmeticError(f"Molien sum {total} is not divisible by |G| = {action.group.order}")
     return dim
-
-
-def point_image(g: Element, v: Sequence, layout: VariableLayout) -> tuple:
-    """g v on every block of the layout: a signed remap of the coordinates
-    for a (perm, signs) pair, `Matrix.matvec` for a matrix."""
-    m = layout.vars_per_block
-    if isinstance(g, Matrix):
-        return tuple(x for base in range(0, layout.total, m) for x in g.matvec(v[base:base + m]))
-    perm, signs = g
-    image = [0] * layout.total
-    for base in range(0, layout.total, m):
-        for j in range(m):
-            image[base + perm[j]] = v[base + j] if signs[j] > 0 else -v[base + j]
-    return tuple(image)
-
-
-def same_orbit(v: Sequence, w: Sequence, action: DiagonalAction) -> bool:
-    """True when some group element maps v to w, blockwise matrix action."""
-    total = action.layout.total
-    if len(v) != total or len(w) != total:
-        raise ValueError("vector length does not match layout")
-    v = [frac(x) for x in v]
-    w = tuple(frac(x) for x in w)
-    return any(point_image(g, v, action.layout) == w for g in action.group.elements)

@@ -22,7 +22,7 @@ kept is read back from the logs by one reverse sweep: no row carries a
 combination, and no Fraction is built until the final coefficients.
 `_int_product`, rows by columns in ints, is the one integer matrix product:
 `Matrix @` runs it on its operands through `_scaled`, and so do the bracket
-and the orbit ranks of `liealg`; `Matrix.matvec` is `Matrix @` on one
+and the orbit ranks of `liealg`, and a vector is a `Matrix` of one
 column.  `mat_mul` multiplies matrices given as row and column lists, with
 rational entries, `Poly` entries or both (an entry with no product is the
 int 0): `power_traces` yields tr(A^k) through it for the Molien count in
@@ -110,11 +110,6 @@ class Matrix:
         b, db = _scaled(other.entries)
         return Matrix(self.rows, other.cols, tuple(
             Q(x, da * db) for x in _int_product(a, b, self.rows, self.cols, other.cols)))
-
-    def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return (self @ Matrix(self.cols, 1, tuple(frac(x) for x in v))).entries
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):

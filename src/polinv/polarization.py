@@ -13,7 +13,6 @@ generators.
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import chain, product
 from math import prod
@@ -518,58 +517,3 @@ def certify_dm(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
                    "bidegree (3,3) invariant P_3(sigma_4), but contains its "
                    "square: integral extension, strictly smaller algebra",
     )
-
-
-@frozen
-class SeparationReport:
-    seed: int
-    trials: int
-    pairs_tested: int
-    separated: int
-    controls_tested: int
-    controls_agreeing: int
-    failures: tuple
-
-    @property
-    def all_separated(self) -> bool:
-        return self.separated == self.pairs_tested and not self.failures
-
-
-def separation_test(group: groups.MatrixGroup, gens: GeneratorSet, trials: int = 200,
-                    seed: int = DEFAULT_SEED, controls: int = 20) -> SeparationReport:
-    """Check that points in distinct orbits are told apart by some generator.
-
-    Draws `trials` random integer point pairs verified (by enumeration) to lie
-    in distinct orbits and records any pair on which every generator agrees.
-    Also draws same-orbit control pairs, on which every generator must agree.
-    """
-    rng = random.Random(seed)
-    layout = gens.layout
-    action = groups.DiagonalAction(group, layout)
-    total = layout.total
-    polys = [p for p, _ in gens.generators]
-
-    def draw_point():
-        return tuple(rng.randint(-9, 9) for _ in range(total))
-
-    failures = []
-    separated = 0
-    tested = 0
-    while tested < trials:
-        v, w = draw_point(), draw_point()
-        if groups.same_orbit(v, w, action):
-            continue
-        tested += 1
-        if any(p.evaluate(v) != p.evaluate(w) for p in polys):
-            separated += 1
-        else:
-            failures.append((v, w))
-
-    controls_agree = 0
-    for _ in range(controls):
-        v = draw_point()
-        w = groups.point_image(group.elements[rng.randrange(group.order)], v, layout)
-        if all(p.evaluate(v) == p.evaluate(w) for p in polys):
-            controls_agree += 1
-    return SeparationReport(seed, trials, tested, separated, controls, controls_agree,
-                            tuple(failures))

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import comb, lcm
 from numbers import Rational
 from operator import add, mul
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, Optional, Sequence
 
 from .limits import frozen
 from .linalg import _integer_terms, _scaled, frac
@@ -97,18 +97,9 @@ def multidegrees(max_total: int, parts: int) -> Iterator[tuple]:
         yield from reversed([c for c, _ in compositions(total, parts)])
 
 
-def monomials(block_sizes: Sequence[int], deg: Sequence[int]) -> List[tuple]:
-    """Exponent tuples over consecutive blocks of the given sizes, of total
-    degree deg[a] in block a, lex descending."""
-    out = [()]
-    for size, d in zip(block_sizes, deg):
-        options = [c for c, _ in compositions(d, size)]
-        out = [prefix + opt for prefix in out for opt in options]
-    return out
-
-
 def count_monomials(block_sizes: Sequence[int], deg: Sequence[int]) -> int:
-    """len(monomials(block_sizes, deg)), without enumerating them."""
+    """The number of exponent tuples over consecutive blocks of the given
+    sizes, of total degree deg[a] in block a: a product of binomials."""
     n = 1
     for size, d in zip(block_sizes, deg):
         n *= comb(d + size - 1, size - 1)

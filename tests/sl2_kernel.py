@@ -2,7 +2,9 @@
 `polinv.liealg.sl2_invariant_dimension` replaced by a count of weights, kept
 as an independent reference for the tests: it builds the derivation images
 of every monomial and eliminates them with `_echelon`, so it shares no code
-with the weight count.
+with the weight count.  `monomials` lists the exponent tuples of one
+multidegree in full, which the package never does (it counts them with
+`count_monomials`); other tests use it too.
 
 On R_d with monomial basis m_i = x^(d-i) y^i the standard operators act as
 e.m_i = i m_{i-1}, f.m_i = (d-i) m_{i+1}, h.m_i = (d-2i) m_i.  The induced
@@ -13,7 +15,17 @@ derivations on the coefficient variables carry a global minus sign so that
 from fractions import Fraction as Q
 
 from polinv.linalg import _echelon, _integer_terms
-from polinv.poly import Poly, VariableLayout, monomials
+from polinv.poly import Poly, VariableLayout, compositions
+
+
+def monomials(block_sizes, deg):
+    """Exponent tuples over consecutive blocks of the given sizes, of total
+    degree deg[a] in block a, lex descending."""
+    out = [()]
+    for size, d in zip(block_sizes, deg):
+        options = [c for c, _ in compositions(d, size)]
+        out = [prefix + opt for prefix in out for opt in options]
+    return out
 
 
 def sl2_derivation_rules(module):

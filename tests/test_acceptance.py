@@ -19,10 +19,11 @@ from polinv.polarization import (certificate_combination, certify_dm,
                                  classical_generators, compare_graded_dims,
                                  copies_layout, embed_in_copies, graded_span_basis,
                                  membership, polarize, polarization_generators,
-                                 separation_test, wallach_operator)
+                                 wallach_operator)
 from polinv.liealg import certify_sl2_r1, certify_sl3, certify_so5, sl2_invariant_dimension
 
 from bivariate_gcd import binary_poly, homogeneous_bivariate_gcd
+from separation_reference import separation_test
 
 
 def _line(name: str, ok: bool, detail: str = ""):

@@ -10,13 +10,15 @@ from polinv import groups, linalg
 from polinv.cli import main
 from polinv.limits import CapExceededError, Caps
 from polinv.linalg import Matrix, inverse
-from polinv.poly import Poly, VariableLayout, monomials, multidegrees, parse_poly
+from polinv.poly import Poly, VariableLayout, multidegrees, parse_poly
 from polinv.groups import (DiagonalAction, MatrixGroup, act, builtin_family, enumerate_group,
-                           invariant_dimension, is_invariant, point_image, reynolds, same_orbit)
+                           invariant_dimension, is_invariant, reynolds)
 from polinv.specs import group_from_spec
 
 from fraction_rref import fraction_rref
+from separation_reference import point_image, same_orbit
 from signed_remap import layout_map, signed_remap
+from sl2_kernel import monomials
 
 SWAP2 = Matrix.from_rows([[0, 1], [1, 0]])
 
@@ -165,7 +167,8 @@ def test_act_convention_matches_point_action():
         g = group.elements[rng.randrange(group.order)]
         ginv = inverse(as_matrix(g))
         v = [rng.randint(-4, 4) for _ in range(6)]
-        moved = list(ginv.matvec(v[0:3])) + list(ginv.matvec(v[3:6]))
+        moved = [x for block in (v[0:3], v[3:6])
+                 for x in (ginv @ Matrix.from_rows([[c] for c in block])).entries]
         assert act(g, p, action).evaluate(v) == p.evaluate(moved)
         assert point_image(g, moved, L) == tuple(v)
 

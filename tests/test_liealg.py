@@ -9,7 +9,7 @@ from polinv.groups import (DiagonalAction, builtin_family, enumerate_group,
                            invariant_dimension, reynolds)
 from polinv.limits import CapExceededError, Caps
 from polinv.linalg import Matrix
-from polinv.poly import Poly, VariableLayout, count_monomials, monomials, parse_poly
+from polinv.poly import Poly, VariableLayout, count_monomials, parse_poly
 from polinv.polarization import polarize
 from polinv.liealg import (LieAlgebraBasis, LieSubspace, bracket, certify_sl2_r1,
                            certify_sl3, certify_so5, generic_orbit_dimension,
@@ -19,7 +19,8 @@ from polinv.liealg import (LieAlgebraBasis, LieSubspace, bracket, certify_sl2_r1
                            SO5_POL2_BIDEGREES)
 
 from fraction_rref import fraction_rref
-from sl2_kernel import apply_derivation, kernel_sl2_invariant_dimension, sl2_derivation_rules
+from sl2_kernel import (apply_derivation, kernel_sl2_invariant_dimension, monomials,
+                        sl2_derivation_rules)
 
 
 def test_bracket_examples():

@@ -7,8 +7,10 @@ from polinv.liealg import LieAlgebraBasis, LieSubspace, sl, unit_matrix
 from polinv.limits import CapExceededError, Caps, frozen
 from polinv.linalg import Matrix
 from polinv.nullcone import BinaryForm, ProbeVerdict, SubspaceSpec, WeightSystem
-from polinv.polarization import GeneratorSet, GradedSpan, SeparationReport
+from polinv.polarization import GeneratorSet, GradedSpan
 from polinv.poly import VariableLayout, parse_poly
+
+from separation_reference import SeparationReport
 
 
 def _sample(decorate):

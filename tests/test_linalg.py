@@ -329,7 +329,7 @@ def test_mat_mul_matches_a_triple_loop_on_rationals():
         assert product.to_rows() == expected
         assert all(type(x) is Q for x in product.entries)
         v = [entry() for _ in range(k)]
-        image = a_matrix.matvec(v)
+        image = (a_matrix @ Matrix(k, 1, tuple(v))).entries
         assert list(image) == [row[0] for row in _triple_loop(a, [[x] for x in v], 1, Q(0))]
         assert all(type(x) is Q for x in image)
 

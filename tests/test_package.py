@@ -18,12 +18,11 @@ EXPORTS = {
     "linalg": ("Matrix", "rref", "solve_in_span", "strict_positive_functional"),
     "poly": ("Poly", "VariableLayout", "parse_poly", "poly_to_string"),
     "groups": ("DiagonalAction", "MatrixGroup", "act", "builtin_family", "enumerate_group",
-               "invariant_dimension", "reynolds", "same_orbit"),
+               "invariant_dimension", "reynolds"),
     "polarization": ("GeneratorSet", "GradedSpan", "certificate_combination", "certify_dm",
                      "classical_generators", "compare_graded_dims", "copies_layout",
                      "embed_in_copies", "graded_span_basis", "membership",
-                     "polarization_generators", "polarize", "separation_test",
-                     "wallach_operator"),
+                     "polarization_generators", "polarize", "wallach_operator"),
     "nullcone": ("BinaryForm", "ProbeVerdict", "SubspaceSpec", "WeightSystem",
                  "binary_form_nullcone_member", "binary_nullcone_witness",
                  "brute_box_functional", "certify_torus", "matrix_nilpotent",

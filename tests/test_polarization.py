@@ -10,16 +10,17 @@ from polinv import polarization
 from polinv.groups import DiagonalAction, builtin_family, is_invariant
 from polinv.limits import CapExceededError, Caps
 from polinv.linalg import Matrix, rank, solve_in_span
-from polinv.poly import Poly, VariableLayout, glex_key, monomials, parse_poly
+from polinv.poly import Poly, VariableLayout, glex_key, parse_poly
 from polinv.polarization import (GeneratorSet, certificate_combination,
                                  classical_generators, compare_graded_dims,
                                  copies_layout, embed_in_copies,
                                  graded_span_basis, membership, polarize,
-                                 polarization_generators, separation_test,
-                                 wallach_operator)
+                                 polarization_generators, wallach_operator)
 from polinv.polarization import _exponent_tuples, _pack, _products_for_target
 
 from fraction_product import fraction_product
+from separation_reference import separation_test
+from sl2_kernel import monomials
 from unpruned_walk import unpruned_exponent_tuples
 
 L1 = VariableLayout(1, 1)

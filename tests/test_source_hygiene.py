@@ -1,9 +1,10 @@
 """Source hygiene of `src/polinv`, read with `ast` alone: every imported name
 is used in its module, every module-level private name is referenced
-somewhere in the package besides its own definition, nothing evaluated at
-import builds a list, dict or set, the `caps` record is handed on whole,
-one function turns a list of rationals into ints, and no function calls
-itself except three whose depth is bounded."""
+somewhere in the package besides its own definition, and so is every
+module-level function and class but four that the benchmark traces;
+nothing evaluated at import builds a list, dict or set, the `caps` record
+is handed on whole, one function turns a list of rationals into ints, and
+no function calls itself except three whose depth is bounded."""
 
 import ast
 from pathlib import Path
@@ -90,6 +91,54 @@ def test_every_private_module_name_is_referenced():
             referenced |= _references(stmt) - own
             private += [(path.name, name) for name in sorted(own) if _private(name)]
     assert [p for p in private if p[1] not in referenced] == []
+
+
+# no module of the package calls these four, but the benchmark's TRACED table
+# (perfbench/spans.py) wraps them by name; they leave `src` together with
+# that table's change
+TRACED_ONLY = {
+    ("groups", "reynolds"),  # ROADMAP item 14
+    ("linalg", "rref"),  # ROADMAP item 14
+    ("linalg", "solve_in_span"),  # ROADMAP item 14
+    ("nullcone", "binary_form_nullcone_member"),  # ROADMAP item 14
+}
+
+
+def _scenario_functions():
+    """The function names in `cli._SCENARIOS`, which the CLI reaches by `getattr`."""
+    (table,) = [stmt.value for stmt in _tree(SRC / "cli.py").body
+                if isinstance(stmt, ast.Assign) and _defined(stmt) == {"_SCENARIOS"}]
+    return {row.elts[2].value for row in table.elts}
+
+
+def test_every_module_level_function_and_class_is_referenced():
+    # a function or class that no module of the package reaches is a dead
+    # helper.  A reference is a load or an import of its name, the attribute
+    # `module.name` of its own module (an attribute of anything else, as
+    # `caps.monomials`, is another name) or a scenario of `cli._SCENARIOS`;
+    # the strings of `__init__._EXPORTS` and the definition's own body
+    # reach nothing
+    referenced = _scenario_functions()
+    defined = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in _tree(path).body:
+            own = set()
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+                if not (stmt.name.startswith("__") and stmt.name.endswith("__")):
+                    defined.add((path.stem, stmt.name))
+            reached = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    reached.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                    reached.add(f"{node.value.id}.{node.attr}")
+                elif isinstance(node, ast.alias):
+                    reached.add(node.asname or node.name)
+            referenced |= reached - own
+    unreferenced = {(module, name) for module, name in defined
+                    if not {name, f"{module}.{name}"} & referenced}
+    assert sorted(unreferenced) == sorted(TRACED_ONLY)
 
 
 MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
