@@ -190,7 +190,7 @@ def cmd_nullcone(args, caps: Caps) -> dict:
     if args.nullcone_kind == "torus":
         ws = specs.weight_system_from_spec(specs.load_spec(args.module_file))
         v = _parse_vector(args.vector)
-        gamma = nullcone.torus_nullcone_member(ws, v)
+        gamma = nullcone.torus_nullcone_member(ws, v, caps)
         checks = [reports.check("in_nullcone", gamma is not None)]
         payload = {"vector": [str(x) for x in v], "member": gamma is not None}
         if gamma is not None:

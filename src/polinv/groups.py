@@ -33,9 +33,9 @@ def _signed_perm(g: Matrix):
     """(perm, signs) when g^{-1} maps each variable j to signs[j] * x_perm[j], else None.
 
     For a signed permutation matrix g^{-1} is the transpose of g, so the map
-    is read off the columns of g.  The pair needs no inverse, and it gives
-    det(1 - s g) from its signed cycles and g v by a signed remap of the
-    coordinates.
+    is read off the columns of g.  The pair needs no inverse: it gives
+    det(1 - s g) from its signed cycles, and the variable images of `act` as
+    single signed variables.
     """
     perm, signs = [], []
     for j in range(g.cols):
@@ -66,10 +66,13 @@ class MatrixGroup:
         return len(self.elements)
 
     @cached_property
-    def molien_classes(self) -> Tuple[Tuple[tuple, int], ...]:
-        """(coefficients of det(1 - s g), number of elements g sharing them)
-        for each distinct such polynomial, built once per group."""
-        return tuple(Counter(map(_det_one_minus, self.elements)).items())
+    def molien_classes(self) -> Tuple[Tuple[tuple, int, list], ...]:
+        """(coefficients of det(1 - s g), number of elements g sharing them,
+        h) for each distinct such polynomial, built once per group.  h starts
+        as [1], the h_0 of 1/det(1 - s g), and `invariant_dimension` extends
+        it in place as far as a degree asks, so each h_k is built once."""
+        return tuple((c, count, [1])
+                     for c, count in Counter(map(_det_one_minus, self.elements)).items())
 
 
 def _det_one_minus(g: Element) -> tuple:
@@ -239,7 +242,8 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
     the coefficient of s^k in 1/det(1 - s g) (the trace of g on degree-k
     forms).  The sum runs over `molien_classes`, one term per distinct
     det(1 - s g) = sum_i c_i s^i weighted by its element count, with
-    h_k = -sum_{i>=1} c_i h_{k-i}.  No `Poly` and no rank is formed.  A
+    h_k = -sum_{i>=1} c_i h_{k-i}, kept with the class so a table of
+    multidegrees builds each h_k once.  No `Poly` and no rank is formed.  A
     multidegree whose monomial basis is above `caps.monomials` is refused
     with a cap error first.
     """
@@ -249,9 +253,8 @@ def invariant_dimension(action: DiagonalAction, deg: Sequence[int],
     if len(deg) != action.layout.blocks:
         raise ValueError("multidegree length does not match layout")
     top, total = max(deg, default=0), 0
-    for c, count in action.group.molien_classes:
-        h = [1]
-        for _ in range(top):
+    for c, count, h in action.group.molien_classes:
+        while len(h) <= top:
             h.append(-sum(a * b for a, b in zip(c[1:], reversed(h))))
         term = count
         for a in deg:

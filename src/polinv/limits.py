@@ -97,8 +97,10 @@ class Caps:
     monomials      the variables of a layout; the output of a polarization,
                    counted together over a generator set; the terms of a
                    `family`'s generators; the monomial basis of a dimension
-                   count; the support of a span or membership system; and
-                   each generator power its products use
+                   count; the support of a span or membership system; each
+                   generator power its products use; and the rows of each
+                   level of a Fourier-Motzkin elimination (a torus nullcone
+                   question)
     """
 
     group_order: int = 100_000

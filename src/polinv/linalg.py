@@ -22,15 +22,16 @@ kept is read back from the logs by one reverse sweep: no row carries a
 combination, and no Fraction is built until the final coefficients.
 `_int_product`, rows by columns in ints, is the one integer matrix product:
 `Matrix @` runs it on its operands through `_scaled`, and so do the bracket
-and the orbit ranks of `liealg`, and a vector is a `Matrix` of one
-column.  `mat_mul` multiplies matrices given as row and column lists, with
-rational entries, `Poly` entries or both (an entry with no product is the
-int 0): `power_traces` yields tr(A^k) through it for the Molien count in
-`groups` and the nilpotency test in `nullcone`, and `liealg` forms the so5
-trace invariants and every combination of basis matrices with it.  Strict
-feasibility is fraction-free Fourier-Motzkin elimination (`_fm_solve`), a
-loop over the variables that keeps each level for the back-substitution.
-There is no floating point anywhere in this module; every answer is exact.
+and the orbit ranks of `liealg`.  `mat_mul` multiplies matrices given as
+row and column lists, with rational entries, `Poly` entries or both (an
+entry with no product is the int 0): `power_traces` yields tr(A^k)
+through it for the Molien count in `groups` and the nilpotency test in
+`nullcone`, and `liealg` forms the so5 trace invariants and every
+combination of basis matrices with it.  Strict feasibility is fraction-free
+Fourier-Motzkin elimination (`_fm_solve`), a loop over the variables that
+keeps each level for the back-substitution and refuses a level over the
+monomial cap.  There is no floating point anywhere in this module; every
+answer is exact.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .limits import frozen
+from .limits import Caps, DEFAULT_CAPS, frozen
 
 Q = Fraction
 
@@ -96,10 +97,6 @@ class Matrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
-
     def __matmul__(self, other: "Matrix") -> "Matrix":
         """Exact product.  Each operand is scaled once to integer entries
         (`_scaled`), multiplied by `_int_product`, and each entry is divided
@@ -126,23 +123,13 @@ class Matrix:
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
 
-    def scale(self, c) -> "Matrix":
-        c = frac(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.entries)
-
 
 def _scaled(values: Sequence) -> tuple:
-    """(ints, d): d times the rationals `values` as a list of ints, d the lcm
-    of their denominators.  The one place a rational vector becomes an
-    integer one.  Ints and Fractions are read as they are, anything else
-    through `frac`; a sequence of ints is returned as it is, with d = 1."""
-    try:
-        d = lcm(*[x.denominator for x in values])
-    except AttributeError:  # strings and floats
-        return _scaled([frac(x) for x in values])
+    """(ints, d): d times the rationals `values`, ints and Fractions, as a
+    list of ints, d the lcm of their denominators.  The one place a rational
+    vector becomes an integer one; a sequence of ints is returned as it is,
+    with d = 1."""
+    d = lcm(*[x.denominator for x in values])
     if d == 1 and all(type(x) is int for x in values):
         return values, 1
     return [x.numerator * (d // x.denominator) for x in values], d
@@ -394,7 +381,7 @@ def solve_in_span(basis: Sequence[Sequence], target: Sequence) -> Optional[list]
 # Strict feasibility of homogeneous linear inequality systems
 # ---------------------------------------------------------------------------
 
-def _fm_solve(rows, nvars: int) -> Optional[tuple]:
+def _fm_solve(rows, nvars: int, caps: Caps) -> Optional[tuple]:
     """Fourier-Motzkin elimination for the strict homogeneous system row.x > 0.
 
     `rows` are integer tuples of length nvars.  Each level divides every row
@@ -404,8 +391,9 @@ def _fm_solve(rows, nvars: int) -> Optional[tuple]:
     the same cone as rational elimination would.  The variables are
     eliminated in a loop from the last down, each level's low and high rows
     kept; then x_0, x_1, ... are set in turn between the bounds of their
-    level.  Returns one rational solution as (numerators, common
-    denominator), or None.
+    level.  A level of more than `caps.monomials` rows (the rows free of
+    x_v plus lows * highs) is refused before it is built.  Returns one
+    rational solution as (numerators, common denominator), or None.
     """
     levels = []  # (lows, highs) of x_v, for v = nvars - 1 down to 0
     for left in range(nvars, -1, -1):  # the number of variables not eliminated
@@ -421,6 +409,8 @@ def _fm_solve(rows, nvars: int) -> Optional[tuple]:
             lows = [r for r in rows if r[v] > 0]
             highs = [r for r in rows if r[v] < 0]
             rows = [r[:v] for r in rows if r[v] == 0]
+            caps.bound("monomials", len(rows) + len(lows) * len(highs),
+                       "inequality system too large")
             rows += [tuple(l[v] * y - u[v] * x for x, y in zip(l[:v], u[:v]))
                      for l in lows for u in highs]
             levels.append((lows, highs))
@@ -444,23 +434,22 @@ def _fm_solve(rows, nvars: int) -> Optional[tuple]:
     return nums, den
 
 
-def strict_positive_functional(points: Iterable[Sequence], dim: Optional[int] = None):
+def strict_positive_functional(points: Iterable[Sequence], dim: int,
+                               caps: Caps = DEFAULT_CAPS):
     """Find an integer vector gamma with <gamma, p> > 0 for every point p.
 
-    Returns a primitive integer tuple, or None when no such functional exists
+    The points are vectors of length `dim`, of ints and Fractions.  Returns
+    a primitive integer tuple, or None when no such functional exists
     (equivalently, 0 lies in the convex hull of the points).  An empty point
-    list is vacuously feasible and returns (1, ..., 1); pass `dim` to fix its
-    length.
+    list is vacuously feasible and returns (1, ..., 1).  A Fourier-Motzkin
+    level over the cap is refused (`_fm_solve`).
     """
     rows = [tuple(_scaled(p)[0]) for p in points]
     if not rows:
-        return tuple([1] * (dim if dim is not None else 0))
-    d = len(rows[0])
-    if dim is not None and dim != d:
+        return (1,) * dim
+    if any(len(r) != dim for r in rows):
         raise ValueError("dimension mismatch")
-    if any(len(r) != d for r in rows):
-        raise ValueError("dimension mismatch")
-    sol = _fm_solve(rows, d)
+    sol = _fm_solve(rows, dim, caps)
     if sol is None:
         return None
     g = gcd(*sol[0]) or 1

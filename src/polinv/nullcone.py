@@ -53,7 +53,8 @@ class WeightSystem:
         return len(self.weights)
 
 
-def torus_nullcone_member(ws: WeightSystem, v: Sequence) -> Optional[tuple]:
+def torus_nullcone_member(ws: WeightSystem, v: Sequence,
+                          caps: Caps = DEFAULT_CAPS) -> Optional[tuple]:
     """A cocharacter gamma positive on the support of v, or None.
 
     v lies in the nullcone exactly when such a gamma exists; the zero vector
@@ -61,7 +62,7 @@ def torus_nullcone_member(ws: WeightSystem, v: Sequence) -> Optional[tuple]:
     """
     if len(v) != ws.coordinates:
         raise ValueError("vector length does not match the module")
-    return strict_positive_functional(_support_weights(ws, [v]), dim=ws.torus_rank)
+    return strict_positive_functional(_support_weights(ws, [v]), ws.torus_rank, caps)
 
 
 def _support_weights(ws: WeightSystem, vectors) -> list:
@@ -98,7 +99,8 @@ class SubspaceSpec:
                 raise ValueError("spanning vector length does not match the ambient dimension")
 
 
-def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec) -> Optional[tuple]:
+def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec,
+                              caps: Caps = DEFAULT_CAPS) -> Optional[tuple]:
     """A single gamma positive on every support weight of the spanning vectors.
 
     When it exists the whole subspace lies in the corresponding positive part,
@@ -107,7 +109,7 @@ def subspace_in_common_vgamma(ws: WeightSystem, L: SubspaceSpec) -> Optional[tup
     if L.ambient_dim != ws.coordinates:
         raise ValueError("ambient dimension does not match the module")
     return strict_positive_functional(_support_weights(ws, L.spanning_vectors),
-                                      dim=ws.torus_rank)
+                                      ws.torus_rank, caps)
 
 
 # --- independent brute-force oracle (used by agreement certificates) --------
@@ -381,10 +383,8 @@ def span_probe_nullcone(member: Callable[[tuple], bool], L: SubspaceSpec,
     coordinates of the spanning vectors (the columns are formed once).
     """
     rng = random.Random(seed)
-    k = len(L.spanning_vectors)
-    vs = [tuple(v) for v in L.spanning_vectors]
-    if not all(type(x) is int for v in vs for x in v):
-        vs = [tuple(frac(x) for x in v) for v in vs]
+    vs = L.spanning_vectors
+    k = len(vs)
     columns = list(zip(*vs)) if vs else [()] * L.ambient_dim
     randint = rng.randint
     for _ in range(trials):
@@ -452,7 +452,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
         def decide(support: tuple, v) -> Optional[tuple]:
             # torus_nullcone_member's answer depends only on the support weights
             if support not in decided:
-                decided[support] = torus_nullcone_member(ws, v)
+                decided[support] = torus_nullcone_member(ws, v, caps)
             return decided[support]
 
         def member(v) -> bool:
@@ -473,7 +473,7 @@ def certify_torus(seed: int = DEFAULT_SEED, caps: Caps = DEFAULT_CAPS) -> dict:
             v1 = _random_vector(rng, ws.coordinates)
             v2 = _random_vector(rng, ws.coordinates)
             L = SubspaceSpec(ws.coordinates, (v1, v2))
-            gamma = subspace_in_common_vgamma(ws, L)
+            gamma = subspace_in_common_vgamma(ws, L, caps)
             probe = span_probe_nullcone(member, L, trials=64, seed=seed)
             planes += 1
             if not probe.escaped:

@@ -152,10 +152,6 @@ class Poly:
         exps[index] = 1
         return cls(layout, {tuple(exps): Q(1)})
 
-    @classmethod
-    def monomial(cls, layout: VariableLayout, exponents: Sequence[int], coeff=1) -> "Poly":
-        return cls(layout, {tuple(exponents): frac(coeff)})
-
     # -- inspection ---------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -164,9 +160,6 @@ class Poly:
     def terms(self) -> list:
         """Terms as (exponents, coefficient) pairs in graded-lex descending order."""
         return sorted(self._terms.items(), key=lambda t: glex_key(t[0]), reverse=True)
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponents), Q(0))
 
     def total_degree(self) -> int:
         if not self._terms:

@@ -88,8 +88,9 @@ def reference_binary_witness(f: BinaryForm):
     e = g.total_degree()
     if e < 1:
         return None
-    top = g.coefficient((e, 0))
+    coeffs = dict(g.terms())
+    top = coeffs.get((e, 0), 0)
     if top == 0:
         return (0, 1)
-    t = g.coefficient((e - 1, 1)) / (e * top)
+    t = coeffs.get((e - 1, 1), 0) / (e * top)
     return (t.denominator, t.numerator)

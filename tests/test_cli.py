@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import resource
 import subprocess
 import sys
 import tempfile
@@ -163,7 +164,7 @@ def test_nullcone_torus_structured_report_is_pinned(tmp_path, capsys):
 def test_nullcone_torus_check_refuses_a_forged_cocharacter(files, capsys, monkeypatch):
     from polinv import nullcone
     # weights 1, 1, -1: gamma = -1 is negative on the support of (1, 1, 0)
-    monkeypatch.setattr(nullcone, "torus_nullcone_member", lambda ws, v: (-1,))
+    monkeypatch.setattr(nullcone, "torus_nullcone_member", lambda ws, v, caps: (-1,))
     code, out = run(capsys, ["--format", "structured", "nullcone", "torus", files["torus"],
                              "1,1,0"])
     assert code == 1
@@ -400,6 +401,38 @@ def test_cap_exceeded_exits_3(files, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert (code, out) == (3, "")
     assert err == "error: too many monomials (cap monomials=100)\n"
+
+
+# a rank-6 torus module of 16 weights on which Fourier-Motzkin elimination of
+# the vector 1, ..., 1 builds levels of more than 10^8 rows
+RANK_6_MODULE = {"torus_rank": 6, "weights": [
+    [1, 2, -2, 0, 2, 0], [3, 2, 3, 1, -1, 1], [0, 1, -1, -3, 3, -3], [-2, 1, -2, -2, -2, -3],
+    [3, 1, -1, -1, 3, 0], [2, 1, -2, 0, -1, 0], [2, 0, 0, 2, -2, -1], [3, 2, 3, -2, 1, -1],
+    [3, 0, -1, -1, 3, 2], [3, 1, 1, 1, 1, 2], [1, 1, 0, -1, 2, -2], [3, 3, -1, 2, -3, 3],
+    [-2, 2, -3, -3, 1, 2], [3, 1, -2, 3, -1, -2], [3, -2, -3, 0, 2, 3], [2, -3, -3, -3, -3, -3]]}
+
+
+def _limit_address_space():
+    limit = 1200 * 2 ** 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_torus_elimination_over_the_cap_exits_3_under_a_memory_limit(tmp_path):
+    # the vector is in the nullcone, (3, 3, -3, -3, -3, -1) being positive on
+    # every weight, but the elimination is refused before its large level is
+    # built: exit 3, not a MemoryError read as "not in the nullcone".  The
+    # address-space limit acts on the child process only.
+    gamma = (3, 3, -3, -3, -3, -1)
+    assert all(sum(g * x for g, x in zip(gamma, w)) > 0 for w in RANK_6_MODULE["weights"])
+    module = write(tmp_path, "rank6.json", RANK_6_MODULE)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-c", "from polinv.cli import entry; entry()",
+                           "nullcone", "torus", module, ",".join(["1"] * 16)],
+                          env=env, capture_output=True, text=True, timeout=10,
+                          preexec_fn=_limit_address_space)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error:")
 
 
 def test_numpy_never_loads(tmp_path):

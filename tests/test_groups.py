@@ -233,9 +233,9 @@ def _act_sum_invariant_dimension(action, deg):
     monos = monomials_of_multidegree(action.layout, deg)
     rows = {}
     for e in monos:
-        x = Poly.monomial(action.layout, e)
-        image = sum((f(x) for f in actions), Poly.zero(action.layout))
-        coeffs = [image.coefficient(ee) for ee in monos]
+        x = Poly(action.layout, {e: 1})
+        image = dict(sum((f(x) for f in actions), Poly.zero(action.layout)).terms())
+        coeffs = [image.get(ee, Q(0)) for ee in monos]
         lead = next((c for c in coeffs if c), None)
         if lead is not None:
             rows[tuple(c / lead for c in coeffs)] = None
@@ -331,6 +331,18 @@ def test_invariant_dimension_matches_molien(family, m):
     assert {deg: invariant_dimension(action, deg) for deg in molien} == molien
     assert {deg: _orbit_count(action, deg) for deg in molien} == molien
     assert molien[(3, 3)] == {"S": 27, "B": 6, "D": 10 if m == 4 else 6}[family]
+
+
+def test_invariant_dimension_keeps_the_molien_numbers_of_each_class():
+    # each class's h_0, h_1, ... are built once and kept with it, as far as
+    # the largest degree asked: a table of rows does not rebuild them per
+    # row, and the answers do not depend on the order of the rows
+    for order in (list, reversed):
+        group = builtin_family("D", 4)
+        action = DiagonalAction(group, VariableLayout(2, 4))
+        want = _molien_dimensions(group, 6)
+        assert {deg: invariant_dimension(action, deg) for deg in order(list(want))} == want
+        assert [len(h) for _, _, h in group.molien_classes] == [7] * len(group.molien_classes)
 
 
 @pytest.mark.parametrize("family,m", [("B", 3), ("D", 4)])

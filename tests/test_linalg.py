@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from polinv import linalg
 from polinv.groups import DiagonalAction, builtin_family, invariant_dimension
-from polinv.limits import Caps
+from polinv.limits import CapExceededError, Caps
 from polinv.linalg import (Matrix, _echelon, inverse, mat_mul, power_traces, rank, rref,
                            solve_in_span, strict_positive_functional)
 from polinv.nullcone import brute_box_functional
@@ -52,7 +52,7 @@ def test_rank_equals_rank_of_transpose():
         n, m = rng.randint(1, 4), rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
         mat = Matrix.from_rows(rows)
-        assert rank(mat) == rank(mat.transpose())
+        assert rank(mat) == rank(Matrix.from_rows(zip(*rows)))
 
 
 def _random_matrix(rng, rows, cols):
@@ -345,7 +345,7 @@ def test_scaled_clears_every_denominator_by_their_lcm():
     ints = [3, -1, 0]
     assert linalg._scaled(ints) == (ints, 1)
     assert linalg._scaled(ints)[0] is ints  # ints pass as they are
-    assert linalg._scaled((Q(1, 2), 3, "-2/3", Q(5, 4))) == ([6, 36, -8, 15], 12)
+    assert linalg._scaled((Q(1, 2), 3, Q(5, 4))) == ([2, 12, 5], 4)
     assert linalg._scaled([Q(4), Q(-7)]) == ([4, -7], 1)
     assert linalg._scaled([]) == ([], 1)
 
@@ -487,24 +487,24 @@ def test_solve_in_span_and_rank_match_the_rref_reference():
         if basis:
             mat = Matrix.from_rows(basis)
             assert rank(mat) == fraction_rref(mat)[1]
-            assert rank(mat.transpose()) == fraction_rref(mat)[1]
+            assert rank(Matrix.from_rows(zip(*basis))) == fraction_rref(mat)[1]
     assert found > 100 and missing > 50
 
 
 def test_strict_positive_functional_positive_orthant():
-    gamma = strict_positive_functional([(1, 0), (0, 1)])
+    gamma = strict_positive_functional([(1, 0), (0, 1)], 2)
     assert gamma is not None
     for p in [(1, 0), (0, 1)]:
         assert sum(g * x for g, x in zip(gamma, p)) > 0
 
 
 def test_strict_positive_functional_opposite_points():
-    assert strict_positive_functional([(1, -1), (-1, 1)]) is None
+    assert strict_positive_functional([(1, -1), (-1, 1)], 2) is None
 
 
 def test_strict_positive_functional_direct_check():
     points = [(2, -1), (-1, 2)]
-    gamma = strict_positive_functional(points)
+    gamma = strict_positive_functional(points, 2)
     assert gamma is not None
     assert all(sum(g * x for g, x in zip(gamma, p)) > 0 for p in points)
     # (1, 1) itself is a valid functional with values 1, 1
@@ -516,7 +516,7 @@ def test_strict_positive_functional_empty_convention():
 
 
 def test_strict_positive_functional_zero_weight_infeasible():
-    assert strict_positive_functional([(0, 0)]) is None
+    assert strict_positive_functional([(0, 0)], 2) is None
 
 
 # gamma, not only its existence, is part of the contract: `nullcone torus`
@@ -528,22 +528,32 @@ PINNED_COCHARACTERS = [
     ([(1,), (-1,)], None),
     ([(1, 0), (0, 1)], (1, 1)),
     ([(1, 2), (2, 4), (1, 2), (-1, 1), (3, -1), (-3, 3)], (1, 2)),
-    ([("1/2", "1/3"), (-1, 2), (Q(3, 4), "-1/5")], (8, 17)),
+    ([(Q(1, 2), Q(1, 3)), (-1, 2), (Q(3, 4), Q(-1, 5))], (8, 17)),
     ([(1, 0), (0, 0), (0, 1)], None),
     ([(1, -2, 3), (-2, 1, 1), (1, 1, -1), (0, 3, -2)], (0, 6, 5)),
     ([(3, -1, 0), (-1, 3, 0), (1, 1, -1), (1, 1, 4), (-2, 1, 1)], (4, 7, 6)),
     ([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)], None),
     ([(1, 2, -1, 0), (-1, 0, 2, 1), (0, -1, 1, 2), (2, 1, 0, -1), (1, -1, 1, 1)],
      (0, 2, 2, 1)),
-    ([("1/2", -1, "2/3", -1), (-1, "3/7", 1, "1/5"), (1, 1, -2, "1/3"),
-      (0, "-1/2", 1, 1), ("2/5", 1, 0, "-1/4")], (409920, 422320, 342246, -60141)),
+    ([(Q(1, 2), -1, Q(2, 3), -1), (-1, Q(3, 7), 1, Q(1, 5)), (1, 1, -2, Q(1, 3)),
+      (0, Q(-1, 2), 1, 1), (Q(2, 5), 1, 0, Q(-1, 4))], (409920, 422320, 342246, -60141)),
     ([(1, -1, 2, 0), (-2, 1, 0, 1), (1, 0, -2, -1), (0, 0, 0, 1), (0, 0, 0, -1)], None),
 ]
 
 
 @pytest.mark.parametrize("points, gamma", PINNED_COCHARACTERS)
 def test_strict_positive_functional_pinned_cocharacters(points, gamma):
-    assert strict_positive_functional(points) == gamma
+    assert strict_positive_functional(points, len(points[0])) == gamma
+
+
+def test_strict_positive_functional_refuses_a_level_over_the_monomial_cap():
+    # eliminating x_1 from these four rows combines two lows with two highs
+    # into 4 rows (none is free of x_1); the later levels are smaller
+    points = [(1, 1), (1, -1), (1, 2), (1, -2)]
+    assert strict_positive_functional(points, 2, Caps(monomials=4)) is not None
+    with pytest.raises(CapExceededError) as refused:
+        strict_positive_functional(points, 2, Caps(monomials=3))
+    assert (refused.value.cap_name, refused.value.cap_value) == ("monomials", 3)
 
 
 def test_strict_positive_functional_matches_brute_force():

@@ -1,12 +1,14 @@
 """Source hygiene of `src/polinv`, read with `ast` alone: every imported name
 is used in its module, every module-level private name is referenced
 somewhere in the package besides its own definition, and so is every
-module-level function and class but four that the benchmark traces;
-nothing evaluated at import builds a list, dict or set, the `caps` record
-is handed on whole, one function turns a list of rationals into ints, and
-no function calls itself except three whose depth is bounded."""
+module-level function and class but four that the benchmark traces, and
+every method, classmethod and property of a class; nothing evaluated at
+import builds a list, dict or set, the `caps` record is handed on whole,
+one function turns a list of rationals into ints, and no function calls
+itself except two whose depth is bounded."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -139,6 +141,34 @@ def test_every_module_level_function_and_class_is_referenced():
     unreferenced = {(module, name) for module, name in defined
                     if not {name, f"{module}.{name}"} & referenced}
     assert sorted(unreferenced) == sorted(TRACED_ONLY)
+
+
+def _attribute_reads(node):
+    """The names that `node` reads as attributes (`x.name`), with their counts."""
+    return Counter(n.attr for n in ast.walk(node)
+                   if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load))
+
+
+def test_every_class_member_is_read_as_an_attribute():
+    # a method, classmethod or property that no code of the package reads as
+    # `x.name` outside its own body is dead surface.  `ast` cannot tell the
+    # type of `x`, so a read of the name on any object counts, and a member
+    # that shares its name with a live one escapes this test; a bare name (a
+    # local variable such as `scale`) is not a read of the member.  Dunder
+    # protocol (`__neg__`, `__rsub__`) is reached by the operators.
+    trees = [(path.stem, _tree(path)) for path in sorted(SRC.glob("*.py"))]
+    reads = sum((_attribute_reads(tree) for _, tree in trees), Counter())
+    unread = []
+    for module, tree in trees:
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for fn in cls.body:
+                if (isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                        and reads[fn.name] == _attribute_reads(fn)[fn.name]):
+                    unread.append((module, cls.name, fn.name))
+    assert unread == []
 
 
 MUTABLE_DISPLAYS = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
@@ -314,10 +344,10 @@ def _self_calls(tree):
 
 def test_no_function_calls_itself():
     # a recursion whose depth grows with the input ends in a RecursionError
-    # (exit 1, read as "no") long before any cap; these three are bounded:
-    # the fixed nesting of a report, one re-entry for strings, and the box
-    # dimension of the oracle (at most 3 in every call in the package)
+    # (exit 1, read as "no") long before any cap; these two are bounded: the
+    # fixed nesting of a report and the box dimension of the oracle (at most
+    # 3 in every call in the package)
     recursive = {(path.name, name) for path in sorted(SRC.glob("*.py"))
                  for name in _self_calls(_tree(path))}
-    assert recursive == {("reports.py", "jsonable"), ("linalg.py", "_scaled"),
+    assert recursive == {("reports.py", "jsonable"),
                          ("nullcone.py", "brute_box_functional.descend")}
